@@ -52,7 +52,6 @@ from .independent_schemes import (
     RelaxationSolution,
     actions_greedy,
     actions_reduce,
-    check_rhoE_optimality,
     f_of_S,
     fptas_select,
     g_curve,
@@ -97,7 +96,6 @@ __all__ = [
     "best_fixed_action_value",
     "bicriteria_scheme",
     "candidate_slopes",
-    "check_rhoE_optimality",
     "enumerate_oracle",
     "enumerate_prior",
     "expected_utilities",

@@ -1,17 +1,19 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 for validation problems (bad arguments or a
-malformed instance), 2 for infeasibility or a violated guarantee, 3 when a
-scheme builder refuses an instance it cannot certify (override with
---force).  All commands print JSON with sorted keys and floats rounded to
-12 significant digits, so identical invocations produce identical bytes.
+Exit codes: 0 on success, 1 for validation problems (a malformed instance,
+a bad option value, an unknown option or command, a missing option value,
+or arithmetic that overflows on an instance too large for it), 2 for
+infeasibility or a violated guarantee, 3 when a scheme builder refuses an
+instance it cannot certify (override with --force).  Every error prints
+one ``error:`` line to stderr.  All commands print JSON with sorted keys
+and floats rounded to 12 significant digits, so identical invocations
+produce identical bytes.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -30,7 +32,6 @@ from .independent_schemes import (
     independent_scheme,
 )
 from .model import (
-    InstanceFormatError,
     fixture_names,
     is_symmetric,
     load_instance,
@@ -49,45 +50,34 @@ _SYMMETRIC_METHODS = ("slope", "imitation", "bicriteria")
 _INDEPENDENT_METHODS = ("greedy", "fptas", "reduce")
 
 
-class _IntOption(click.ParamType):
-    """Integer option whose parse failure is a validation error (exit 1).
-
-    Click's built-in types report bad values as usage errors with exit
-    code 2, which this tool reserves for infeasibility.
-    """
-
-    name = "integer"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            flag = param.opts[0] if param is not None else "option"
-            raise click.ClickException(f"{flag} expects an integer, got {value!r}")
-
-
-class _FloatOption(click.ParamType):
-    name = "float"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, (int, float)):
-            return float(value)
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            flag = param.opts[0] if param is not None else "option"
-            raise click.ClickException(f"{flag} expects a number, got {value!r}")
-
-
-_INT = _IntOption()
-_FLOAT = _FloatOption()
-
-
 def _die(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+class _Group(click.Group):
+    """Command group whose usage errors are validation errors (exit 1).
+
+    Click exits 2 on a bad option value, an unknown option or command and
+    a missing option value; this tool reserves 2 for infeasibility.
+    """
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _usage_error(exc)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _usage_error(exc)
+
+
+def _usage_error(exc: click.UsageError) -> None:
+    hint = f" (see '{exc.ctx.command_path} --help')" if exc.ctx is not None else ""
+    _die(1, exc.format_message() + hint)
 
 
 def _guarded(fn):
@@ -99,10 +89,10 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except PreconditionError as exc:
             _die(3, f"{exc} (pass --force to build it anyway)")
-        except InstanceFormatError as exc:
-            _die(1, str(exc))
         except (ValueError, TypeError) as exc:
             _die(1, str(exc))
+        except ArithmeticError as exc:
+            _die(1, f"{type(exc).__name__} on this instance: {exc}")
         except RuntimeError as exc:
             _die(2, str(exc))
 
@@ -127,18 +117,6 @@ def _check_method(method: str, instance) -> None:
         raise ValueError(f"method {method!r} needs an independent-actions instance")
 
 
-def _resolve_threads(threads: int | None) -> int | None:
-    if threads is not None:
-        return threads
-    raw = os.environ.get("PERSUADE_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"PERSUADE_THREADS must be an integer, got {raw!r}")
-
-
 def _round12(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}") + 0.0  # adding 0.0 turns -0.0 into 0.0
@@ -157,58 +135,25 @@ def _emit(doc: dict, output: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _build_executor(instance, k, method, epsilon, samples, seed, threads, force):
-    """An object with recommend/recommendation_distribution for any method."""
+def _build(instance, k, method, epsilon, samples, seed, force):
+    """Build the scheme of any method: (executor, document for ``solve``).
+
+    The executor has recommend/recommendation_distribution methods.
+    """
     _check_method(method, instance)
     if method == "slope":
-        return SlopeSchemeExecutor(slope_algorithm(instance, k, threads=threads), k)
+        scheme = slope_algorithm(instance, k)
+        return SlopeSchemeExecutor(scheme, k), slope_scheme_to_dict(scheme)
     if method == "imitation":
-        return imitation_scheme(instance, k, threads=threads)
-    if method == "bicriteria":
-        _need(epsilon, "--epsilon")
-        _need(samples, "--samples")
-        result = bicriteria_scheme(instance, k, epsilon, samples, np.random.default_rng(seed))
-        return result.scheme
-    return independent_scheme(instance, k, method=method, epsilon=epsilon, force=force)
-
-
-@click.group()
-def main() -> None:
-    """Signaling schemes for Bayesian persuasion with limited signal spaces."""
-
-
-@main.command()
-@click.option("--instance", "instance_path", type=str, default=None, help="Instance JSON file.")
-@click.option("--k", type=_INT, default=None, help="Number of signals.")
-@click.option("--method", type=str, default="slope", show_default=True,
-              help="slope, imitation or bicriteria for symmetric instances; "
-                   "greedy, fptas or reduce for independent ones.")
-@click.option("--epsilon", type=_FLOAT, default=None, help="Accuracy for fptas/bicriteria.")
-@click.option("--samples", type=_INT, default=None, help="Sample count for bicriteria.")
-@click.option("--seed", type=_INT, default=0, show_default=True)
-@click.option("--threads", type=_INT, default=None,
-              help="Worker threads; defaults to PERSUADE_THREADS if set.")
-@click.option("--force", is_flag=True, help="Build even when persuasiveness cannot be certified.")
-@click.option("--output", type=str, default=None, help="Write JSON here instead of stdout.")
-@_guarded
-def solve(instance_path, k, method, epsilon, samples, seed, threads, force, output):
-    """Compute a k-signal scheme and print it."""
-    instance = load_instance(_need(instance_path, "--instance"))
-    k = _need(k, "--k")
-    threads = _resolve_threads(threads)
-    _check_method(method, instance)
-    if method == "slope":
-        scheme = slope_algorithm(instance, k, threads=threads)
-        doc = slope_scheme_to_dict(scheme)
-    elif method == "imitation":
-        executor = imitation_scheme(instance, k, threads=threads)
+        executor = imitation_scheme(instance, k)
         doc = {
             "method": "imitation",
             "k": k,
             "n": n_slots(instance),
             "base": slope_scheme_to_dict(executor.base_scheme),
         }
-    elif method == "bicriteria":
+        return executor, doc
+    if method == "bicriteria":
         _need(epsilon, "--epsilon")
         _need(samples, "--samples")
         result = bicriteria_scheme(instance, k, epsilon, samples, np.random.default_rng(seed))
@@ -221,16 +166,40 @@ def solve(instance_path, k, method, epsilon, samples, seed, threads, force, outp
             "u_receiver": result.u_receiver,
             "max_regret": result.max_regret,
         }
-    else:
-        scheme = independent_scheme(instance, k, method=method, epsilon=epsilon, force=force)
-        doc = expost_scheme_to_dict(scheme)
+        return result.scheme, doc
+    scheme = independent_scheme(instance, k, method=method, epsilon=epsilon, force=force)
+    return scheme, expost_scheme_to_dict(scheme)
+
+
+@click.group(cls=_Group, no_args_is_help=False)
+def main() -> None:
+    """Signaling schemes for Bayesian persuasion with limited signal spaces."""
+
+
+@main.command()
+@click.option("--instance", "instance_path", type=str, default=None, help="Instance JSON file.")
+@click.option("--k", type=int, default=None, help="Number of signals.")
+@click.option("--method", type=str, default="slope", show_default=True,
+              help="slope, imitation or bicriteria for symmetric instances; "
+                   "greedy, fptas or reduce for independent ones.")
+@click.option("--epsilon", type=float, default=None, help="Accuracy for fptas/bicriteria.")
+@click.option("--samples", type=int, default=None, help="Sample count for bicriteria.")
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--force", is_flag=True, help="Build even when persuasiveness cannot be certified.")
+@click.option("--output", type=str, default=None, help="Write JSON here instead of stdout.")
+@_guarded
+def solve(instance_path, k, method, epsilon, samples, seed, force, output):
+    """Compute a k-signal scheme and print it."""
+    instance = load_instance(_need(instance_path, "--instance"))
+    k = _need(k, "--k")
+    _, doc = _build(instance, k, method, epsilon, samples, seed, force)
     _emit(doc, output)
 
 
 @main.command()
 @click.option("--instance", "instance_path", type=str, default=None, help="Instance JSON file.")
-@click.option("--k", type=_INT, default=None, help="Number of signals.")
-@click.option("--state-bound", type=_INT, default=10**5, show_default=True,
+@click.option("--k", type=int, default=None, help="Number of signals.")
+@click.option("--state-bound", type=int, default=10**5, show_default=True,
               help="Refuse to enumerate more raw state combinations than this.")
 @click.option("--output", type=str, default=None)
 @_guarded
@@ -259,23 +228,21 @@ def exact(instance_path, k, state_bound, output):
 
 @main.command()
 @click.option("--instance", "instance_path", type=str, default=None, help="Instance JSON file.")
-@click.option("--k", type=_INT, default=None, help="Number of signals.")
+@click.option("--k", type=int, default=None, help="Number of signals.")
 @click.option("--method", type=str, default="slope", show_default=True)
-@click.option("--epsilon", type=_FLOAT, default=None)
-@click.option("--samples", type=_INT, default=None, help="Monte Carlo sample count.")
-@click.option("--seed", type=_INT, default=0, show_default=True)
-@click.option("--threads", type=_INT, default=None)
+@click.option("--epsilon", type=float, default=None)
+@click.option("--samples", type=int, default=None, help="Monte Carlo sample count.")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--force", is_flag=True)
 @click.option("--output", type=str, default=None)
 @_guarded
-def simulate(instance_path, k, method, epsilon, samples, seed, threads, force, output):
+def simulate(instance_path, k, method, epsilon, samples, seed, force, output):
     """Build a scheme and estimate its utilities by simulation."""
     instance = load_instance(_need(instance_path, "--instance"))
     k = _need(k, "--k")
     samples = _need(samples, "--samples")
-    threads = _resolve_threads(threads)
-    executor = _build_executor(instance, k, method, epsilon, samples, seed, threads, force)
-    report = estimate(executor, instance, samples, seed, threads=threads)
+    executor, _ = _build(instance, k, method, epsilon, samples, seed, force)
+    report = estimate(executor, instance, samples, seed)
     doc = {
         "method": method,
         "k": k,
@@ -300,17 +267,16 @@ def simulate(instance_path, k, method, epsilon, samples, seed, threads, force, o
 
 @main.command()
 @click.option("--instance", "instance_path", type=str, default=None, help="Instance JSON file.")
-@click.option("--k", type=_INT, default=None, help="Number of signals.")
-@click.option("--epsilon", type=_FLOAT, default=None,
+@click.option("--k", type=int, default=None, help="Number of signals.")
+@click.option("--epsilon", type=float, default=None,
               help="Include fptas (independent) or bicriteria (symmetric) at this accuracy.")
-@click.option("--samples", type=_INT, default=None, help="Bicriteria sample count.")
-@click.option("--seed", type=_INT, default=0, show_default=True)
-@click.option("--state-bound", type=_INT, default=10**5, show_default=True)
-@click.option("--threads", type=_INT, default=None)
+@click.option("--samples", type=int, default=None, help="Bicriteria sample count.")
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--state-bound", type=int, default=10**5, show_default=True)
 @click.option("--force", is_flag=True)
 @click.option("--output", type=str, default=None)
 @_guarded
-def compare(instance_path, k, epsilon, samples, seed, state_bound, threads, force, output):
+def compare(instance_path, k, epsilon, samples, seed, state_bound, force, output):
     """Compare every applicable method against the brute-force optimum.
 
     Exits with status 2 when a method lands below its guaranteed share of
@@ -318,7 +284,6 @@ def compare(instance_path, k, epsilon, samples, seed, state_bound, threads, forc
     """
     instance = load_instance(_need(instance_path, "--instance"))
     k = _need(k, "--k")
-    threads = _resolve_threads(threads)
     _, opt = optimal_scheme_bruteforce(instance, k, state_bound=state_bound)
     n = n_slots(instance)
     cascade = 1.0 - (1.0 - 1.0 / k) ** k
@@ -335,9 +300,9 @@ def compare(instance_path, k, epsilon, samples, seed, state_bound, threads, forc
         }
 
     if is_symmetric(instance):
-        scheme = slope_algorithm(instance, k, threads=threads)
+        scheme = slope_algorithm(instance, k)
         methods["slope"] = entry(scheme.u_sender, 1.0)
-        executor = imitation_scheme(instance, k, threads=threads)
+        executor = imitation_scheme(instance, k)
         value, _ = expected_utilities(executor, instance, state_bound)
         methods["imitation"] = entry(value, k / n)
         if epsilon is not None and samples is not None:

@@ -40,7 +40,6 @@ __all__ = [
     "actions_greedy",
     "actions_reduce",
     "certified_fallback",
-    "check_rhoE_optimality",
     "expost_scheme",
     "expost_scheme_to_dict",
     "f_of_S",
@@ -69,18 +68,6 @@ def certified_fallback(instance: IndependentInstance) -> int | None:
         if all(t.rho == rho_e for t, q in dist if q > 0):
             return i
     return None
-
-
-def check_rhoE_optimality(instance: IndependentInstance) -> bool:
-    """Sufficient condition for the shared-budget relaxation to be tight.
-
-    True when some action's receiver utility is deterministic and equal to
-    the best fixed-action value: a scheme can then fall back on that action
-    without dragging any signal's conditional receiver value below the
-    threshold.  False means the condition could not be verified, not that
-    the instance is refuted.
-    """
-    return certified_fallback(instance) is not None
 
 
 # --------------------------------------------------------------------------
@@ -599,7 +586,7 @@ def independent_scheme(
     """
     if not isinstance(instance, IndependentInstance):
         raise TypeError("independent_scheme requires an independent instance")
-    verified = check_rhoE_optimality(instance)
+    verified = certified_fallback(instance) is not None
     if not verified and not force:
         raise PreconditionError(
             "no action has deterministic receiver utility equal to the best "

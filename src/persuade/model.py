@@ -74,7 +74,8 @@ def format_rational(value: Fraction) -> int | str:
 class ActionType:
     """One possible realization of an action: receiver utility rho, sender utility xi.
 
-    Ids are unique within an instance; two distinct ids may share the same
+    Within an instance an id names one (rho, xi) pair, which several
+    distributions may share; two distinct ids may also share the same
     (rho, xi) pair, so all set logic downstream is keyed by id.
     """
 
@@ -227,10 +228,8 @@ def _check_unique_ids(types) -> None:
     seen: dict[str, ActionType] = {}
     for t in types:
         prev = seen.get(t.id)
-        if prev is not None and prev is not t and prev != t:
+        if prev is not None and prev != t:
             raise InstanceFormatError(f"duplicate type id {t.id!r} with conflicting utilities")
-        if prev is not None and prev is not t and prev == t:
-            raise InstanceFormatError(f"duplicate type id {t.id!r}")
         seen[t.id] = t
 
 

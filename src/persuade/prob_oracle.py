@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .geometry import NEG_INF, Slope, line_side, pareto_frontier, slope_between
 from .model import (
@@ -325,7 +326,12 @@ def candidate_slopes(instance: SymmetricInstance, k: int) -> list[Slope]:
     adjacent segment slopes, so probing one interior point per interval covers
     every realizable recommendation rule.
     """
-    finite = sorted({seg.slope for seg in segment_probabilities(instance, k)})
+    return _candidates_around(seg.slope for seg in segment_probabilities(instance, k))
+
+
+def _candidates_around(segment_slopes: Iterable[Fraction]) -> list[Slope]:
+    """The candidate slopes of ``candidate_slopes`` for known segment slopes."""
+    finite = sorted(set(segment_slopes))
     slopes: set[Slope] = {NEG_INF, Fraction(0)}
     slopes.update(finite)
     slopes.update(_auxiliary_slopes(finite))

@@ -1,15 +1,14 @@
 """Monte Carlo estimates of a scheme's performance.
 
-Sampling uses counter-based Philox streams keyed by (seed, chunk index),
-so a run is reproducible bit for bit regardless of how many worker threads
-execute the chunks: every chunk owns an independent stream and the
-per-chunk sums are merged in chunk order.
+Sampling uses counter-based Philox streams keyed by (seed, chunk index):
+every chunk of samples owns an independent stream and the per-chunk sums
+are merged in chunk order, so the same seed gives the same report bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -108,34 +107,18 @@ def estimate(
     instance: Instance,
     samples: int,
     seed: int,
-    threads: int | None = None,
 ) -> SimReport:
     """Estimate scheme utilities by simulation.
 
     The scheme only needs a ``recommend(state, rng)`` method.  Given the
-    same seed the report is identical bit for bit, with or without
-    threads.
+    same seed the report is identical bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    chunks = [
-        (index, min(_CHUNK, samples - start))
-        for index, start in enumerate(range(0, samples, _CHUNK))
-    ]
-
-    def run(job: tuple[int, int]) -> _Sums:
-        index, count = job
-        return _run_chunk(scheme, instance, seed, index, count)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(job) for job in chunks]
-
     total = _Sums()
-    for sums in results:
-        total.merge(sums)
+    for index, start in enumerate(range(0, samples, _CHUNK)):
+        count = min(_CHUNK, samples - start)
+        total.merge(_run_chunk(scheme, instance, seed, index, count))
 
     sender_mean, sender_stderr = _mean_stderr(total.n, total.xi, total.xi2)
     receiver_mean, receiver_stderr = _mean_stderr(total.n, total.rho, total.rho2)

@@ -15,10 +15,9 @@ that trades exact persuasiveness for epsilon slack.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .model import (
     ActionType,
     State,
     SymmetricInstance,
+    all_types,
     best_fixed_action_value,
     format_rational,
     is_symmetric,
@@ -45,7 +45,7 @@ from .model import (
 )
 from .prob_oracle import (
     SegmentProb,
-    candidate_slopes,
+    _candidates_around,
     segment_probabilities,
     unique_probabilities,
 )
@@ -56,7 +56,6 @@ __all__ = [
     "SlopeSchemeExecutor",
     "TabularScheme",
     "bicriteria_scheme",
-    "execute_slope_scheme",
     "imitation_scheme",
     "slope_algorithm",
     "slope_scheme_from_dict",
@@ -83,7 +82,7 @@ class SlopeScheme:
     u_receiver: float
 
 
-def slope_algorithm(instance: SymmetricInstance, k: int, threads: int | None = None) -> SlopeScheme:
+def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     """Compute an optimal direct persuasive scheme with k signals.
 
     Evaluates the closed-form scheme LP at every candidate slope and keeps
@@ -102,22 +101,13 @@ def slope_algorithm(instance: SymmetricInstance, k: int, threads: int | None = N
     by_slope: dict[Fraction, list[SegmentProb]] = {}
     for seg in segment_probabilities(instance, k):
         by_slope.setdefault(seg.slope, []).append(seg)
-    slopes = candidate_slopes(instance, k)
-
-    def evaluate(s: Slope):
-        return solve_slope_lp(
-            by_slope.get(s, []), unique_probabilities(instance, k, s), rho_e, s
-        )
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, slopes))
-    else:
-        results = [evaluate(s) for s in slopes]
 
     best_s: Slope | None = None
     best = None
-    for s, res in zip(slopes, results):
+    for s in _candidates_around(by_slope):
+        res = solve_slope_lp(
+            by_slope.get(s, []), unique_probabilities(instance, k, s), rho_e, s
+        )
         if res is None:
             continue
         if best is None or res.u_sender > best.u_sender + 1e-12:
@@ -196,19 +186,6 @@ def _sample_slot(dist: Mapping[int, float], rng: np.random.Generator) -> int:
     return slots[-1]
 
 
-def execute_slope_scheme(
-    scheme: SlopeScheme,
-    instance: SymmetricInstance,
-    k: int,
-    state: State,
-    rng: np.random.Generator,
-) -> int:
-    """One-shot execution helper; see SlopeSchemeExecutor."""
-    if n_slots(instance) < k:
-        raise ValueError(f"instance has {n_slots(instance)} slots, need at least {k}")
-    return SlopeSchemeExecutor(scheme, k).recommend(state, rng)
-
-
 def slope_scheme_to_dict(scheme: SlopeScheme) -> dict:
     entries = [
         {"a": a, "b": b, "alpha": alpha}
@@ -272,7 +249,7 @@ class ImitationExecutor:
         return int(rng.integers(self.k))
 
 
-def imitation_scheme(instance: SymmetricInstance, k: int, threads: int | None = None) -> ImitationExecutor:
+def imitation_scheme(instance: SymmetricInstance, k: int) -> ImitationExecutor:
     """Persuasive k-signal scheme built on the optimal n-signal scheme.
 
     Its sender utility is at least k/n times the n-signal optimum: with
@@ -282,7 +259,7 @@ def imitation_scheme(instance: SymmetricInstance, k: int, threads: int | None = 
     n = n_slots(instance)
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
-    base = slope_algorithm(instance, n, threads=threads)
+    base = slope_algorithm(instance, n)
     return ImitationExecutor(base=SlopeSchemeExecutor(base, n), k=k)
 
 
@@ -364,7 +341,7 @@ def bicriteria_scheme(
         raise ValueError("samples must be at least 1")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    for t in _instance_types(instance):
+    for t in all_types(instance):
         if not (-1 <= t.rho <= 1 and -1 <= t.xi <= 1):
             raise ValueError(
                 f"type {t.id} has utilities outside [-1, 1]; the bicriteria "
@@ -476,9 +453,3 @@ def bicriteria_scheme(
         samples=samples,
         epsilon=epsilon,
     )
-
-
-def _instance_types(instance: SymmetricInstance) -> Iterable[ActionType]:
-    from .model import all_types
-
-    return all_types(instance)

@@ -105,14 +105,33 @@ def test_certified_independent_scheme_has_no_warning(fixture_dir, tmp_path):
         ("solve", "--k", "2"),
         ("solve", "--instance", "nope.json", "--k", "2"),
         ("solve", "--instance", "IGNORED", "--k", "not_an_int"),
+        ("solve", "--instance", "IGNORED", "--k", "2", "--threads", "2"),
+        ("solve", "--instance", "IGNORED", "--k", "2", "--bogus", "1"),
+        ("solve", "--instance", "IGNORED", "--k"),
+        ("bogus",),
+        ("solve", "--instance", "OVERFLOW", "--k", "600"),
     ],
 )
-def test_validation_failures_exit_1(fixture_dir, args):
-    args = [
-        a if a != "IGNORED" else str(fixture_dir / "tug_of_war.json") for a in args
-    ]
-    res = invoke(*args)
+def test_validation_failures_exit_1(fixture_dir, tmp_path, args):
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps({
+        "kind": "iid",
+        "n": 1200,
+        "palette": [
+            {"id": "hi", "rho": 1, "xi": "1/4", "q": "1/2"},
+            {"id": "lo", "rho": 0, "xi": 1, "q": "1/2"},
+        ],
+    }))
+    paths = {"IGNORED": str(fixture_dir / "tug_of_war.json"), "OVERFLOW": str(overflow)}
+    res = invoke(*(paths.get(a, a) for a in args))
     assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)  # reported, not a traceback
+    assert "error:" in res.output
+
+
+def test_help_exits_0():
+    assert invoke("--help").exit_code == 0
+    assert invoke("solve", "--help").exit_code == 0
 
 
 def test_method_instance_mismatch_exits_1(fixture_dir):
@@ -182,10 +201,3 @@ def test_compare_independent(fixture_dir):
     assert set(blob["methods"]) == {"greedy", "fptas", "reduce"}
     for row in blob["methods"].values():
         assert row["ok"] is True
-
-
-def test_threads_env_fallback(fixture_dir, monkeypatch):
-    monkeypatch.setenv("PERSUADE_THREADS", "2")
-    res = invoke("solve", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "3")
-    assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["u_sender"] == pytest.approx(2 / 3, abs=1e-9)

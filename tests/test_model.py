@@ -143,6 +143,13 @@ def test_json_round_trip_all_kinds():
         assert again == inst
     trap = P.load_fixture("fallback_trap")
     assert P.instance_from_dict(P.instance_to_dict(trap)) == trap
+    # Prophet-secretary distributions that share a type.
+    hi = ActionType("hi", Fraction(1), Fraction(1, 4))
+    lo = ActionType("lo", Fraction(0), Fraction(1))
+    shared = ProphetSecretaryInstance(
+        dists=(((hi, Fraction(1, 2)), (lo, Fraction(1, 2))), ((hi, Fraction(1)),), ((lo, Fraction(1)),))
+    )
+    assert P.instance_from_dict(json.loads(json.dumps(P.instance_to_dict(shared)))) == shared
 
 
 def test_instance_from_dict_rejects_unknown_kind():

@@ -25,13 +25,6 @@ def test_same_seed_same_report(tug_executor):
     assert c != a
 
 
-def test_threads_do_not_change_the_report(tug_executor):
-    ex, inst = tug_executor
-    plain = estimate(ex, inst, samples=10000, seed=7)
-    threaded = estimate(ex, inst, samples=10000, seed=7, threads=4)
-    assert plain == threaded
-
-
 def test_estimates_track_exact_values(tug_executor):
     ex, inst = tug_executor
     exact_s, exact_r = P.expected_utilities(ex, inst)

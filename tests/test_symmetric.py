@@ -16,7 +16,6 @@ from persuade.symmetric_schemes import (
     SlopeSchemeExecutor,
     TabularScheme,
     bicriteria_scheme,
-    execute_slope_scheme,
     imitation_scheme,
     slope_algorithm,
     slope_scheme_from_dict,
@@ -57,16 +56,6 @@ def test_slope_algorithm_validation(tug):
         slope_algorithm(P.load_fixture("fallback_trap"), 2)
 
 
-def test_slope_algorithm_threads_agree():
-    rng = np.random.default_rng(33)
-    for _ in range(6):
-        inst = random_symmetric(rng)
-        k = n_slots(inst)
-        plain = slope_algorithm(inst, k)
-        threaded = slope_algorithm(inst, k, threads=4)
-        assert plain == threaded
-
-
 def test_truncation_consistency():
     rng = np.random.default_rng(34)
     for _ in range(10):
@@ -103,7 +92,7 @@ def test_executor_recommend_matches_distribution(tug):
     for _ in range(3000):
         counts[ex3.recommend(state, rng)] += 1
     assert abs(counts[2] / 3000 - 2 / 3) < 0.04
-    assert execute_slope_scheme(ex3.scheme, tug, 3, state, rng) in (1, 2)
+    assert SlopeSchemeExecutor(ex3.scheme, 3).recommend(state, rng) in (1, 2)
 
 
 def test_executor_realizes_scheme_utilities():
