@@ -322,6 +322,10 @@ def actions_reduce(instance: IndependentInstance, k: int) -> tuple[int, ...]:
     return tuple(sorted(ranked[: k - 1]))
 
 
+# Largest value-curve grid fptas_select builds per action: levels = ceil(2k/epsilon).
+FPTAS_MAX_LEVELS = 10_000
+
+
 @dataclass(frozen=True)
 class _PackEntry:
     action: int
@@ -396,6 +400,11 @@ def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple
     rho_e = best_fixed_action_value(instance)
     delta = Fraction(float(epsilon)) / 2
     levels = math.ceil(k / delta)
+    if levels > FPTAS_MAX_LEVELS:
+        raise ValueError(
+            f"fptas: epsilon={epsilon} at k={k} needs a grid of {levels} levels per "
+            f"action, more than the limit of {FPTAS_MAX_LEVELS}; use a larger epsilon"
+        )
     tau = Fraction(1, levels)
 
     participants = others + [instance.designated]
@@ -404,7 +413,8 @@ def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple
     for i in participants:
         curve = g_curve(instance.actions[i], rho_e)
         pref = [curve.value(ell * tau) for ell in range(levels + 1)]
-        marg = [pref[ell] - pref[ell - 1] for ell in range(1, levels + 1)]
+        # Per-unit-mass slope of each grid cell, the unit of the guessed m.
+        marg = [(pref[ell] - pref[ell - 1]) * levels for ell in range(1, levels + 1)]
         assert all(a >= b for a, b in zip(marg, marg[1:])), "value curve not concave"
         prefix[i], marginals[i] = pref, marg
 

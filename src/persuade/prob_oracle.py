@@ -21,12 +21,13 @@ exact beyond general position:
   larger id is allowed, with a smaller id forbidden, so the lowest realized id
   at each tangency coordinate owns the event.
 
-Prophet-secretary probabilities are computed by inclusion-exclusion over
-per-distribution allowed masses (four elementary-symmetric sums); this equals
-the textbook formula when supports are disjoint and stays correct when the
-same palette backs several distributions, which is how IID instances are
-routed. d-random-order probabilities are exact binomial ratios, converted to
-float at the end.
+Both are one event: the required types (the pair, or the point) are among the
+first k realized, and every other realized type is allowed. Its probability is
+an inclusion-exclusion over the subsets of the required types: of
+elementary-symmetric sums of per-distribution allowed masses for
+prophet-secretary priors (correct also when distributions share types, which
+is how IID instances are routed), of exact binomial counts of vector entries
+for d-random-order ones, converted to float at the end.
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import partial
+from itertools import combinations
+from typing import Callable, Iterable
 
 from .geometry import NEG_INF, Slope, line_side, pareto_frontier, slope_between
 from .model import (
     ActionType,
     DRandomOrderInstance,
     IIDInstance,
-    ProphetSecretaryInstance,
     SymmetricInstance,
     TruncatedSymmetricInstance,
-    TypeDist,
     all_types,
     n_slots,
 )
@@ -131,112 +132,103 @@ def _allowed_for_unique(c: ActionType, s: Slope, d: ActionType) -> bool:
 # Analytic oracles
 # --------------------------------------------------------------------------
 
-def _as_dists(instance: IIDInstance | ProphetSecretaryInstance) -> tuple[TypeDist, ...]:
-    if isinstance(instance, IIDInstance):
-        return (instance.palette,) * instance.n
-    return instance.dists
-
-
-def _expected_products(masses_variants: list[list[float]], k: int) -> list[float]:
-    n = len(masses_variants[0])
-    denom = math.comb(n, k)
-    return [subset_product_sum(m, k) / denom for m in masses_variants]
-
-
-def _ps_pair_prob(
-    dists: tuple[TypeDist, ...], k: int, a: ActionType, b: ActionType, s: Fraction
+def _event_prob(
+    instance: SymmetricInstance,
+    k: int,
+    required: tuple[ActionType, ...],
+    allowed: Callable[[ActionType], bool],
 ) -> float:
+    """Probability that every ``required`` type (one for a unique point, two
+    for a segment) is among the first k realized types and every other one
+    passes ``allowed``, which is asked once per distinct type id.
+    """
+    if isinstance(instance, TruncatedSymmetricInstance):
+        instance = instance.base
+    slot = {t.id: j for j, t in enumerate(required)}
+    verdicts: dict[str, bool] = {}
+
+    def free(t: ActionType) -> bool:
+        if t.id not in verdicts:
+            verdicts[t.id] = allowed(t)
+        return verdicts[t.id]
+
+    r = len(required)
+    signed = [
+        (subset, (r - size) % 2 == 0)
+        for size in range(r, -1, -1)
+        for subset in combinations(range(r), size)
+    ]
+    if isinstance(instance, DRandomOrderInstance):
+        # The first k entries are a uniform k-subset of the vector; a type may
+        # fill several entries. With one entry per required type this is
+        # perm(k, r)/perm(n, r) * C(free, k-r)/C(n-r, k-r).
+        n = len(instance.vectors[0])
+        total = Fraction(0)
+        for vec, qv in zip(instance.vectors, instance.vector_probs):
+            copies = [0] * r
+            count = 0
+            for t in vec:
+                j = slot.get(t.id)
+                if j is not None:
+                    copies[j] += 1
+                elif free(t):
+                    count += 1
+            if not all(copies):
+                continue
+            good = 0
+            for subset, plus in signed:
+                ways = math.comb(count + sum(copies[j] for j in subset), k)
+                good += ways if plus else -ways
+            total += qv * Fraction(good, math.comb(n, k))
+        return min(1.0, max(0.0, float(total)))
+
+    # Prophet-secretary (IID is n copies of its palette): E[product of the
+    # allowed masses of a uniform k-subset of the distributions].
+    dists = (instance.palette,) * instance.n if isinstance(instance, IIDInstance) else instance.dists
     n = len(dists)
-    hosts_a = [i for i, dist in enumerate(dists) if any(t.id == a.id for t, _ in dist)]
-    hosts_b = [i for i, dist in enumerate(dists) if any(t.id == b.id for t, _ in dist)]
-    if len(hosts_a) == 1 and hosts_a == hosts_b:
+    base = [0.0] * n
+    own = [[0.0] * n for _ in required]
+    hosts: list[set[int]] = [set() for _ in required]
+    for i, dist in enumerate(dists):
+        for t, q in dist:
+            j = slot.get(t.id)
+            if j is not None:
+                own[j][i] += float(q)
+                hosts[j].add(i)
+            elif free(t):
+                base[i] += float(q)
+    if r == 2 and len(hosts[0]) == 1 and hosts[0] == hosts[1]:
         return 0.0  # both types live in one distribution only; they never co-realize
-    base = [0.0] * n
-    qa = [0.0] * n
-    qb = [0.0] * n
-    for i, dist in enumerate(dists):
-        for t, q in dist:
-            if t.id == a.id:
-                qa[i] += float(q)
-            elif t.id == b.id:
-                qb[i] += float(q)
-            elif _allowed_for_pair(a, b, s, t):
-                base[i] += float(q)
-    both, only_a, only_b, neither = _expected_products(
-        [
-            [base[i] + qa[i] + qb[i] for i in range(n)],
-            [base[i] + qa[i] for i in range(n)],
-            [base[i] + qb[i] for i in range(n)],
-            base,
-        ],
-        k,
-    )
-    return both - only_a - only_b + neither
+    denom = math.comb(n, k)
+    total = 0.0
+    for subset, plus in signed:
+        masses = base
+        for j in subset:
+            masses = [m + x for m, x in zip(masses, own[j])]
+        term = subset_product_sum(masses, k) / denom
+        total += term if plus else -term
+    return min(1.0, max(0.0, total))
 
 
-def _ps_unique_prob(dists: tuple[TypeDist, ...], k: int, c: ActionType, s: Slope) -> float:
-    n = len(dists)
-    base = [0.0] * n
-    qc = [0.0] * n
-    for i, dist in enumerate(dists):
-        for t, q in dist:
-            if t.id == c.id:
-                qc[i] += float(q)
-            elif _allowed_for_unique(c, s, t):
-                base[i] += float(q)
-    with_c, without_c = _expected_products(
-        [[base[i] + qc[i] for i in range(n)], base], k
-    )
-    return with_c - without_c
-
-
-def _dro_pair_prob(
-    instance: DRandomOrderInstance, k: int, a: ActionType, b: ActionType, s: Fraction
-) -> float:
-    n = len(instance.vectors[0])
-    total = Fraction(0)
-    for vec, qv in zip(instance.vectors, instance.vector_probs):
-        ids = {t.id for t in vec}
-        if a.id not in ids or b.id not in ids:
-            continue
-        allowed = sum(
-            1 for t in vec if t.id not in (a.id, b.id) and _allowed_for_pair(a, b, s, t)
-        )
-        total += (
-            qv
-            * Fraction(k * (k - 1), n * (n - 1))
-            * Fraction(math.comb(allowed, k - 2) if allowed >= k - 2 else 0, math.comb(n - 2, k - 2))
-        )
-    return float(total)
-
-
-def _dro_unique_prob(instance: DRandomOrderInstance, k: int, c: ActionType, s: Slope) -> float:
-    n = len(instance.vectors[0])
-    total = Fraction(0)
-    for vec, qv in zip(instance.vectors, instance.vector_probs):
-        if all(t.id != c.id for t in vec):
-            continue
-        allowed = sum(1 for t in vec if t.id != c.id and _allowed_for_unique(c, s, t))
-        total += (
-            qv
-            * Fraction(k, n)
-            * Fraction(math.comb(allowed, k - 1) if allowed >= k - 1 else 0, math.comb(n - 1, k - 1))
-        )
-    return float(total)
-
-
-def _check_query(instance: SymmetricInstance, k: int, *types: ActionType) -> None:
+def _check_query(instance: SymmetricInstance, k: int, *types: ActionType) -> tuple[ActionType, ...]:
+    """Validate k and the queried types; return all the instance's types."""
     n = n_slots(instance)
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
-    known = {t.id for t in all_types(instance)}
+    known = all_types(instance)
+    ids = {t.id for t in known}
     for t in types:
-        if t.id not in known:
+        if t.id not in ids:
             raise ValueError(f"unknown type id {t.id!r}")
+    return known
 
 
-def _clamp(p: float) -> float:
-    return min(1.0, max(0.0, p))
+def _check_slope(s: Slope | int) -> Slope:
+    if isinstance(s, int):
+        s = Fraction(s)
+    if s is not NEG_INF and (not isinstance(s, Fraction) or s > 0):
+        raise ValueError(f"p_unique: slope must be <= 0 or NEG_INF, got {s!r}")
+    return s
 
 
 def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType) -> float:
@@ -254,25 +246,14 @@ def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType)
         return 0.0
     if a.rho > b.rho:
         a, b = b, a
-    if isinstance(instance, TruncatedSymmetricInstance):
-        return p_segment(instance.base, k, a, b)
-    if isinstance(instance, (IIDInstance, ProphetSecretaryInstance)):
-        return _clamp(_ps_pair_prob(_as_dists(instance), k, a, b, s))
-    return _clamp(_dro_pair_prob(instance, k, a, b, s))
+    return _event_prob(instance, k, (a, b), partial(_allowed_for_pair, a, b, s))
 
 
 def p_unique(instance: SymmetricInstance, k: int, c: ActionType, s: Slope | int) -> float:
     """Probability that c alone is the slope-s tangency point of the realized frontier."""
-    if isinstance(s, int):
-        s = Fraction(s)
-    if s is not NEG_INF and (not isinstance(s, Fraction) or s > 0):
-        raise ValueError(f"p_unique: slope must be <= 0 or NEG_INF, got {s!r}")
+    s = _check_slope(s)
     _check_query(instance, k, c)
-    if isinstance(instance, TruncatedSymmetricInstance):
-        return p_unique(instance.base, k, c, s)
-    if isinstance(instance, (IIDInstance, ProphetSecretaryInstance)):
-        return _clamp(_ps_unique_prob(_as_dists(instance), k, c, s))
-    return _clamp(_dro_unique_prob(instance, k, c, s))
+    return _event_prob(instance, k, (c,), partial(_allowed_for_unique, c, s))
 
 
 def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentProb]:
@@ -281,7 +262,7 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
     Pairs are oriented left-to-right (increasing receiver utility) and the
     list is sorted by (slope, left id, right id) for determinism.
     """
-    types = all_types(instance)
+    types = _check_query(instance, k)
     out: list[SegmentProb] = []
     for i, a in enumerate(types):
         for b in types[i + 1 :]:
@@ -289,7 +270,7 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
             if s is None or s is NEG_INF or s >= 0:
                 continue
             left, right = (a, b) if a.rho < b.rho else (b, a)
-            p = p_segment(instance, k, left, right)
+            p = _event_prob(instance, k, (left, right), partial(_allowed_for_pair, left, right, s))
             if p > 0.0:
                 out.append(SegmentProb(left, right, s, p))
     out.sort(key=lambda seg: (seg.slope, seg.a.id, seg.b.id))
@@ -298,9 +279,10 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
 
 def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[UniquePointProb]:
     """All types with positive probability of being slope s's sole tangency point."""
+    query = _check_slope(s)
     out = []
-    for t in all_types(instance):
-        p = p_unique(instance, k, t, s)
+    for t in _check_query(instance, k):
+        p = _event_prob(instance, k, (t,), partial(_allowed_for_unique, t, query))
         if p > 0.0:
             out.append(UniquePointProb(t, s, p))
     return out

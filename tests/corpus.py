@@ -80,6 +80,30 @@ def random_symmetric(rng: np.random.Generator):
     )
 
 
+def shared_type_priors(rng: np.random.Generator, count: int) -> list:
+    """Priors that reuse type ids: prophet-secretary distributions sharing
+    some of their types (e.g. over {a, b}, {b, c} and {a, c}), and
+    d-random-order vectors holding a type in several entries."""
+    out = []
+    for _ in range(count):
+        pool = random_types(rng, int(rng.integers(3, 5)), 0)
+        dists = []
+        for _ in range(int(rng.integers(3, 5))):
+            picks = sorted(rng.choice(len(pool), size=2, replace=False))
+            dists.append(random_dist(rng, [pool[j] for j in picks]))
+        out.append(ProphetSecretaryInstance(dists=tuple(dists)))
+        n = int(rng.integers(3, 6))
+        vectors = tuple(
+            tuple(pool[int(j)] for j in rng.integers(len(pool), size=n))
+            for _ in range(int(rng.integers(1, 3)))
+        )
+        weights = [Fraction(int(w)) for w in rng.integers(1, 4, size=len(vectors))]
+        out.append(DRandomOrderInstance(
+            vectors=vectors, vector_probs=tuple(w / sum(weights) for w in weights)
+        ))
+    return out
+
+
 def symmetric_corpus(count: int = 200, seed: int = SYMMETRIC_SEED) -> list:
     rng = np.random.default_rng(seed)
     return [random_symmetric(rng) for _ in range(count)]

@@ -110,6 +110,8 @@ def test_certified_independent_scheme_has_no_warning(fixture_dir, tmp_path):
         ("solve", "--instance", "IGNORED", "--k"),
         ("bogus",),
         ("solve", "--instance", "OVERFLOW", "--k", "600"),
+        ("solve", "--instance", "COINS", "--k", "2", "--method", "fptas", "--epsilon", "1e-6",
+         "--force"),
     ],
 )
 def test_validation_failures_exit_1(fixture_dir, tmp_path, args):
@@ -122,7 +124,11 @@ def test_validation_failures_exit_1(fixture_dir, tmp_path, args):
             {"id": "lo", "rho": 0, "xi": 1, "q": "1/2"},
         ],
     }))
-    paths = {"IGNORED": str(fixture_dir / "tug_of_war.json"), "OVERFLOW": str(overflow)}
+    paths = {
+        "IGNORED": str(fixture_dir / "tug_of_war.json"),
+        "OVERFLOW": str(overflow),
+        "COINS": str(fixture_dir / "coins_k3.json"),
+    }
     res = invoke(*(paths.get(a, a) for a in args))
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit)  # reported, not a traceback

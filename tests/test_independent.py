@@ -203,20 +203,40 @@ def test_reduce_ranks_by_relaxation_share():
         assert set(sel) == set(ranked[:2])
 
 
+def fptas_fault_instance():
+    # Its plateau-only actions were undervalued by the grid size when the
+    # guessed marginal mixed per-cell and per-unit-mass units.
+    return IndependentInstance(actions=(
+        mk_action(("t0", "3/4", "1/8", 1)),
+        mk_action(("t1", "2/3", "3/8", "4/9"), ("t2", "1/6", "1/2", "1/3"),
+                  ("t3", "1/6", "1/4", "2/9")),
+        mk_action(("t4", "1/2", "1/4", 1)),
+        mk_action(("t5", "1/2", "1/4", "3/5"), ("t6", "1/3", "1/8", "1/5"),
+                  ("t7", "3/4", "1/2", "1/5")),
+        mk_action(("t8", "7/12", "3/8", "3/11"), ("t9", "1/2", "3/4", "4/11"),
+                  ("t10", "3/4", "7/8", "4/11")),
+        mk_action(("t11", 0, 0, "3/7"), ("t12", "5/6", "1/4", "4/7")),
+    ))
+
+
 def test_fptas_select_near_optimal():
     rng = np.random.default_rng(49)
+    cases = []
     for trial in range(12):
         inst = random_best_fixed_deterministic(rng, int(rng.integers(4, 7)))
         n = len(inst.actions)
         k = int(rng.integers(2, min(n, 4) + 1))
-        for eps in (0.1, 0.3):
-            sel = fptas_select(inst, k, eps)
-            assert len(sel) == k - 1
-            assert sel == tuple(sorted(sel))
-            assert inst.designated not in sel
-            best = exhaustive_best(inst, k)
-            got = f_of_S(inst, sel).objective
-            assert got >= (1 - eps) * best - 1e-9, (trial, eps, got, best)
+        cases += [(inst, k, eps) for eps in (0.1, 0.3)]
+    fault = fptas_fault_instance()
+    cases += [(fault, k, eps) for k in (4, 5) for eps in (0.05, 0.1, 0.2)]
+    for inst, k, eps in cases:
+        sel = fptas_select(inst, k, eps)
+        assert len(sel) == k - 1
+        assert sel == tuple(sorted(sel))
+        assert inst.designated not in sel
+        best = exhaustive_best(inst, k)
+        got = f_of_S(inst, sel).objective
+        assert got >= (1 - eps) * best - 1e-9, (k, eps, got, best)
 
 
 def test_expost_scheme_structure_and_utilities():
@@ -253,6 +273,8 @@ def test_precondition_gate(trap):
 def test_method_validation(trap):
     with pytest.raises(ValueError, match="epsilon"):
         independent_scheme(trap, 2, method="fptas", force=True)
+    with pytest.raises(ValueError, match="levels"):  # grid of 4e6 > FPTAS_MAX_LEVELS
+        independent_scheme(trap, 2, method="fptas", epsilon=1e-6, force=True)
     with pytest.raises(ValueError, match="unknown method"):
         independent_scheme(trap, 2, method="magic", force=True)
     with pytest.raises(ValueError):

@@ -13,8 +13,10 @@ from persuade.model import (
     DRandomOrderInstance,
     IIDInstance,
     ProphetSecretaryInstance,
+    TruncatedSymmetricInstance,
     all_types,
     n_slots,
+    truncate,
 )
 from persuade.prob_oracle import (
     candidate_slopes,
@@ -25,7 +27,7 @@ from persuade.prob_oracle import (
     subset_product_sum,
     unique_probabilities,
 )
-from corpus import random_symmetric
+from corpus import random_symmetric, shared_type_priors, symmetric_corpus
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +102,10 @@ def test_partition_invariant_random_instances():
 
 def test_analytic_matches_enumeration():
     rng = np.random.default_rng(42)
-    for _ in range(25):
-        inst = random_symmetric(rng)
+    cases = [(random_symmetric(rng), 1e-9) for _ in range(25)]
+    # Reused type ids pin the inclusion-exclusion over required types.
+    cases += [(inst, 1e-12) for inst in shared_type_priors(np.random.default_rng(43), 12)]
+    for inst, tol in cases:
         n = n_slots(inst)
         for k in range(2, n + 1):
             slopes = candidate_slopes(inst, k)
@@ -109,12 +113,28 @@ def test_analytic_matches_enumeration():
             analytic = {(s.a.id, s.b.id): s.p for s in segment_probabilities(inst, k)}
             exact = {key: float(v) for key, v in tables.segments.items()}
             for key in set(analytic) | set(exact):
-                assert abs(analytic.get(key, 0.0) - exact.get(key, 0.0)) < 1e-9, key
+                assert abs(analytic.get(key, 0.0) - exact.get(key, 0.0)) < tol, key
             for s in slopes:
                 uniq = {u.c.id: u.p for u in unique_probabilities(inst, k, s)}
                 exact_u = {tid: float(v) for (tid, sl), v in tables.uniques.items() if sl == s}
                 for tid in set(uniq) | set(exact_u):
-                    assert abs(uniq.get(tid, 0.0) - exact_u.get(tid, 0.0)) < 1e-9, (tid, s)
+                    assert abs(uniq.get(tid, 0.0) - exact_u.get(tid, 0.0)) < tol, (tid, s)
+
+
+def test_truncated_view_matches_base():
+    # A truncated view keeps the base's random order over all n slots, so for
+    # every k it exposes, its tables equal the base instance's bit for bit.
+    for inst in symmetric_corpus(60):
+        if not isinstance(inst, (ProphetSecretaryInstance, DRandomOrderInstance)):
+            continue
+        n = n_slots(inst)
+        for m in range(2, n):
+            view = truncate(inst, m)
+            assert isinstance(view, TruncatedSymmetricInstance)
+            for k in range(2, m + 1):
+                assert segment_probabilities(view, k) == segment_probabilities(inst, k)
+                for s in candidate_slopes(inst, k):
+                    assert unique_probabilities(view, k, s) == unique_probabilities(inst, k, s)
 
 
 def test_kind_cross_check():

@@ -21,7 +21,7 @@ from persuade.symmetric_schemes import (
     slope_scheme_from_dict,
     slope_scheme_to_dict,
 )
-from corpus import random_symmetric
+from corpus import random_symmetric, shared_type_priors
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +97,9 @@ def test_executor_recommend_matches_distribution(tug):
 
 def test_executor_realizes_scheme_utilities():
     rng = np.random.default_rng(35)
-    for _ in range(10):
-        inst = random_symmetric(rng)
+    instances = [random_symmetric(rng) for _ in range(10)]
+    instances += shared_type_priors(np.random.default_rng(43), 4)
+    for inst in instances:
         n = n_slots(inst)
         for k in range(2, n + 1):
             scheme = slope_algorithm(inst, k)
