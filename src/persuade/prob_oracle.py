@@ -22,12 +22,25 @@ exact beyond general position:
   at each tangency coordinate owns the event.
 
 Both are one event: the required types (the pair, or the point) are among the
-first k realized, and every other realized type is allowed. Its probability is
-an inclusion-exclusion over the subsets of the required types: of
-elementary-symmetric sums of per-distribution allowed masses for
-prophet-secretary priors (correct also when distributions share types, which
-is how IID instances are routed), of exact binomial counts of vector entries
-for d-random-order ones, converted to float at the end.
+first k realized, and every other realized type is allowed. Each call builds a
+type table once: the distinct types with exact dense ranks of their points, of
+their receiver utilities and of their ids, plus the prior's weights per type -
+one palette vector for IID priors, an n x T float mass matrix for
+prophet-secretary ones, a V x T integer entry-count matrix for d-random-order
+ones. At a slope every type gets one exact key (``xi - s*rho``; ``(rho, xi)``
+at -inf and ``(xi, rho)`` at 0), and a query's allowed set is a boolean mask
+read off the keys' dense ranks: lower rank, or the same point with a larger
+id, or for a pair the interior of the open segment.
+
+The probability is an inclusion-exclusion over the subsets of the required
+types, all queries of a call at once. Prophet-secretary: the expected product
+of the allowed masses of a uniform k-subset of the distributions, by the
+normalised recursion f(i, j) = (1 - j/i) f(i-1, j) + (j/i) m_i f(i-1, j-1),
+which stays in [0, 1] for any n. IID: its closed form v^k. d-random-order:
+exact binomial counts of vector entries, converted to float at the end.
+Whether an event can happen is decided exactly, not from the sign of a
+float, and such an event is listed even when its float probability
+underflows to 0.0.
 """
 
 from __future__ import annotations
@@ -35,15 +48,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable, Union
 
-from .geometry import NEG_INF, Slope, line_side, pareto_frontier, slope_between
+import numpy as np
+
+from .geometry import NEG_INF, Slope, pareto_frontier, slope_between
 from .model import (
     ActionType,
     DRandomOrderInstance,
     IIDInstance,
+    ProphetSecretaryInstance,
     SymmetricInstance,
     TruncatedSymmetricInstance,
     all_types,
@@ -98,129 +113,190 @@ def subset_product_sum(values: list[float], r: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# Allowed-type classification
+# The type table and its per-slope classification
 # --------------------------------------------------------------------------
 
-def _same_point(a: ActionType, b: ActionType) -> bool:
-    return a.rho == b.rho and a.xi == b.xi
+def _dense_rank(keys: list) -> np.ndarray:
+    """0 for the smallest key, 1 for the next distinct one, and so on."""
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys])
 
 
-def _allowed_for_pair(a: ActionType, b: ActionType, s: Fraction, d: ActionType) -> bool:
-    """May d be realized alongside the event "a-b is the maximal slope-s segment"?"""
-    side = line_side(a, s, d)
-    if side != 0:
-        return side < 0
-    if _same_point(d, a):
-        return d.id > a.id
-    if _same_point(d, b):
-        return d.id > b.id
-    return a.rho < d.rho < b.rho  # interior of the segment; beyond it would extend the segment
+@dataclass(frozen=True)
+class _TypeTable:
+    """One symmetric prior, type by type (column j is ``types[j]``).
 
+    ``weights`` is the palette's mass vector (IID), the n x T mass matrix
+    (prophet-secretary) or the V x T entry-count matrix (d-random-order);
+    ``positive`` marks the weights backed by a positive exact probability.
+    ``rho_num`` and ``xi_num`` are the utilities times their common
+    denominator, so exact comparisons run on integers.
+    """
 
-def _allowed_for_unique(c: ActionType, s: Slope, d: ActionType) -> bool:
-    """May d be realized alongside the event "c alone corresponds to slope s"?"""
-    if _same_point(d, c):
-        return d.id > c.id
-    if s is NEG_INF:
-        return d.rho < c.rho or (d.rho == c.rho and d.xi < c.xi)
-    if s == 0:
-        return d.xi < c.xi or (d.xi == c.xi and d.rho < c.rho)
-    return line_side(c, s, d) < 0
+    prior: Union[IIDInstance, ProphetSecretaryInstance, DRandomOrderInstance]
+    types: tuple[ActionType, ...]
+    rho_num: list[int]
+    xi_num: list[int]
+    point_rank: np.ndarray  # dense rank of (rho, xi): equal exactly for coincident types
+    rho_rank: np.ndarray
+    id_rank: np.ndarray  # rank of the id in string order
+    weights: np.ndarray
+    positive: np.ndarray
+
+    @staticmethod
+    def build(instance: SymmetricInstance) -> "_TypeTable":
+        prior = instance.base if isinstance(instance, TruncatedSymmetricInstance) else instance
+        types = all_types(prior)
+        col = {t.id: j for j, t in enumerate(types)}
+        if isinstance(prior, DRandomOrderInstance):
+            weights = np.zeros((len(prior.vectors), len(types)), dtype=np.int64)
+            for v, vec in enumerate(prior.vectors):
+                np.add.at(weights[v], [col[t.id] for t in vec], 1)
+            positive = weights > 0
+        else:
+            dists = (prior.palette,) if isinstance(prior, IIDInstance) else prior.dists
+            cell = (
+                [i for i, d in enumerate(dists) for _ in d],
+                [col[t.id] for d in dists for t, _ in d],
+            )
+            qs = [q for d in dists for _, q in d]
+            weights = np.zeros((len(dists), len(types)))
+            np.add.at(weights, cell, [q.numerator / q.denominator for q in qs])
+            positive = np.zeros(weights.shape, dtype=bool)
+            np.logical_or.at(positive, cell, [q.numerator > 0 for q in qs])
+            if isinstance(prior, IIDInstance):
+                weights, positive = weights[0], positive[0]
+        scale = math.lcm(*(c.denominator for t in types for c in (t.rho, t.xi)))
+        rho_num = [t.rho.numerator * (scale // t.rho.denominator) for t in types]
+        xi_num = [t.xi.numerator * (scale // t.xi.denominator) for t in types]
+        return _TypeTable(
+            prior,
+            types,
+            rho_num,
+            xi_num,
+            _dense_rank(list(zip(rho_num, xi_num))),
+            _dense_rank(rho_num),
+            _dense_rank([t.id for t in types]),
+            weights,
+            positive,
+        )
+
+    def ranks(self, s: Slope) -> np.ndarray:
+        """Dense ranks of the types' exact slope-s keys xi - s*rho (lexicographic
+        (rho, xi) at -inf, (xi, rho) at 0): a lower rank lies strictly below
+        the slope-s line through a higher-ranked type."""
+        if s is NEG_INF:
+            return self.point_rank
+        if s == 0:
+            return _dense_rank(list(zip(self.xi_num, self.rho_num)))
+        p, q = s.numerator, s.denominator
+        return _dense_rank([x * q - p * r for r, x in zip(self.rho_num, self.xi_num)])
+
+    def unique_allowed(self, s: Slope, c: np.ndarray) -> np.ndarray:
+        """allowed[q, t]: may type t be realized alongside "c[q] alone is the
+        slope-s tangency point"?"""
+        rank, point, ids, c = self.ranks(s), self.point_rank, self.id_rank, c[:, None]
+        return (rank < rank[c]) | (point == point[c]) & (ids > ids[c])
+
+    def pair_allowed(self, s: Fraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """allowed[q, t]: may type t be realized alongside "a[q]-b[q] is the
+        maximal slope-s segment"? Each a[q] has the lower receiver utility."""
+        rank, point, ids, rho = self.ranks(s), self.point_rank, self.id_rank, self.rho_rank
+        a, b = a[:, None], b[:, None]
+        on_line = (
+            (point == point[a]) & (ids > ids[a])
+            | (point == point[b]) & (ids > ids[b])
+            | (rho > rho[a]) & (rho < rho[b])  # the open segment
+        )
+        return (rank < rank[a]) | (rank == rank[a]) & on_line
 
 
 # --------------------------------------------------------------------------
 # Analytic oracles
 # --------------------------------------------------------------------------
 
-def _event_prob(
-    instance: SymmetricInstance,
-    k: int,
-    required: tuple[ActionType, ...],
-    allowed: Callable[[ActionType], bool],
-) -> float:
-    """Probability that every ``required`` type (one for a unique point, two
-    for a segment) is among the first k realized types and every other one
-    passes ``allowed``, which is asked once per distinct type id.
+def _mean_k_products(masses: np.ndarray, k: int) -> np.ndarray:
+    """Per column of the n x Q matrix ``masses``: the mean, over the k-subsets
+    of its n entries, of the subset's product (e_k / C(n, k)), by the
+    recursion f(i, j) = (1 - j/i) f(i-1, j) + (j/i) m_i f(i-1, j-1)."""
+    f = np.zeros((k + 1, masses.shape[1]))
+    f[0] = 1.0
+    steps = np.arange(1, k + 1)[:, None] / np.arange(1, len(masses) + 1)[:, None, None]  # j / i
+    for w, row in zip(steps, masses):
+        f[1:] += w * (row * f[:-1] - f[1:])
+    return f[k]
+
+
+_QUERY_BLOCK = 1024
+
+
+def _event_probs(
+    table: _TypeTable, k: int, required: np.ndarray, allowed: np.ndarray
+) -> list[float | None]:
+    """For each query q: the probability that every type in ``required[q]``
+    (one column for a unique point, two for a segment) is among the first k
+    realized types and every other one is in ``allowed[q]``; None when that
+    cannot happen, decided exactly.
     """
-    if isinstance(instance, TruncatedSymmetricInstance):
-        instance = instance.base
-    slot = {t.id: j for j, t in enumerate(required)}
-    verdicts: dict[str, bool] = {}
-
-    def free(t: ActionType) -> bool:
-        if t.id not in verdicts:
-            verdicts[t.id] = allowed(t)
-        return verdicts[t.id]
-
-    r = len(required)
-    signed = [
-        (subset, (r - size) % 2 == 0)
-        for size in range(r, -1, -1)
-        for subset in combinations(range(r), size)
-    ]
-    if isinstance(instance, DRandomOrderInstance):
+    blocks = -(-len(required) // _QUERY_BLOCK)
+    if blocks > 1:  # bound the n x (queries * 2^r) mass matrix
+        parts = [
+            _event_probs(table, k, req, allow)
+            for req, allow in zip(np.array_split(required, blocks), np.array_split(allowed, blocks))
+        ]
+        return [p for part in parts for p in part]
+    r = required.shape[1]
+    subsets = [s for size in range(r, -1, -1) for s in combinations(range(r), size)]
+    signs = np.array([1 if (r - len(s)) % 2 == 0 else -1 for s in subsets])
+    prior, w = table.prior, table.weights
+    if isinstance(prior, DRandomOrderInstance):
         # The first k entries are a uniform k-subset of the vector; a type may
-        # fill several entries. With one entry per required type this is
-        # perm(k, r)/perm(n, r) * C(free, k-r)/C(n-r, k-r).
-        n = len(instance.vectors[0])
-        total = Fraction(0)
-        for vec, qv in zip(instance.vectors, instance.vector_probs):
-            copies = [0] * r
-            count = 0
-            for t in vec:
-                j = slot.get(t.id)
-                if j is not None:
-                    copies[j] += 1
-                elif free(t):
-                    count += 1
-            if not all(copies):
-                continue
-            good = 0
-            for subset, plus in signed:
-                ways = math.comb(count + sum(copies[j] for j in subset), k)
-                good += ways if plus else -ways
-            total += qv * Fraction(good, math.comb(n, k))
-        return min(1.0, max(0.0, float(total)))
+        # fill several entries. Sum over vectors of P(vector) * #good k-subsets
+        # in Python integers over a common denominator, so totals are exact.
+        n = len(prior.vectors[0])
+        denom = math.lcm(*(q.denominator for q in prior.vector_probs))
+        scale = np.array(
+            [[q.numerator * (denom // q.denominator)] for q in prior.vector_probs], dtype=object
+        )
+        ways = np.array([math.comb(m, k) for m in range(n + 1)], dtype=object)
+        free = w @ allowed.T  # V x Q
+        totals = sum(
+            sign * (scale * ways[free + w[:, required[:, list(s)]].sum(axis=2)]).sum(axis=0)
+            for s, sign in zip(subsets, signs.tolist())
+        ).tolist()
+        whole = denom * math.comb(n, k)
+        return [min(1.0, t / whole) if t > 0 else None for t in totals]
 
-    # Prophet-secretary (IID is n copies of its palette): E[product of the
-    # allowed masses of a uniform k-subset of the distributions].
-    dists = (instance.palette,) * instance.n if isinstance(instance, IIDInstance) else instance.dists
-    n = len(dists)
-    base = [0.0] * n
-    own = [[0.0] * n for _ in required]
-    hosts: list[set[int]] = [set() for _ in required]
-    for i, dist in enumerate(dists):
-        for t, q in dist:
-            j = slot.get(t.id)
-            if j is not None:
-                own[j][i] += float(q)
-                hosts[j].add(i)
-            elif free(t):
-                base[i] += float(q)
-    if r == 2 and len(hosts[0]) == 1 and hosts[0] == hosts[1]:
-        return 0.0  # both types live in one distribution only; they never co-realize
-    denom = math.comb(n, k)
-    total = 0.0
-    for subset, plus in signed:
-        masses = base
-        for j in subset:
-            masses = [m + x for m, x in zip(masses, own[j])]
-        term = subset_product_sum(masses, k) / denom
-        total += term if plus else -term
-    return min(1.0, max(0.0, total))
+    if isinstance(prior, IIDInstance):
+        # k i.i.d. draws: E[product of allowed masses] is v^k.
+        base = allowed @ w
+        terms = np.stack([(base + w[required[:, list(s)]].sum(axis=1)) ** k for s in subsets])
+        support = table.positive[required].all(axis=1)
+    else:
+        base = w @ allowed.T  # n x Q
+        masses = [base + w[:, required[:, list(s)]].sum(axis=2) for s in subsets]
+        terms = _mean_k_products(np.hstack(masses), k).reshape(len(subsets), -1)
+        # Distinct distributions must host the required types, and k
+        # distributions must be able to draw an allowed or required type.
+        hosts = table.positive[:, required]  # n x Q x r
+        support = hosts.any(axis=0).all(axis=1) & (hosts.any(axis=2).sum(axis=0) >= r)
+        usable = (table.positive.astype(np.int64) @ allowed.T > 0) | hosts.any(axis=2)
+        support &= usable.sum(axis=0) >= k
+    p = np.clip(signs @ terms, 0.0, 1.0)
+    return [x if possible else None for x, possible in zip(p.tolist(), support.tolist())]
 
 
-def _check_query(instance: SymmetricInstance, k: int, *types: ActionType) -> tuple[ActionType, ...]:
-    """Validate k and the queried types; return all the instance's types."""
+def _check_query(instance: SymmetricInstance, k: int, *types: ActionType) -> _TypeTable:
+    """Validate k and the queried types; return the instance's type table."""
     n = n_slots(instance)
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
-    known = all_types(instance)
-    ids = {t.id for t in known}
+    table = _TypeTable.build(instance)
+    ids = {t.id for t in table.types}
     for t in types:
         if t.id not in ids:
             raise ValueError(f"unknown type id {t.id!r}")
-    return known
+    return table
 
 
 def _check_slope(s: Slope | int) -> Slope:
@@ -231,6 +307,27 @@ def _check_slope(s: Slope | int) -> Slope:
     return s
 
 
+def _segment_events(
+    table: _TypeTable, k: int, pairs: list[tuple[int, int, Fraction]]
+) -> list[float | None]:
+    """``_event_probs`` of "types[a]-types[b] is the maximal slope-s segment"
+    for each (a, b, s) with a on the left, classifying once per distinct slope."""
+    required = np.array([(a, b) for a, b, _ in pairs], dtype=np.int64).reshape(-1, 2)
+    allowed = np.zeros((len(pairs), len(table.types)), dtype=bool)
+    by_slope: dict[Fraction, list[int]] = {}
+    for q, (_, _, s) in enumerate(pairs):
+        by_slope.setdefault(s, []).append(q)
+    for s, rows in by_slope.items():
+        allowed[rows] = table.pair_allowed(s, required[rows, 0], required[rows, 1])
+    return _event_probs(table, k, required, allowed)
+
+
+def _unique_events(table: _TypeTable, k: int, s: Slope, c: list[int]) -> list[float | None]:
+    """``_event_probs`` of "types[c] alone is the slope-s tangency point" for each c."""
+    required = np.array(c, dtype=np.int64)[:, None]
+    return _event_probs(table, k, required, table.unique_allowed(s, required[:, 0]))
+
+
 def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType) -> float:
     """Probability that a-b is the maximal segment of its slope on the realized frontier.
 
@@ -238,7 +335,7 @@ def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType)
     vertical, and coincident pairs return 0 (the dominated endpoint can never
     sit on the frontier next to the other).
     """
-    _check_query(instance, k, a, b)
+    table = _check_query(instance, k, a, b)
     if a.id == b.id:
         raise ValueError("p_segment: a and b must be distinct types")
     s = slope_between(a, b)
@@ -246,46 +343,54 @@ def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType)
         return 0.0
     if a.rho > b.rho:
         a, b = b, a
-    return _event_prob(instance, k, (a, b), partial(_allowed_for_pair, a, b, s))
+    col = [t.id for t in table.types]
+    (p,) = _segment_events(table, k, [(col.index(a.id), col.index(b.id), s)])
+    return 0.0 if p is None else p
 
 
 def p_unique(instance: SymmetricInstance, k: int, c: ActionType, s: Slope | int) -> float:
     """Probability that c alone is the slope-s tangency point of the realized frontier."""
     s = _check_slope(s)
-    _check_query(instance, k, c)
-    return _event_prob(instance, k, (c,), partial(_allowed_for_unique, c, s))
+    table = _check_query(instance, k, c)
+    col = [t.id for t in table.types]
+    (p,) = _unique_events(table, k, s, [col.index(c.id)])
+    return 0.0 if p is None else p
 
 
 def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentProb]:
-    """All canonical type pairs with positive maximal-segment probability.
+    """All canonical type pairs whose maximal-segment event can happen.
 
     Pairs are oriented left-to-right (increasing receiver utility) and the
     list is sorted by (slope, left id, right id) for determinism.
     """
-    types = _check_query(instance, k)
-    out: list[SegmentProb] = []
+    table = _check_query(instance, k)
+    types = table.types
+    pairs = []
     for i, a in enumerate(types):
-        for b in types[i + 1 :]:
-            s = slope_between(a, b)
+        for j in range(i + 1, len(types)):
+            s = slope_between(a, types[j])
             if s is None or s is NEG_INF or s >= 0:
                 continue
-            left, right = (a, b) if a.rho < b.rho else (b, a)
-            p = _event_prob(instance, k, (left, right), partial(_allowed_for_pair, left, right, s))
-            if p > 0.0:
-                out.append(SegmentProb(left, right, s, p))
+            pairs.append((i, j, s) if a.rho < types[j].rho else (j, i, s))
+    out = [
+        SegmentProb(types[a], types[b], s, p)
+        for (a, b, s), p in zip(pairs, _segment_events(table, k, pairs))
+        if p is not None
+    ]
     out.sort(key=lambda seg: (seg.slope, seg.a.id, seg.b.id))
     return out
 
 
 def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[UniquePointProb]:
-    """All types with positive probability of being slope s's sole tangency point."""
+    """All types that can be slope s's sole tangency point, with their probabilities."""
     query = _check_slope(s)
-    out = []
-    for t in _check_query(instance, k):
-        p = _event_prob(instance, k, (t,), partial(_allowed_for_unique, t, query))
-        if p > 0.0:
-            out.append(UniquePointProb(t, s, p))
-    return out
+    table = _check_query(instance, k)
+    types = table.types
+    return [
+        UniquePointProb(t, s, p)
+        for t, p in zip(types, _unique_events(table, k, query, list(range(len(types)))))
+        if p is not None
+    ]
 
 
 def _auxiliary_slopes(finite: list[Fraction]) -> list[Fraction]:

@@ -109,14 +109,26 @@ def test_certified_independent_scheme_has_no_warning(fixture_dir, tmp_path):
         ("solve", "--instance", "IGNORED", "--k", "2", "--bogus", "1"),
         ("solve", "--instance", "IGNORED", "--k"),
         ("bogus",),
-        ("solve", "--instance", "OVERFLOW", "--k", "600"),
+        ("solve", "--instance", "IGNORED", "--k", "4"),
         ("solve", "--instance", "COINS", "--k", "2", "--method", "fptas", "--epsilon", "1e-6",
          "--force"),
     ],
 )
-def test_validation_failures_exit_1(fixture_dir, tmp_path, args):
-    overflow = tmp_path / "overflow.json"
-    overflow.write_text(json.dumps({
+def test_validation_failures_exit_1(fixture_dir, args):
+    paths = {
+        "IGNORED": str(fixture_dir / "tug_of_war.json"),  # n=3
+        "COINS": str(fixture_dir / "coins_k3.json"),
+    }
+    res = invoke(*(paths.get(a, a) for a in args))
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)  # reported, not a traceback
+    assert "error:" in res.output
+
+
+def test_solve_large_iid_instance(tmp_path):
+    # C(1200, 600) overflows a float; the oracle never forms it.
+    path = tmp_path / "iid.json"
+    path.write_text(json.dumps({
         "kind": "iid",
         "n": 1200,
         "palette": [
@@ -124,15 +136,10 @@ def test_validation_failures_exit_1(fixture_dir, tmp_path, args):
             {"id": "lo", "rho": 0, "xi": 1, "q": "1/2"},
         ],
     }))
-    paths = {
-        "IGNORED": str(fixture_dir / "tug_of_war.json"),
-        "OVERFLOW": str(overflow),
-        "COINS": str(fixture_dir / "coins_k3.json"),
-    }
-    res = invoke(*(paths.get(a, a) for a in args))
-    assert res.exit_code == 1, res.output
-    assert isinstance(res.exception, SystemExit)  # reported, not a traceback
-    assert "error:" in res.output
+    res = invoke("solve", "--instance", str(path), "--k", "600")
+    assert res.exit_code == 0, res.output
+    blob = json.loads(res.output)
+    assert blob["u_receiver"] >= 0.5 - 1e-8  # rho_e: the palette's mean receiver utility
 
 
 def test_help_exits_0():

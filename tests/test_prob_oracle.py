@@ -139,22 +139,72 @@ def test_truncated_view_matches_base():
 
 def test_kind_cross_check():
     # The same distribution expressed through different instance kinds must
-    # produce identical oracle tables.
-    rng = np.random.default_rng(17)
-    for _ in range(6):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 4))
-        from corpus import random_dist, random_types
+    # produce the same oracle tables: the IID closed form v^k against the
+    # prophet-secretary recursion over n copies of the palette.
+    from corpus import random_dist, random_types
 
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4, 5, 12, 40):
+        m = int(rng.integers(1, 5))
         palette = random_dist(rng, random_types(rng, m, 0))
         iid = IIDInstance(palette=palette, n=n)
         ps = ProphetSecretaryInstance(dists=(palette,) * n)
-        for k in range(2, n + 1):
+        for k in sorted({2, n // 2 + 1, n}):
             seg_iid = {(s.a.id, s.b.id): s.p for s in segment_probabilities(iid, k)}
             seg_ps = {(s.a.id, s.b.id): s.p for s in segment_probabilities(ps, k)}
             assert set(seg_iid) == set(seg_ps)
             for key, p in seg_iid.items():
                 assert abs(p - seg_ps[key]) < 1e-12
+            for s in candidate_slopes(iid, k):
+                u_iid = {u.c.id: u.p for u in unique_probabilities(iid, k, s)}
+                u_ps = {u.c.id: u.p for u in unique_probabilities(ps, k, s)}
+                assert set(u_iid) == set(u_ps), (n, k, s)
+                for tid, p in u_iid.items():
+                    assert abs(p - u_ps[tid]) < 1e-12, (n, k, s, tid)
+
+
+def test_partition_invariant_large_n():
+    # C(1200, 600) overflows a float; the IID closed form and the normalised
+    # prophet-secretary recursion stay in [0, 1].
+    from corpus import random_dist, random_types
+
+    rng = np.random.default_rng(45)
+    pool = random_types(rng, 5, 0)
+    iid = IIDInstance(palette=random_dist(rng, pool[:4]), n=1200)
+    ps = ProphetSecretaryInstance(dists=tuple(
+        random_dist(rng, [pool[int(j)] for j in sorted(rng.choice(5, size=2, replace=False))])
+        for _ in range(300)
+    ))
+    for inst, k in ((iid, 600), (ps, 150)):
+        by_slope: dict = {}
+        for seg in segment_probabilities(inst, k):
+            by_slope[seg.slope] = by_slope.get(seg.slope, 0.0) + seg.p
+        for s in candidate_slopes(inst, k):
+            total = by_slope.get(s, 0.0) + sum(u.p for u in unique_probabilities(inst, k, s))
+            assert abs(total - 1.0) < 1e-9, (type(inst).__name__, s, total)
+
+
+def test_support_is_exact_below_float_range():
+    # The a-b segment needs a and b, each of mass 1e-200, drawn together: its
+    # probability 1e-400 underflows to 0.0, yet the state (a, b) occurs and
+    # the executor must find its segment in the scheme.
+    from persuade.model import ActionType
+    from persuade.symmetric_schemes import SlopeSchemeExecutor, slope_algorithm
+
+    def pt(name, rho, xi):
+        return ActionType(name, Fraction(rho), Fraction(xi))
+
+    u, v, a, b, c = pt("u", 0, 2), pt("v", 2, 0), pt("a", 0, 1), pt("b", 1, 0), pt("c", 0, 0)
+    eps = Fraction(1, 10**200)
+    inst = ProphetSecretaryInstance(dists=(
+        ((u, Fraction(1, 2)), (a, eps), (c, Fraction(1, 2) - eps)),
+        ((v, Fraction(1, 2)), (b, eps), (c, Fraction(1, 2) - eps)),
+    ))
+    dist = SlopeSchemeExecutor(slope_algorithm(inst, 2), 2).recommendation_distribution((a, b))
+    assert abs(sum(dist.values()) - 1.0) < 1e-12
+    segs = {(s.a.id, s.b.id): s.p for s in segment_probabilities(inst, 2)}
+    assert segs[("a", "b")] == 0.0
+    assert p_segment(inst, 2, a, b) == 0.0
 
 
 def test_point_mass_prophet_equals_single_vector():

@@ -33,6 +33,20 @@ def by_id(inst):
     return {t.id: t for t in all_types(inst)}
 
 
+def test_slope_algorithm_large_prophet_secretary():
+    # C(1200, 600) overflows a float; the normalised recursion stays in [0, 1].
+    hi = ActionType("hi", Fraction(1), Fraction(1, 4))
+    lo = ActionType("lo", Fraction(0), Fraction(1))
+    dists = tuple(
+        ((hi, Fraction(1 + i % 2, 3)), (lo, Fraction(2 - i % 2, 3))) for i in range(1200)
+    )
+    inst = P.ProphetSecretaryInstance(dists=dists)
+    scheme = slope_algorithm(inst, 600)
+    rho_e = float(P.best_fixed_action_value(inst))
+    assert scheme.u_receiver >= rho_e - 1e-8
+    assert scheme.u_sender >= 0.25  # at least the sender value of the receiver-best pick
+
+
 def test_slope_algorithm_frozen_values(tug):
     two = slope_algorithm(tug, 2)
     assert two.s_star == Fraction(-1)
