@@ -23,14 +23,14 @@ exact beyond general position:
 
 Both are one event: the required types (the pair, or the point) are among the
 first k realized, and every other realized type is allowed. Each call builds a
-type table once: the distinct types with exact dense ranks of their points, of
-their receiver utilities and of their ids, plus the prior's weights per type -
-one palette vector for IID priors, an n x T float mass matrix for
-prophet-secretary ones, a V x T integer entry-count matrix for d-random-order
-ones. At a slope every type gets one exact key (``xi - s*rho``; ``(rho, xi)``
-at -inf and ``(xi, rho)`` at 0), and a query's allowed set is a boolean mask
-read off the keys' dense ranks: lower rank, or the same point with a larger
-id, or for a pair the interior of the open segment.
+type table once: the distinct types with exact dense ranks of their points
+and of their ids, plus the prior's weights per type - one palette vector for
+IID priors, an n x T float mass matrix for prophet-secretary ones, a V x T
+integer entry-count matrix for d-random-order ones. At a slope every type gets
+one exact key (``xi - s*rho`` over a common denominator; ``(rho, xi)`` at -inf
+and ``(xi, rho)`` at 0), and a query's allowed set is a boolean mask read off
+the keys' dense ranks: lower rank, or the same point with a larger id, or for
+a pair the interior of the open segment.
 
 The probability is an inclusion-exclusion over the subsets of the required
 types, all queries of a call at once. Prophet-secretary: the expected product
@@ -130,7 +130,8 @@ class _TypeTable:
     (prophet-secretary) or the V x T entry-count matrix (d-random-order);
     ``positive`` marks the weights backed by a positive exact probability.
     ``rho_num`` and ``xi_num`` are the utilities times their common
-    denominator, so exact comparisons run on integers.
+    denominator, so the exact keys are integers, which sort and hash faster
+    than Fractions.
     """
 
     prior: Union[IIDInstance, ProphetSecretaryInstance, DRandomOrderInstance]
@@ -138,7 +139,6 @@ class _TypeTable:
     rho_num: list[int]
     xi_num: list[int]
     point_rank: np.ndarray  # dense rank of (rho, xi): equal exactly for coincident types
-    rho_rank: np.ndarray
     id_rank: np.ndarray  # rank of the id in string order
     weights: np.ndarray
     positive: np.ndarray
@@ -175,7 +175,6 @@ class _TypeTable:
             rho_num,
             xi_num,
             _dense_rank(list(zip(rho_num, xi_num))),
-            _dense_rank(rho_num),
             _dense_rank([t.id for t in types]),
             weights,
             positive,
@@ -200,13 +199,15 @@ class _TypeTable:
 
     def pair_allowed(self, s: Fraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """allowed[q, t]: may type t be realized alongside "a[q]-b[q] is the
-        maximal slope-s segment"? Each a[q] has the lower receiver utility."""
-        rank, point, ids, rho = self.ranks(s), self.point_rank, self.id_rank, self.rho_rank
+        maximal slope-s segment"? Each a[q] has the lower receiver utility.
+        On a line of finite slope the (rho, xi) order of points is their rho
+        order, so the open segment is the point ranks strictly between a and b."""
+        rank, point, ids = self.ranks(s), self.point_rank, self.id_rank
         a, b = a[:, None], b[:, None]
         on_line = (
             (point == point[a]) & (ids > ids[a])
             | (point == point[b]) & (ids > ids[b])
-            | (rho > rho[a]) & (rho < rho[b])  # the open segment
+            | (point > point[a]) & (point < point[b])
         )
         return (rank < rank[a]) | (rank == rank[a]) & on_line
 
@@ -221,13 +222,10 @@ def _mean_k_products(masses: np.ndarray, k: int) -> np.ndarray:
     recursion f(i, j) = (1 - j/i) f(i-1, j) + (j/i) m_i f(i-1, j-1)."""
     f = np.zeros((k + 1, masses.shape[1]))
     f[0] = 1.0
-    steps = np.arange(1, k + 1)[:, None] / np.arange(1, len(masses) + 1)[:, None, None]  # j / i
-    for w, row in zip(steps, masses):
-        f[1:] += w * (row * f[:-1] - f[1:])
+    j = np.arange(1, k + 1)[:, None]
+    for i, row in enumerate(masses, 1):
+        f[1:] += (j / i) * (row * f[:-1] - f[1:])
     return f[k]
-
-
-_QUERY_BLOCK = 1024
 
 
 def _event_probs(
@@ -238,13 +236,6 @@ def _event_probs(
     realized types and every other one is in ``allowed[q]``; None when that
     cannot happen, decided exactly.
     """
-    blocks = -(-len(required) // _QUERY_BLOCK)
-    if blocks > 1:  # bound the n x (queries * 2^r) mass matrix
-        parts = [
-            _event_probs(table, k, req, allow)
-            for req, allow in zip(np.array_split(required, blocks), np.array_split(allowed, blocks))
-        ]
-        return [p for part in parts for p in part]
     r = required.shape[1]
     subsets = [s for size in range(r, -1, -1) for s in combinations(range(r), size)]
     signs = np.array([1 if (r - len(s)) % 2 == 0 else -1 for s in subsets])
