@@ -4,6 +4,10 @@ Utilities and input probabilities are exact `fractions.Fraction` values so that
 slope grouping and tie detection downstream can rely on exact comparisons.
 Derived quantities (oracle probabilities, LP solutions) are floats.
 
+Sampling (`_state_sampler`) precomputes the float CDFs once and draws a
+whole state with a few numpy calls, consuming the generator exactly as one
+`rng.choice` per slot would, so a seed always gives the same states.
+
 All types are immutable after construction and safe for concurrent reads.
 """
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -86,6 +90,11 @@ class ActionType:
     def __post_init__(self) -> None:
         if not isinstance(self.rho, Fraction) or not isinstance(self.xi, Fraction):
             raise InstanceFormatError(f"type {self.id!r}: utilities must be exact rationals")
+
+    def __hash__(self) -> int:
+        # Equal types share an id, so hashing the id alone is consistent with
+        # equality and spares State-keyed dicts two Fraction hashes per type.
+        return hash(self.id)
 
 
 # A realized state assigns one type to every slot (symmetric) or action (independent).
@@ -322,35 +331,77 @@ def truncate(instance: SymmetricInstance, k: int) -> SymmetricInstance:
 # Sampling
 # --------------------------------------------------------------------------
 
-def _draw(dist: TypeDist, rng: np.random.Generator) -> ActionType:
-    probs = np.array([float(q) for _, q in dist])
-    probs /= probs.sum()
-    idx = rng.choice(len(dist), p=probs)
-    return dist[idx][0]
+def _cdf(probs) -> np.ndarray:
+    """Float CDF of exact probabilities, formed exactly as `Generator.choice`
+    forms it from `p`, so a uniform draw u picks `cdf.searchsorted(u, "right")`."""
+    p = np.array([float(q) for q in probs])
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _state_sampler(instance: Instance) -> Callable[[np.random.Generator], State]:
+    """Precompute an instance's float CDFs once; return a function drawing one
+    state from a generator.
+
+    The stream contract: each draw consumes the generator exactly as one
+    `rng.choice(len(d), p=d)` per slot in slot order would.  Prophet-secretary
+    takes `permutation(n)` and then one uniform per slot, IID and independent
+    priors one uniform per slot, d-random-order one uniform for the vector
+    and then the permutation; truncated views crop the base draw.  So a seed
+    gives the same states as a per-slot `choice` sampler.
+    """
+    if isinstance(instance, TruncatedSymmetricInstance):
+        base, n = _state_sampler(instance.base), instance.n
+        return lambda rng: base(rng)[:n]
+    if isinstance(instance, DRandomOrderInstance):
+        vectors = instance.vectors
+        cdf = _cdf(instance.vector_probs)
+        n = len(vectors[0])
+
+        def draw(rng: np.random.Generator) -> State:
+            vec = vectors[cdf.searchsorted(rng.random(), side="right")]
+            return tuple(map(vec.__getitem__, rng.permutation(n).tolist()))
+
+        return draw
+    # slot_rows[j] is the distribution of slot j; prophet-secretary permutes them per draw.
+    if isinstance(instance, IIDInstance):
+        dists, slot_rows = (instance.palette,), np.zeros(instance.n, dtype=np.intp)
+    elif isinstance(instance, ProphetSecretaryInstance):
+        dists, slot_rows = instance.dists, None
+    elif isinstance(instance, IndependentInstance):
+        dists, slot_rows = instance.actions, np.arange(len(instance.actions))
+    else:
+        raise TypeError(f"not an instance: {instance!r}")
+    # One padded CDF row per distribution; the padding (2.0) exceeds every
+    # uniform draw, so counting the row's entries <= u is searchsorted(u, "right").
+    n = len(dists) if slot_rows is None else len(slot_rows)
+    types = tuple(t for dist in dists for t, _ in dist)
+    sizes = [len(dist) for dist in dists]
+    offsets = np.cumsum([0] + sizes[:-1])
+    cdfs = np.full((len(dists), max(sizes)), 2.0)
+    for i, dist in enumerate(dists):
+        cdfs[i, : sizes[i]] = _cdf(q for _, q in dist)
+
+    def draw(rng: np.random.Generator) -> State:
+        rows = rng.permutation(n) if slot_rows is None else slot_rows
+        u = rng.random(n)
+        idx = offsets[rows] + (cdfs[rows] <= u[:, None]).sum(axis=1)
+        return tuple(map(types.__getitem__, idx.tolist()))
+
+    return draw
 
 
 def sample_state(instance: Instance, rng: np.random.Generator) -> State:
     """Draw one state from the instance's prior using the supplied generator.
 
     Sampling converts exact probabilities to floats; exact computations should
-    use `persuade.exact_oracle.enumerate_prior` instead.
+    use `persuade.exact_oracle.enumerate_prior` instead.  Loops over many
+    states should build the sampler once (`_state_sampler`), as `estimate`
+    and `bicriteria_scheme` do; the states drawn are the same.
     """
-    if isinstance(instance, IIDInstance):
-        return tuple(_draw(instance.palette, rng) for _ in range(instance.n))
-    if isinstance(instance, ProphetSecretaryInstance):
-        order = rng.permutation(len(instance.dists))
-        return tuple(_draw(instance.dists[i], rng) for i in order)
-    if isinstance(instance, DRandomOrderInstance):
-        probs = np.array([float(q) for q in instance.vector_probs])
-        probs /= probs.sum()
-        vec = instance.vectors[rng.choice(len(instance.vectors), p=probs)]
-        order = rng.permutation(len(vec))
-        return tuple(vec[i] for i in order)
-    if isinstance(instance, TruncatedSymmetricInstance):
-        return sample_state(instance.base, rng)[: instance.n]
-    if isinstance(instance, IndependentInstance):
-        return tuple(_draw(dist, rng) for dist in instance.actions)
-    raise TypeError(f"not an instance: {instance!r}")
+    return _state_sampler(instance)(rng)
 
 
 # --------------------------------------------------------------------------

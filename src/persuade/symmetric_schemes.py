@@ -4,9 +4,9 @@ The central routine is ``slope_algorithm``: for every candidate tangent
 slope it asks the probability oracle for the realizable frontier events,
 solves the per-slope scheme LP in closed form, and keeps the best feasible
 answer.  The returned scheme is compact (a slope and one recommendation
-weight per same-slope segment); execution recomputes the realized Pareto
-frontier per state and recommends the tangency point, so it runs on state
-spaces far too large to tabulate.
+weight per same-slope segment); execution recommends the realized
+frontier's tangency point, found per state from one cached exact score per
+type, so it runs on state spaces far too large to tabulate.
 
 Also here: the imitation wrapper that turns the optimal n-signal scheme
 into a persuasive k-signal scheme, and the sampling-based bicriteria LP
@@ -15,20 +15,13 @@ that trades exact persuasiveness for epsilon slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .geometry import (
-    NEG_INF,
-    SegmentTangent,
-    Slope,
-    UniqueVertex,
-    pareto_frontier,
-    point_for_slope,
-)
+from .geometry import NEG_INF, Slope
 from .lp_core import CONSTRAINT_TOL, LinearProgram, solve_lp, solve_slope_lp
 from .model import (
     ActionType,
@@ -40,8 +33,8 @@ from .model import (
     is_symmetric,
     n_slots,
     parse_rational,
-    sample_state,
     truncate,
+    _state_sampler,
 )
 from .prob_oracle import (
     SegmentProb,
@@ -125,50 +118,73 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     return SlopeScheme(s_star=best_s, alpha=alpha, u_sender=best.u_sender, u_receiver=best.u_receiver)
 
 
-def _slots_holding(state: State, k: int, type_id: str) -> list[int]:
-    return [i for i in range(k) if state[i].id == type_id]
-
-
 @dataclass(frozen=True)
 class SlopeSchemeExecutor:
     """Runs a SlopeScheme on realized states.
 
-    Per state the executor rebuilds the Pareto frontier of the first k
-    types and finds the correspondence of the scheme's slope.  A segment
-    tangent recommends the low-rho endpoint with its stored alpha weight;
-    a vertex is recommended outright.  When several of the first k slots
-    hold the recommended type, the slot is drawn uniformly among them,
-    which keeps the scheme symmetric.
+    Per state the executor finds the point of the first k types' Pareto
+    frontier tangent at the scheme's slope s* without building the
+    frontier: it maximises one exact score per type id (xi - s*·rho for
+    finite s* < 0; (xi, rho) at s* = 0; (rho, xi) at s* = -inf), cached
+    with its dense rank among the scores seen so far, so a state costs
+    integer comparisons only.  Two or more distinct maximising points form
+    the tangent segment, which recommends its low-rho endpoint with the
+    stored alpha weight and its high-rho endpoint otherwise; a single
+    maximising point is recommended outright.  Among coincident points the
+    lowest id stands for them, as in `pareto_frontier`.  When several of
+    the first k slots hold the recommended type, the slot is drawn
+    uniformly among them, which keeps the scheme symmetric.
     """
 
     scheme: SlopeScheme
     k: int
+    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _rank(self, head: State) -> list[int]:
+        ranks = self._ranks
+        try:
+            return [ranks[t.id] for t in head]
+        except KeyError:  # a type not seen yet: score it and rank all scores again
+            pass
+        s, scores = self.scheme.s_star, self._scores
+        for t in head:
+            if s is NEG_INF:
+                scores[t.id] = (t.rho, t.xi)
+            elif s == 0:
+                scores[t.id] = (t.xi, t.rho)
+            else:
+                scores[t.id] = t.xi - s * t.rho
+        dense = {v: i for i, v in enumerate(sorted(set(scores.values())))}
+        ranks.update((tid, dense[v]) for tid, v in scores.items())
+        return [ranks[t.id] for t in head]
 
     def recommendation_distribution(self, state: State) -> dict[int, float]:
         if len(state) < self.k:
             raise ValueError(f"state has {len(state)} slots, scheme needs {self.k}")
-        frontier = pareto_frontier(state[: self.k])
-        corr = point_for_slope(frontier, self.scheme.s_star)
-        if isinstance(corr, UniqueVertex):
-            weights = [(corr.vertex, 1.0)]
+        head = state[: self.k]
+        ranks = self._rank(head)
+        top = max(ranks)
+        best = sorted((t for t, r in zip(head, ranks) if r == top), key=lambda t: (t.rho, t.id))
+        left, right = best[0], max(best, key=lambda t: t.rho)  # lowest id of each end
+        if right is left:
+            weights = [(left, 1.0)]
         else:
-            key = (corr.left.id, corr.right.id)
+            key = (left.id, right.id)
             alpha = self.scheme.alpha.get(key)
             if alpha is None:
                 raise RuntimeError(
                     f"realized segment {key} at slope {self.scheme.s_star} is missing "
                     "from the scheme; the probability oracle and the frontier disagree"
                 )
-            weights = [(corr.left, alpha), (corr.right, 1.0 - alpha)]
+            weights = [(left, alpha), (right, 1.0 - alpha)]
         out: dict[int, float] = {}
         for point, w in weights:
             if w <= 0.0:
                 continue
-            slots = _slots_holding(state, self.k, point.id)
-            if not slots:
-                raise RuntimeError(f"type {point.id} on the frontier but not in the state")
+            slots = [i for i, t in enumerate(head) if t.id == point.id]
             for slot in slots:
-                out[slot] = out.get(slot, 0.0) + w / len(slots)
+                out[slot] = w / len(slots)
         return out
 
     def recommend(self, state: State, rng: np.random.Generator) -> int:
@@ -352,10 +368,10 @@ def bicriteria_scheme(
         raise ValueError(f"k={k} outside [2, {n}]")
     rng = np.random.default_rng(rng)
 
-    trunc = truncate(instance, k)
+    draw = _state_sampler(truncate(instance, k))
     counts: dict[State, int] = {}
     for _ in range(samples):
-        state = sample_state(trunc, rng)
+        state = draw(rng)
         counts[state] = counts.get(state, 0) + 1
 
     # One recommendation variable per (type multiset, member type).

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -188,6 +189,35 @@ def test_simulate_command_schema_and_determinism(fixture_dir):
     }
     assert blob["samples"] == 2000
     assert abs(blob["sender_mean"] - 2 / 3) < 0.05
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# No bundled fixture is a prophet-secretary prior, so the golden test writes one.
+PROPHET_SECRETARY_DOC = {"kind": "prophet_secretary", "dists": [
+    [{"id": "a", "rho": "1/2", "xi": 1, "q": "1/2"}, {"id": "b", "rho": 1, "xi": 0, "q": "1/2"}],
+    [{"id": "c", "rho": "3/4", "xi": "1/2", "q": "1/3"}, {"id": "d", "rho": 0, "xi": 1, "q": "2/3"}],
+    [{"id": "e", "rho": "1/4", "xi": "3/4", "q": 1}],
+    [{"id": "f", "rho": 1, "xi": "1/4", "q": "1/4"}, {"id": "g", "rho": "1/3", "xi": "1/3", "q": "3/4"}],
+]}
+
+
+@pytest.mark.parametrize("name, args", [
+    ("ratio_iid", ["--k", "2"]),
+    ("tight_random_order", ["--k", "2"]),
+    ("prophet_secretary", ["--k", "2"]),
+    ("coins_k3", ["--k", "2", "--method", "greedy", "--force"]),
+])
+def test_simulate_output_is_pinned_across_releases(fixture_dir, tmp_path, name, args):
+    # Same seed, same report: the expected files hold the output of earlier
+    # releases, so a change to sampling or execution order shows up here.
+    path = fixture_dir / f"{name}.json"
+    if name == "prophet_secretary":
+        path = tmp_path / "prophet_secretary.json"
+        path.write_text(json.dumps(PROPHET_SECRETARY_DOC))
+    res = invoke("simulate", "--instance", str(path), *args, "--samples", "2000", "--seed", "3")
+    assert res.exit_code == 0, res.output
+    assert res.stdout == (GOLDEN / f"simulate_{name}.json").read_text()
 
 
 def test_compare_symmetric(fixture_dir):

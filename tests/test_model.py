@@ -18,6 +18,7 @@ from persuade.model import (
     IndependentInstance,
     InstanceFormatError,
     ProphetSecretaryInstance,
+    TruncatedSymmetricInstance,
     all_types,
     format_rational,
     n_slots,
@@ -25,7 +26,8 @@ from persuade.model import (
     sample_state,
     truncate,
 )
-from corpus import random_symmetric, symmetric_corpus
+from persuade.model import _state_sampler
+from corpus import independent_corpus, random_symmetric, shared_type_priors, symmetric_corpus
 
 
 def test_parse_rational_accepts_ints_and_strings():
@@ -59,6 +61,18 @@ def test_action_type_requires_fractions():
         ActionType("a", 0.5, Fraction(1))
     with pytest.raises(InstanceFormatError):
         ActionType("a", 1, Fraction(1))
+
+
+def test_equal_types_hash_equal_and_share_state_keys():
+    a = ActionType("a", Fraction(1, 3), Fraction(2, 3))
+    twin = ActionType("a", Fraction(2, 6), Fraction(4, 6))
+    b = ActionType("b", Fraction(1, 3), Fraction(2, 3))
+    assert a == twin and a is not twin
+    assert hash(a) == hash(twin)
+    table = {(a, b): 1, (b,): 2}
+    assert table[(twin, b)] == 1
+    assert {(twin,): 3}.get((a,)) == 3
+    assert (b, a) not in table and (a,) not in table
 
 
 def test_distribution_validation():
@@ -132,6 +146,61 @@ def test_sample_state_frequencies_iid():
         if sample_state(inst, rng)[0].id == "a":
             hits += 1
     assert abs(hits / 4000 - 0.25) < 0.03
+
+
+def _choice_per_slot(instance, rng):
+    """Reference sampler: one `rng.choice` over the float probabilities per slot."""
+
+    def draw(dist):
+        probs = np.array([float(q) for _, q in dist])
+        probs /= probs.sum()
+        return dist[rng.choice(len(dist), p=probs)][0]
+
+    if isinstance(instance, IIDInstance):
+        return tuple(draw(instance.palette) for _ in range(instance.n))
+    if isinstance(instance, ProphetSecretaryInstance):
+        order = rng.permutation(len(instance.dists))
+        return tuple(draw(instance.dists[i]) for i in order)
+    if isinstance(instance, DRandomOrderInstance):
+        probs = np.array([float(q) for q in instance.vector_probs])
+        probs /= probs.sum()
+        vec = instance.vectors[rng.choice(len(instance.vectors), p=probs)]
+        return tuple(vec[i] for i in rng.permutation(len(vec)))
+    if isinstance(instance, TruncatedSymmetricInstance):
+        return _choice_per_slot(instance.base, rng)[: instance.n]
+    return tuple(draw(dist) for dist in instance.actions)
+
+
+def _stream_pin_instances():
+    out = symmetric_corpus(count=40, seed=9) + shared_type_priors(np.random.default_rng(12), 4)
+    out += independent_corpus(count=12, seed=10)
+    # Zero masses, a one-type distribution and unequal supports.
+    a, b, c = (ActionType(t, Fraction(i, 3), Fraction(2 - i, 3)) for i, t in enumerate("abc"))
+    out.append(ProphetSecretaryInstance(dists=(
+        ((a, Fraction(0)), (b, Fraction(1, 3)), (c, Fraction(2, 3))),
+        ((b, Fraction(1)),),
+        ((a, Fraction(1, 2)), (c, Fraction(1, 2))),
+        ((c, Fraction(1, 7)), (a, Fraction(6, 7)), (b, Fraction(0))),
+    )))
+    out.append(IIDInstance(palette=((a, Fraction(1, 5)), (b, Fraction(0)), (c, Fraction(4, 5))), n=6))
+    out.append(IndependentInstance(actions=(((a, Fraction(1)), (b, Fraction(0))), ((c, Fraction(1)),))))
+    views = [truncate(inst, k) for inst in out if P.is_symmetric(inst)
+             for k in range(1, n_slots(inst))]
+    return out + [v for v in views if isinstance(v, TruncatedSymmetricInstance)]
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda seed: np.random.Generator(np.random.Philox(key=[seed, 3])),
+    np.random.default_rng,
+], ids=["philox", "pcg64"])
+def test_sampler_keeps_the_per_slot_choice_stream(make_rng):
+    for seed, inst in enumerate(_stream_pin_instances()):
+        ours, ref = make_rng(seed), make_rng(seed)
+        draw = _state_sampler(inst)  # built once, as estimate and bicriteria_scheme do
+        for _ in range(15):
+            assert draw(ours) == _choice_per_slot(inst, ref)
+        assert sample_state(inst, ours) == _choice_per_slot(inst, ref)
+        assert ours.random() == ref.random()
 
 
 def test_json_round_trip_all_kinds():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import persuade as P
-from persuade.geometry import NEG_INF
+from persuade.exact_oracle import enumerate_prior
+from persuade.geometry import NEG_INF, UniqueVertex, pareto_frontier, point_for_slope
 from persuade.model import ActionType, IIDInstance, all_types, n_slots, sample_state, truncate
 from persuade.symmetric_schemes import (
     ImitationExecutor,
@@ -21,7 +22,7 @@ from persuade.symmetric_schemes import (
     slope_scheme_from_dict,
     slope_scheme_to_dict,
 )
-from corpus import random_symmetric, shared_type_priors
+from corpus import random_symmetric, shared_type_priors, symmetric_corpus
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,44 @@ def test_executor_realizes_scheme_utilities():
             assert abs(u_s - scheme.u_sender) < 1e-9
             assert abs(u_r - scheme.u_receiver) < 1e-9
             assert P.persuasiveness_check(ex, inst).persuasive
+
+
+def _frontier_recommendation(scheme, head, tangency):
+    """Reference executor: build the Pareto frontier of the first k types and
+    take its tangency point at the scheme's slope (memoised per type set)."""
+    types = frozenset(head)
+    if types not in tangency:
+        tangency[types] = point_for_slope(pareto_frontier(head), scheme.s_star)
+    corr = tangency[types]
+    if isinstance(corr, UniqueVertex):
+        weights = [(corr.vertex, 1.0)]
+    else:
+        alpha = scheme.alpha[(corr.left.id, corr.right.id)]
+        weights = [(corr.left, alpha), (corr.right, 1.0 - alpha)]
+    out = {}
+    for point, w in weights:
+        slots = [i for i, t in enumerate(head) if t.id == point.id]
+        if w > 0.0:
+            out.update((slot, w / len(slots)) for slot in slots)
+    return list(out.items())
+
+
+def test_executor_matches_frontier_tangency_on_every_corpus_state():
+    for inst in symmetric_corpus():
+        states = list(enumerate_prior(inst))
+        for k in range(2, n_slots(inst) + 1):
+            schemes = [
+                slope_algorithm(inst, k),
+                SlopeScheme(s_star=Fraction(0), alpha={}, u_sender=0.0, u_receiver=0.0),
+                SlopeScheme(s_star=NEG_INF, alpha={}, u_sender=0.0, u_receiver=0.0),
+            ]
+            for scheme in schemes:
+                ex = SlopeSchemeExecutor(scheme, k)
+                tangency = {}
+                for state in states:
+                    dist = ex.recommendation_distribution(state)
+                    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+                    assert list(dist.items()) == _frontier_recommendation(scheme, state[:k], tangency)
 
 
 def test_scheme_serialization_round_trip(tug):
