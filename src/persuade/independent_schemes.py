@@ -8,6 +8,13 @@ optimum for a fixed action set; ``actions_greedy``, ``actions_reduce`` and
 solution into an executable sequential-acceptance scheme whose expected
 utilities have closed forms.
 
+Greedy and fptas score candidate sets by the relaxation's exact rational
+value, merged from the per-action value curves (``g_curve``) without an LP,
+so ties are decided exactly, with no tolerance: greedy keeps the lowest
+action index, fptas the set found first.  ``f_of_S`` solves the
+relaxation as an LP only for the chosen set (and, for reduce, the full
+set), because the scheme needs its per-type acceptance masses.
+
 The relaxation is tight only on instances where falling back to the
 a-priori receiver-best action can never hurt the receiver.  The sufficient
 condition checked here is a designated-quality action whose receiver
@@ -17,6 +24,7 @@ utility is deterministic; builders refuse other instances unless forced.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -283,29 +291,59 @@ def _validate_k(instance: IndependentInstance, k: int) -> list[int]:
     return [i for i in range(n) if i != instance.designated]
 
 
+def _curves(instance: IndependentInstance) -> list[GiCurve]:
+    """Every action's value curve against the instance's receiver threshold."""
+    rho_e = best_fixed_action_value(instance)
+    return [g_curve(dist, rho_e) for dist in instance.actions]
+
+
+def _relaxation_value(
+    instance: IndependentInstance, curves: Sequence[GiCurve], S: Iterable[int]
+) -> Fraction:
+    """Exact value of the relaxation over S plus the designated action.
+
+    The relaxation maximizes sum_i g_i(z_i) subject to sum_i z_i <= 1 over
+    concave curves g_i with g_i(0) = 0, so filling the unit budget with the
+    curves' positive-slope pieces in decreasing slope order is optimal.
+    """
+    pieces = sorted(
+        (
+            (slope, z1 - z0)
+            for i in {*S, instance.designated}
+            for (z0, _, slope), (z1, _, _) in zip(curves[i].breakpoints, curves[i].breakpoints[1:])
+            if slope > 0
+        ),
+        reverse=True,
+    )
+    value, budget = Fraction(0), Fraction(1)
+    for slope, length in pieces:
+        if length >= budget:
+            return value + slope * budget
+        value += slope * length
+        budget -= length
+    return value
+
+
 def actions_greedy(instance: IndependentInstance, k: int) -> tuple[int, ...]:
     """Pick k-1 actions by greedy marginal gain of the relaxation value.
 
-    Ties go to the lowest action index.  The relaxation value is monotone
-    and submodular in the action set, so the greedy set is within the
-    classic 1 - (1 - 1/k)^(k-1) style factor of the best set of its size.
+    Candidates are compared by their exact rational relaxation value, so
+    exact ties go to the lowest action index.  The relaxation value is
+    monotone and submodular in the action set, so the greedy set is within
+    the classic 1 - (1 - 1/k)^(k-1) style factor of the best set of its size.
     """
     others = _validate_k(instance, k)
+    curves = _curves(instance)
     chosen: list[int] = []
-    current = f_of_S(instance, ()).objective
     for _ in range(k - 1):
-        best_gain = None
-        best_i = None
-        best_val = None
+        best_i = best_val = None
         for i in others:
             if i in chosen:
                 continue
-            val = f_of_S(instance, chosen + [i]).objective
-            gain = val - current
-            if best_gain is None or gain > best_gain + 1e-12:
-                best_gain, best_i, best_val = gain, i, val
+            val = _relaxation_value(instance, curves, chosen + [i])
+            if best_val is None or val > best_val:
+                best_i, best_val = i, val
         chosen.append(best_i)
-        current = best_val
     return tuple(chosen)
 
 
@@ -329,59 +367,85 @@ FPTAS_MAX_LEVELS = 10_000
 @dataclass(frozen=True)
 class _PackEntry:
     action: int
-    w_r: Fraction  # mass of particles strictly above the guessed marginal
-    p_r: Fraction  # curve value collected by those particles
-    p_o: Fraction  # value of the plateau exactly at the guessed marginal
+    cells: int  # grid cells whose marginal is strictly above the guess
+    p_r: int  # scaled curve value collected by those cells
+    p_o: int  # scaled value of the plateau of cells exactly at the guess
 
 
 def _guess_knapsack(
     designated: _PackEntry,
     others: Sequence[_PackEntry],
     k: int,
-    m: Fraction,
-    kappa: Fraction,
+    levels: int,
+    m: int,
+    kappa: tuple[int, int],
 ) -> tuple[int, ...]:
-    """Best at-most-(k-1) subset of `others` for one guessed marginal m.
+    """Best at-most-(k-1) subset of `others` for one guessed cell marginal m.
 
-    Values are floored to multiples of kappa so the state space stays
-    polynomial; sizes stay exact.  Each packed action commits its above-m
-    mass w_r outright, while plateau mass is flexible and fills whatever
-    budget remains at rate m per unit.  Returns the chosen action tuple.
+    Values are floored to multiples of kappa = kappa[0] / kappa[1] so the
+    state space stays polynomial; sizes stay exact cell counts.  Each packed
+    action commits its above-m cells outright, while plateau mass is
+    flexible and fills whatever of the `levels` cells remain at m per cell.
+    Returns the chosen action tuple.
     """
-    def rounded(p: Fraction) -> int:
-        return int(p / kappa)
+    kappa_num, kappa_den = kappa
+
+    def rounded(p: int) -> int:
+        return p * kappa_den // kappa_num
 
     # state: (actions chosen, rounded above-m value, rounded plateau value)
-    # mapped to the smallest committed mass reaching it, plus the choice set.
+    # mapped to the fewest committed cells reaching it, plus the choice set.
     start = (0, rounded(designated.p_r), rounded(designated.p_o))
-    states: dict[tuple[int, int, int], tuple[Fraction, tuple[int, ...]]] = {
-        start: (designated.w_r, ())
+    states: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {
+        start: (designated.cells, ())
     }
     for entry in others:
         pr_i, po_i = rounded(entry.p_r), rounded(entry.p_o)
         merged = dict(states)
-        for (j, pr, po), (size, chosen) in states.items():
+        for (j, pr, po), (cells, chosen) in states.items():
             if j >= k - 1:
                 continue
-            nsize = size + entry.w_r
-            if nsize > 1:
+            ncells = cells + entry.cells
+            if ncells > levels:
                 continue
             nstate = (j + 1, pr + pr_i, po + po_i)
-            cand = (nsize, chosen + (entry.action,))
+            cand = (ncells, chosen + (entry.action,))
             cur = merged.get(nstate)
             if cur is None or cand < cur:
                 merged[nstate] = cand
         states = merged
 
-    best_key = None
+    # Value kappa*pr + min(m * free cells, kappa*po), scaled by kappa_den.
+    best_value = None
     best_chosen: tuple[int, ...] = ()
-    for (j, pr, po), (size, chosen) in sorted(states.items()):
-        value = kappa * pr + min(m * (1 - size), kappa * po)
-        key = (value, chosen)
-        if best_key is None or value > best_key[0] or (value == best_key[0] and chosen < best_key[1]):
-            best_key = (value, chosen)
-            best_chosen = chosen
+    for (j, pr, po), (cells, chosen) in states.items():
+        value = kappa_num * pr + min(m * (levels - cells) * kappa_den, kappa_num * po)
+        if best_value is None or value > best_value or (value == best_value and chosen < best_chosen):
+            best_value, best_chosen = value, chosen
     return best_chosen
+
+
+def _grid_prefixes(curves: Sequence[GiCurve], levels: int) -> list[list[int]]:
+    """Each curve's values at z = ell/levels for ell = 0..levels, as integers
+    over one common denominator shared by all curves.
+
+    On the piece starting at breakpoint (bz, bv, bs) the value is
+    (bv - bs*bz) + (bs/levels)*ell, so scaling both coefficients of every
+    piece to integers makes every grid value an integer.
+    """
+    lines = [
+        [(bz, bv - bs * bz, bs / levels) for bz, bv, bs in curve.breakpoints] for curve in curves
+    ]
+    scale = math.lcm(*(c.denominator for rows in lines for _, a, b in rows for c in (a, b)))
+    prefixes: list[list[int]] = []
+    for rows in lines:
+        pref: list[int] = []
+        for p, (_, a, b) in enumerate(rows):
+            stop = math.ceil(rows[p + 1][0] * levels) if p + 1 < len(rows) else levels + 1
+            a, b = int(a * scale), int(b * scale)
+            pref.extend(a + b * ell for ell in range(len(pref), stop))
+        prefixes.append(pref)
+    return prefixes
 
 
 def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple[int, ...]:
@@ -390,14 +454,14 @@ def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple
     Discretizes every action's value curve into equal-width mass particles,
     guesses the marginal value of the last particle the unknown optimum
     packs, and for each guess solves a rounded knapsack over whole
-    above-the-guess prefixes.  Every guess's winning set is then scored by
-    the true relaxation and the best one is kept, padded with unused
-    lowest-index actions up to exactly k-1.
+    above-the-guess prefixes, all in exact integers.  Every guess's winning
+    set is then scored by its exact relaxation value; the best one is kept,
+    exact ties going to the earliest guess (the largest marginal), and
+    padded with unused lowest-index actions up to exactly k-1.
     """
     others = _validate_k(instance, k)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    rho_e = best_fixed_action_value(instance)
     delta = Fraction(float(epsilon)) / 2
     levels = math.ceil(k / delta)
     if levels > FPTAS_MAX_LEVELS:
@@ -405,48 +469,34 @@ def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple
             f"fptas: epsilon={epsilon} at k={k} needs a grid of {levels} levels per "
             f"action, more than the limit of {FPTAS_MAX_LEVELS}; use a larger epsilon"
         )
-    tau = Fraction(1, levels)
 
+    curves = _curves(instance)
     participants = others + [instance.designated]
-    prefix: dict[int, list[Fraction]] = {}
-    marginals: dict[int, list[Fraction]] = {}
-    for i in participants:
-        curve = g_curve(instance.actions[i], rho_e)
-        pref = [curve.value(ell * tau) for ell in range(levels + 1)]
-        # Per-unit-mass slope of each grid cell, the unit of the guessed m.
-        marg = [(pref[ell] - pref[ell - 1]) * levels for ell in range(1, levels + 1)]
-        assert all(a >= b for a, b in zip(marg, marg[1:])), "value curve not concave"
-        prefix[i], marginals[i] = pref, marg
+    prefix = _grid_prefixes(curves, levels)
+    # Negated per-cell marginals, non-decreasing on a concave curve, for bisection.
+    neg_marginals = [[pref[ell] - pref[ell + 1] for ell in range(levels)] for pref in prefix]
+    for neg in neg_marginals:
+        assert all(a <= b for a, b in zip(neg, neg[1:])), "value curve not concave"
 
-    guesses = sorted(
-        {m for marg in marginals.values() for m in marg if m > 0}, reverse=True
-    )
+    guesses = sorted({-v for neg in neg_marginals for v in neg if v < 0}, reverse=True)
+    cap = 2 * k * delta.denominator // delta.numerator
 
     candidates: list[tuple[int, ...]] = [()]
     for m in guesses:
         entries: dict[int, _PackEntry] = {}
         for i in participants:
-            marg = marginals[i]
-            above = sum(1 for v in marg if v > m)
-            plateau = 0
-            while above + plateau < levels and marg[above + plateau] == m:
-                plateau += 1
-            entries[i] = _PackEntry(
-                action=i,
-                w_r=tau * above,
-                p_r=prefix[i][above],
-                p_o=m * tau * plateau,
-            )
-        p_max = max(max(e.p_r, min(m, e.p_o)) for e in entries.values())
-        if p_max == 0:
-            continue
-        kappa = delta * p_max / (2 * k)
-        cap = int(2 * k / delta)
-        assert all(int(e.p_r / kappa) <= cap for e in entries.values())
+            neg = neg_marginals[i]
+            above = bisect_left(neg, -m)
+            plateau = bisect_right(neg, -m, above) - above
+            entries[i] = _PackEntry(action=i, cells=above, p_r=prefix[i][above], p_o=m * plateau)
+        p_max = max(max(e.p_r, e.p_o) for e in entries.values())
+        kappa = (delta.numerator * p_max, 2 * k * delta.denominator)
+        assert all(e.p_r * kappa[1] // kappa[0] <= cap for e in entries.values())
         chosen = _guess_knapsack(
             entries[instance.designated],
             [entries[i] for i in others],
             k,
+            levels,
             m,
             kappa,
         )
@@ -454,13 +504,10 @@ def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple
 
     best_set: tuple[int, ...] = ()
     best_val = None
-    scored: dict[tuple[int, ...], float] = {}
-    for S in candidates:
-        if S in scored:
-            continue
-        scored[S] = f_of_S(instance, S).objective
-        if best_val is None or scored[S] > best_val + 1e-12:
-            best_val, best_set = scored[S], S
+    for S in dict.fromkeys(candidates):
+        val = _relaxation_value(instance, curves, S)
+        if best_val is None or val > best_val:
+            best_val, best_set = val, S
 
     padded = list(best_set)
     for i in others:

@@ -325,6 +325,11 @@ def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType)
     Only pairs with a finite negative slope form segments; horizontal,
     vertical, and coincident pairs return 0 (the dominated endpoint can never
     sit on the frontier next to the other).
+
+    The support is exactly that of `segment_probabilities`.  For IID and
+    prophet-secretary priors the value may differ from its entry there in
+    the last ulp: the batched call evaluates all queries in one BLAS matrix
+    product, whose summation order depends on the batch.
     """
     table = _check_query(instance, k, a, b)
     if a.id == b.id:
@@ -340,7 +345,12 @@ def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType)
 
 
 def p_unique(instance: SymmetricInstance, k: int, c: ActionType, s: Slope | int) -> float:
-    """Probability that c alone is the slope-s tangency point of the realized frontier."""
+    """Probability that c alone is the slope-s tangency point of the realized frontier.
+
+    The support is exactly that of `unique_probabilities`.  For IID and
+    prophet-secretary priors the value may differ from its entry there in
+    the last ulp, as for `p_segment`.
+    """
     s = _check_slope(s)
     table = _check_query(instance, k, c)
     col = [t.id for t in table.types]

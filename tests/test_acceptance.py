@@ -20,7 +20,7 @@ from click.testing import CliRunner
 import persuade as P
 from persuade.cli import main as cli_main
 from persuade.exact_oracle import enumerate_count
-from persuade.model import ActionType, ProphetSecretaryInstance, n_slots, sample_state
+from persuade.model import ActionType, ProphetSecretaryInstance, _state_sampler, n_slots
 from persuade.prob_oracle import unique_probabilities
 from persuade.symmetric_schemes import SlopeSchemeExecutor
 from corpus import (
@@ -223,8 +223,9 @@ def _mc_persuasive(executor, inst, rng, samples: int = 2500) -> bool:
     n = n_slots(inst)
     sums: dict[tuple[int, int], float] = {}
     sqs: dict[tuple[int, int], float] = {}
+    draw = _state_sampler(inst)  # built once; draws the same states as sample_state
     for _ in range(samples):
-        state = sample_state(inst, rng)
+        state = draw(rng)
         rhos = [float(state[j].rho) for j in range(n)]
         for i, p in executor.recommendation_distribution(state).items():
             for j in range(n):

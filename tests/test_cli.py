@@ -220,6 +220,35 @@ def test_simulate_output_is_pinned_across_releases(fixture_dir, tmp_path, name, 
     assert res.stdout == (GOLDEN / f"simulate_{name}.json").read_text()
 
 
+# Rare high-value types make the choice of actions matter: at k=3 greedy and
+# fptas keep actions (5, 7), reduce keeps (3, 7).
+RARE_INDEPENDENT_DOC = {"kind": "independent", "actions": [
+    [{"id": "t0", "rho": "1/3", "xi": 1, "q": 1}],
+    [{"id": "t1", "rho": "7/12", "xi": "1/8", "q": 1}],
+    [{"id": "t2", "rho": "1/2", "xi": "1/4", "q": 1}],
+    [{"id": "t3", "rho": "1/6", "xi": "3/4", "q": "4/15"}, {"id": "t4", "rho": "2/3", "xi": 0, "q": "11/15"}],
+    [{"id": "t5", "rho": "1/12", "xi": "1/4", "q": 1}],
+    [{"id": "t6", "rho": "1/3", "xi": 0, "q": "10/11"}, {"id": "t7", "rho": 1, "xi": "1/2", "q": "1/11"}],
+    [{"id": "t8", "rho": "1/2", "xi": "3/4", "q": 1}],
+    [{"id": "t9", "rho": "7/12", "xi": "5/8", "q": "7/19"}, {"id": "t10", "rho": "1/6", "xi": "1/8", "q": "12/19"}],
+]}
+
+
+@pytest.mark.parametrize("method", [["greedy"], ["reduce"], ["fptas", "--epsilon", "0.1"]],
+                         ids=["greedy", "reduce", "fptas"])
+@pytest.mark.parametrize("name, extra", [("rare_independent", []), ("coins_k3", ["--force"])])
+def test_solve_output_is_pinned_across_releases(fixture_dir, tmp_path, name, extra, method):
+    # The expected files hold earlier releases' schemes, so a change to
+    # action selection or to the relaxation's solution shows up here.
+    path = fixture_dir / f"{name}.json"
+    if name == "rare_independent":
+        path = tmp_path / "rare_independent.json"
+        path.write_text(json.dumps(RARE_INDEPENDENT_DOC))
+    res = invoke("solve", "--instance", str(path), "--k", "3", "--method", *method, *extra)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == (GOLDEN / f"solve_{name}_{method[0]}.json").read_text()
+
+
 def test_compare_symmetric(fixture_dir):
     res = invoke(
         "compare", "--instance", str(fixture_dir / "tight_random_order.json"), "--k", "2"

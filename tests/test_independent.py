@@ -12,6 +12,8 @@ import persuade as P
 from persuade.independent_schemes import (
     ExPostScheme,
     PreconditionError,
+    _curves,
+    _relaxation_value,
     actions_greedy,
     actions_reduce,
     certified_fallback,
@@ -189,6 +191,66 @@ def test_greedy_first_pick_is_best_singleton():
         if best_gain > 1e-12:
             got_gain = singles[sel[0]] - base
             assert got_gain >= best_gain - 1e-9
+
+
+def test_exact_relaxation_value_matches_lp_and_lp_scored_greedy():
+    def lp_greedy(others, lp):
+        # The LP-scored greedy that the exact value replaced, with its float
+        # tie tolerance; picks do not depend on k, so one run covers every k.
+        chosen = []
+        current = lp(())
+        for _ in others:
+            best_gain = best_i = best_val = None
+            for i in others:
+                if i in chosen:
+                    continue
+                val = lp(chosen + [i])
+                if best_gain is None or val - current > best_gain + 1e-12:
+                    best_gain, best_i, best_val = val - current, i, val
+            chosen.append(best_i)
+            current = best_val
+        return chosen
+
+    rng = np.random.default_rng(53)
+    for inst in independent_corpus(100):
+        n = len(inst.actions)
+        others = [i for i in range(n) if i != inst.designated]
+        lp_values = {}
+
+        def lp(S):
+            key = tuple(sorted(S))
+            if key not in lp_values:
+                lp_values[key] = f_of_S(inst, key).objective
+            return lp_values[key]
+
+        curves = _curves(inst)
+        subsets = [(), tuple(others)] + [(i,) for i in others]
+        subsets += [
+            tuple(rng.choice(others, size=int(rng.integers(1, len(others) + 1)), replace=False))
+            for _ in range(3)
+        ]
+        for S in subsets:
+            exact = _relaxation_value(inst, curves, S)
+            assert abs(float(exact) - lp(S)) < 1e-9, (S, exact)
+        picks = lp_greedy(others, lp)
+        for k in range(2, n + 1):
+            assert actions_greedy(inst, k) == tuple(picks[: k - 1]), k
+
+
+def test_selection_solves_no_lp(monkeypatch):
+    import persuade.independent_schemes as indep
+
+    calls = []
+    real = indep.solve_lp
+    monkeypatch.setattr(indep, "solve_lp", lambda lp: calls.append(lp) or real(lp))
+    inst = random_best_fixed_deterministic(np.random.default_rng(54), 6)
+    actions_greedy(inst, 4)
+    fptas_select(inst, 4, 0.2)
+    assert calls == []
+    for method, lps in (("greedy", 1), ("reduce", 2), ("fptas", 1)):
+        calls.clear()
+        independent_scheme(inst, 4, method=method, epsilon=0.2)
+        assert len(calls) == lps, method
 
 
 def test_reduce_ranks_by_relaxation_share():
