@@ -2,12 +2,12 @@
 
 Exit codes: 0 on success, 1 for validation problems (a malformed instance,
 a bad option value, an unknown option or command, a missing option value,
-or arithmetic that overflows on an instance too large for it), 2 for
-infeasibility or a violated guarantee, 3 when a scheme builder refuses an
-instance it cannot certify (override with --force).  Every error prints
-one ``error:`` line to stderr.  All commands print JSON with sorted keys
-and floats rounded to 12 significant digits, so identical invocations
-produce identical bytes.
+or arithmetic that overflows or memory that runs out on an instance too
+large for it), 2 for infeasibility or a violated guarantee, 3 when a scheme
+builder refuses an instance it cannot certify (override with --force).
+Every error prints one ``error:`` line to stderr.  All commands print JSON
+with sorted keys and floats rounded to 12 significant digits, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .independent_schemes import (
     expost_scheme_to_dict,
     independent_scheme,
 )
+from .lp_core import GUARANTEE_TOL, ZERO_TOL
 from .model import (
     fixture_names,
     is_symmetric,
@@ -93,6 +94,8 @@ def _guarded(fn):
             _die(1, str(exc))
         except ArithmeticError as exc:
             _die(1, f"{type(exc).__name__} on this instance: {exc}")
+        except MemoryError as exc:
+            _die(1, f"out of memory on this instance: {str(exc) or 'no detail'}")
         except RuntimeError as exc:
             _die(2, str(exc))
 
@@ -291,10 +294,10 @@ def compare(instance_path, k, epsilon, samples, seed, state_bound, force, output
     methods: dict[str, dict] = {}
 
     def entry(value: float, bound: float | None) -> dict:
-        ok = bound is None or value >= bound * opt - 1e-6
+        ok = bound is None or value >= bound * opt - GUARANTEE_TOL
         return {
             "value": value,
-            "ratio": value / opt if abs(opt) > 1e-12 else None,
+            "ratio": value / opt if abs(opt) > ZERO_TOL else None,
             "bound": bound,
             "ok": ok,
         }

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Mapping
 
-from .lp_core import CONSTRAINT_TOL, LinearProgram, solve_lp
+from .lp_core import CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ZERO_TOL, LinearProgram, solve_lp
 from .model import (
     DRandomOrderInstance,
     IIDInstance,
@@ -65,9 +65,10 @@ def enumerate_prior(instance: Instance, state_bound: int = 10**6) -> dict[State,
     """
     count = enumerate_count(instance)
     if count > state_bound:
+        # A count past the 4300-digit limit of int-to-str cannot be printed.
         raise ValueError(
-            f"exact enumeration would visit {count} combinations, over the "
-            f"bound of {state_bound}"
+            f"exact enumeration would visit about 10^{math.log10(count):.1f} "
+            f"combinations, over the bound of {state_bound}"
         )
     prior: dict[State, Fraction] = {}
 
@@ -179,14 +180,14 @@ def optimal_scheme_bruteforce(
         )
         if solution.status != "optimal":
             continue
-        if best is not None and solution.objective <= best[0] + 1e-12:
+        if best is not None and solution.objective <= best[0] + GAIN_TOL:
             continue
         table: dict[State, dict[int, float]] = {}
         for si, state in enumerate(states):
             row = {i: solution.values[col[(si, i)]] for i in signals}
             total = sum(max(p, 0.0) for p in row.values())
             table[state] = {
-                i: max(p, 0.0) / total for i, p in row.items() if p > 1e-12
+                i: max(p, 0.0) / total for i, p in row.items() if p > ZERO_TOL
             }
         best = (solution.objective, table)
 
@@ -251,7 +252,7 @@ def persuasiveness_check(
     all_ok = True
     for i in sorted(mass):
         m = mass[i]
-        if m <= 1e-15:
+        if m <= NEGLIGIBLE_TOL:
             continue
         value = obey[i] / m
         per_slot = [v / m for v in deviate[i]]

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lp_core import LinearProgram, solve_lp
+from .lp_core import NEGLIGIBLE_TOL, LinearProgram, solve_lp
 from .model import (
     IndependentInstance,
     State,
@@ -219,6 +219,16 @@ class RelaxationSolution:
     objective: float
 
 
+def _merged(dist: TypeDist) -> TypeDist:
+    """The distribution with one entry per type id, in first-listed order; an
+    id listed more than once (with identical utilities) gets its summed
+    probability, so the relaxation has one acceptance mass per type."""
+    merged: dict[str, tuple] = {}
+    for t, q in dist:
+        merged[t.id] = (t, merged[t.id][1] + q) if t.id in merged else (t, q)
+    return tuple(merged.values())
+
+
 def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSolution:
     """Solve the shared-budget relaxation over S plus the designated action."""
     if not isinstance(instance, IndependentInstance):
@@ -230,12 +240,13 @@ def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSo
             raise ValueError(f"action index {i} out of range for {n} actions")
     rho_e = best_fixed_action_value(instance)
 
+    dists = {a: _merged(instance.actions[a]) for a in actions}
     z_col = {a: idx for idx, a in enumerate(actions)}
     x_col: dict[tuple[int, str], int] = {}
     objective: list[float] = [0.0] * len(actions)
     bounds: list[tuple[float, float]] = [(0.0, 1.0)] * len(actions)
     for a in actions:
-        for t, q in instance.actions[a]:
+        for t, q in dists[a]:
             x_col[(a, t.id)] = len(objective)
             objective.append(float(t.xi))
             bounds.append((0.0, float(q)))
@@ -243,12 +254,10 @@ def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSo
     rows: list[tuple[Mapping[int, float], str, float]] = []
     rows.append(({z_col[a]: 1.0 for a in actions}, "<=", 1.0))
     for a in actions:
-        fit = {x_col[(a, t.id)]: 1.0 for t, _ in instance.actions[a]}
+        fit = {x_col[(a, t.id)]: 1.0 for t, _ in dists[a]}
         fit[z_col[a]] = -1.0
         rows.append((fit, "<=", 0.0))
-        quality = {
-            x_col[(a, t.id)]: float(t.rho - rho_e) for t, _ in instance.actions[a]
-        }
+        quality = {x_col[(a, t.id)]: float(t.rho - rho_e) for t, _ in dists[a]}
         rows.append((quality, ">=", 0.0))
 
     solution = solve_lp(
@@ -264,13 +273,11 @@ def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSo
     per_action: dict[int, float] = {}
     for a in actions:
         row = {}
-        for t, q in instance.actions[a]:
+        for t, q in dists[a]:
             row[t.id] = min(max(solution.values[x_col[(a, t.id)]], 0.0), float(q))
         x[a] = row
         z[a] = sum(row.values())
-        per_action[a] = sum(
-            row[t.id] * float(t.xi) for t, _ in instance.actions[a]
-        )
+        per_action[a] = sum(row[t.id] * float(t.xi) for t, _ in dists[a])
     return RelaxationSolution(
         actions=tuple(actions),
         z=z,
@@ -585,13 +592,14 @@ def expost_scheme(
     """
     def density(i: int) -> float:
         z = relaxation.z[i]
-        return relaxation.per_action[i] / z if z > 1e-15 else 0.0
+        return relaxation.per_action[i] / z if z > NEGLIGIBLE_TOL else 0.0
 
     order = tuple(sorted(relaxation.actions, key=lambda i: (-density(i), i)))
+    dists = [_merged(dist) for dist in instance.actions]
     accept: dict[int, dict[str, float]] = {}
     for i in relaxation.actions:
         row = {}
-        for t, q in instance.actions[i]:
+        for t, q in dists[i]:
             mass = relaxation.x[i].get(t.id, 0.0)
             row[t.id] = min(mass / float(q), 1.0) if q > 0 else 0.0
         accept[i] = row
@@ -605,13 +613,13 @@ def expost_scheme(
     for i in order:
         u_sender += reach * relaxation.per_action[i]
         u_receiver += reach * sum(
-            relaxation.x[i].get(t.id, 0.0) * float(t.rho) for t, _ in instance.actions[i]
+            relaxation.x[i].get(t.id, 0.0) * float(t.rho) for t, _ in dists[i]
         )
         reach *= 1.0 - relaxation.z[i]
     leftover = 1.0 - relaxation.z.get(fallback, 0.0)
     if reach > 0.0 and leftover > 0.0:
         x_row = relaxation.x.get(fallback, {})
-        for t, q in instance.actions[fallback]:
+        for t, q in dists[fallback]:
             residual = max(float(q) - x_row.get(t.id, 0.0), 0.0)
             u_sender += reach * residual / leftover * float(t.xi)
             u_receiver += reach * residual / leftover * float(t.rho)

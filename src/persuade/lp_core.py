@@ -22,8 +22,21 @@ from scipy.optimize import linprog
 
 from .prob_oracle import SegmentProb, UniquePointProb
 
-# One tolerance for every feasibility and verification check in the package.
+# The package's float tolerances, one per role.
+# Slack on a persuasiveness, receiver-threshold or budget check.
 CONSTRAINT_TOL = 1e-8
+# A candidate (slope, subset LP) replaces the incumbent only when better by more.
+GAIN_TOL = 1e-12
+# Slack on `compare`'s check that a method's value is at least bound * optimum.
+GUARANTEE_TOL = 1e-6
+# A recommendation row's weights must sum to 1 within this.
+ROW_SUM_TOL = 1e-6
+# The bicriteria LP runs at epsilon minus this, so HiGHS's own slack stays inside it.
+BICRITERIA_MARGIN = 1e-5
+# At or below this counts as zero: an optimum, a row weight, a bicriteria signal mass.
+ZERO_TOL = 1e-12
+# At or below this counts as zero: a budget, a checked signal mass, a normalised weight.
+NEGLIGIBLE_TOL = 1e-15
 
 RowCoeffs = Union[Sequence[float], Mapping[int, float]]
 

@@ -22,15 +22,18 @@ exact beyond general position:
   at each tangency coordinate owns the event.
 
 Both are one event: the required types (the pair, or the point) are among the
-first k realized, and every other realized type is allowed. Each call builds a
-type table once: the distinct types with exact dense ranks of their points
-and of their ids, plus the prior's weights per type - one palette vector for
-IID priors, an n x T float mass matrix for prophet-secretary ones, a V x T
-integer entry-count matrix for d-random-order ones. At a slope every type gets
-one exact key (``xi - s*rho`` over a common denominator; ``(rho, xi)`` at -inf
-and ``(xi, rho)`` at 0), and a query's allowed set is a boolean mask read off
-the keys' dense ranks: lower rank, or the same point with a larger id, or for
-a pair the interior of the open segment.
+first k realized, and every other realized type is allowed. Each public call
+builds one type table, and a slope solve builds one for its whole sweep;
+``p_segment`` and ``p_unique`` read their entry off the batched tables, so
+each event has one code path. The table holds the distinct types with exact
+dense ranks of their points and of their ids, plus the prior's weights per
+type - one palette vector for IID priors, an n x T float mass matrix for
+prophet-secretary ones, a V x T integer entry-count matrix for d-random-order
+ones. At a slope every type gets one exact key (``xi - s*rho`` over a common
+denominator; ``(rho, xi)`` at -inf and ``(xi, rho)`` at 0), and a query's
+allowed set is a boolean mask read off the keys' dense ranks: lower rank, or
+the same point with a larger id, or for a pair the interior of the open
+segment.
 
 The probability is an inclusion-exclusion over the subsets of the required
 types, all queries of a call at once. Prophet-secretary: the expected product
@@ -298,73 +301,9 @@ def _check_slope(s: Slope | int) -> Slope:
     return s
 
 
-def _segment_events(
-    table: _TypeTable, k: int, pairs: list[tuple[int, int, Fraction]]
-) -> list[float | None]:
-    """``_event_probs`` of "types[a]-types[b] is the maximal slope-s segment"
-    for each (a, b, s) with a on the left, classifying once per distinct slope."""
-    required = np.array([(a, b) for a, b, _ in pairs], dtype=np.int64).reshape(-1, 2)
-    allowed = np.zeros((len(pairs), len(table.types)), dtype=bool)
-    by_slope: dict[Fraction, list[int]] = {}
-    for q, (_, _, s) in enumerate(pairs):
-        by_slope.setdefault(s, []).append(q)
-    for s, rows in by_slope.items():
-        allowed[rows] = table.pair_allowed(s, required[rows, 0], required[rows, 1])
-    return _event_probs(table, k, required, allowed)
-
-
-def _unique_events(table: _TypeTable, k: int, s: Slope, c: list[int]) -> list[float | None]:
-    """``_event_probs`` of "types[c] alone is the slope-s tangency point" for each c."""
-    required = np.array(c, dtype=np.int64)[:, None]
-    return _event_probs(table, k, required, table.unique_allowed(s, required[:, 0]))
-
-
-def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType) -> float:
-    """Probability that a-b is the maximal segment of its slope on the realized frontier.
-
-    Only pairs with a finite negative slope form segments; horizontal,
-    vertical, and coincident pairs return 0 (the dominated endpoint can never
-    sit on the frontier next to the other).
-
-    The support is exactly that of `segment_probabilities`.  For IID and
-    prophet-secretary priors the value may differ from its entry there in
-    the last ulp: the batched call evaluates all queries in one BLAS matrix
-    product, whose summation order depends on the batch.
-    """
-    table = _check_query(instance, k, a, b)
-    if a.id == b.id:
-        raise ValueError("p_segment: a and b must be distinct types")
-    s = slope_between(a, b)
-    if s is None or s is NEG_INF or s >= 0:
-        return 0.0
-    if a.rho > b.rho:
-        a, b = b, a
-    col = [t.id for t in table.types]
-    (p,) = _segment_events(table, k, [(col.index(a.id), col.index(b.id), s)])
-    return 0.0 if p is None else p
-
-
-def p_unique(instance: SymmetricInstance, k: int, c: ActionType, s: Slope | int) -> float:
-    """Probability that c alone is the slope-s tangency point of the realized frontier.
-
-    The support is exactly that of `unique_probabilities`.  For IID and
-    prophet-secretary priors the value may differ from its entry there in
-    the last ulp, as for `p_segment`.
-    """
-    s = _check_slope(s)
-    table = _check_query(instance, k, c)
-    col = [t.id for t in table.types]
-    (p,) = _unique_events(table, k, s, [col.index(c.id)])
-    return 0.0 if p is None else p
-
-
-def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentProb]:
-    """All canonical type pairs whose maximal-segment event can happen.
-
-    Pairs are oriented left-to-right (increasing receiver utility) and the
-    list is sorted by (slope, left id, right id) for determinism.
-    """
-    table = _check_query(instance, k)
+def _segments(table: _TypeTable, k: int) -> list[SegmentProb]:
+    """`segment_probabilities` read off a built type table; the allowed sets
+    are classified once per distinct slope."""
     types = table.types
     pairs = []
     for i, a in enumerate(types):
@@ -373,25 +312,65 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
             if s is None or s is NEG_INF or s >= 0:
                 continue
             pairs.append((i, j, s) if a.rho < types[j].rho else (j, i, s))
+    required = np.array([(a, b) for a, b, _ in pairs], dtype=np.int64).reshape(-1, 2)
+    allowed = np.zeros((len(pairs), len(types)), dtype=bool)
+    by_slope: dict[Fraction, list[int]] = {}
+    for q, (_, _, s) in enumerate(pairs):
+        by_slope.setdefault(s, []).append(q)
+    for s, rows in by_slope.items():
+        allowed[rows] = table.pair_allowed(s, required[rows, 0], required[rows, 1])
     out = [
         SegmentProb(types[a], types[b], s, p)
-        for (a, b, s), p in zip(pairs, _segment_events(table, k, pairs))
+        for (a, b, s), p in zip(pairs, _event_probs(table, k, required, allowed))
         if p is not None
     ]
     out.sort(key=lambda seg: (seg.slope, seg.a.id, seg.b.id))
     return out
 
 
+def _uniques(table: _TypeTable, k: int, s: Slope) -> list[UniquePointProb]:
+    """`unique_probabilities` read off a built type table."""
+    c = np.arange(len(table.types))
+    probs = _event_probs(table, k, c[:, None], table.unique_allowed(s, c))
+    return [UniquePointProb(t, s, p) for t, p in zip(table.types, probs) if p is not None]
+
+
+def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType) -> float:
+    """Probability that a-b is the maximal segment of its slope on the realized frontier.
+
+    This is the pair's entry in `segment_probabilities`, in either
+    orientation.  Only pairs with a finite negative slope form segments;
+    horizontal, vertical, and coincident pairs return 0 (the dominated
+    endpoint can never sit on the frontier next to the other).
+    """
+    table = _check_query(instance, k, a, b)
+    if a.id == b.id:
+        raise ValueError("p_segment: a and b must be distinct types")
+    pair = {a.id, b.id}
+    return next((seg.p for seg in _segments(table, k) if {seg.a.id, seg.b.id} == pair), 0.0)
+
+
+def p_unique(instance: SymmetricInstance, k: int, c: ActionType, s: Slope | int) -> float:
+    """Probability that c alone is the slope-s tangency point of the realized frontier:
+    c's entry in `unique_probabilities`, or 0 when it has none."""
+    s = _check_slope(s)
+    table = _check_query(instance, k, c)
+    return next((u.p for u in _uniques(table, k, s) if u.c.id == c.id), 0.0)
+
+
+def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentProb]:
+    """All canonical type pairs whose maximal-segment event can happen.
+
+    Pairs are oriented left-to-right (increasing receiver utility) and the
+    list is sorted by (slope, left id, right id) for determinism.
+    """
+    return _segments(_check_query(instance, k), k)
+
+
 def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[UniquePointProb]:
     """All types that can be slope s's sole tangency point, with their probabilities."""
-    query = _check_slope(s)
-    table = _check_query(instance, k)
-    types = table.types
-    return [
-        UniquePointProb(t, s, p)
-        for t, p in zip(types, _unique_events(table, k, query, list(range(len(types)))))
-        if p is not None
-    ]
+    s = _check_slope(s)
+    return _uniques(_check_query(instance, k), k, s)
 
 
 def _auxiliary_slopes(finite: list[Fraction]) -> list[Fraction]:

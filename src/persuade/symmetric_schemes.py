@@ -1,12 +1,12 @@
 """Signaling schemes for symmetric instances.
 
 The central routine is ``slope_algorithm``: for every candidate tangent
-slope it asks the probability oracle for the realizable frontier events,
-solves the per-slope scheme LP in closed form, and keeps the best feasible
-answer.  The returned scheme is compact (a slope and one recommendation
-weight per same-slope segment); execution recommends the realized
-frontier's tangency point, found per state from one cached exact score per
-type, so it runs on state spaces far too large to tabulate.
+slope it reads the realizable frontier events off one type table built per
+solve, solves the per-slope scheme LP in closed form, and keeps the best
+feasible answer.  The returned scheme is compact (a slope and one
+recommendation weight per same-slope segment); execution recommends the
+realized frontier's tangency point, found per state from one cached exact
+score per type, so it runs on state spaces far too large to tabulate.
 
 Also here: the imitation wrapper that turns the optimal n-signal scheme
 into a persuasive k-signal scheme, and the sampling-based bicriteria LP
@@ -22,7 +22,10 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import NEG_INF, Slope
-from .lp_core import CONSTRAINT_TOL, LinearProgram, solve_lp, solve_slope_lp
+from .lp_core import (
+    BICRITERIA_MARGIN, CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ROW_SUM_TOL, ZERO_TOL,
+    LinearProgram, solve_lp, solve_slope_lp,
+)
 from .model import (
     ActionType,
     State,
@@ -36,12 +39,7 @@ from .model import (
     truncate,
     _state_sampler,
 )
-from .prob_oracle import (
-    SegmentProb,
-    _candidates_around,
-    segment_probabilities,
-    unique_probabilities,
-)
+from .prob_oracle import SegmentProb, _candidates_around, _check_query, _segments, _uniques
 
 __all__ = [
     "BicriteriaResult",
@@ -86,24 +84,20 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     """
     if not is_symmetric(instance):
         raise TypeError("slope_algorithm requires a symmetric instance")
-    n = n_slots(instance)
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+    table = _check_query(instance, k)
 
     rho_e = best_fixed_action_value(instance)
     by_slope: dict[Fraction, list[SegmentProb]] = {}
-    for seg in segment_probabilities(instance, k):
+    for seg in _segments(table, k):
         by_slope.setdefault(seg.slope, []).append(seg)
 
     best_s: Slope | None = None
     best = None
     for s in _candidates_around(by_slope):
-        res = solve_slope_lp(
-            by_slope.get(s, []), unique_probabilities(instance, k, s), rho_e, s
-        )
+        res = solve_slope_lp(by_slope.get(s, []), _uniques(table, k, s), rho_e, s)
         if res is None:
             continue
-        if best is None or res.u_sender > best.u_sender + 1e-12:
+        if best is None or res.u_sender > best.u_sender + GAIN_TOL:
             best, best_s = res, s
     if best is None or best_s is None:
         raise AssertionError(
@@ -313,9 +307,9 @@ class TabularScheme:
 def _normalized_row(weights: dict[int, float]) -> dict[int, float]:
     cleaned = {slot: max(0.0, w) for slot, w in weights.items()}
     total = sum(cleaned.values())
-    if not 1 - 1e-6 <= total <= 1 + 1e-6:
+    if not 1 - ROW_SUM_TOL <= total <= 1 + ROW_SUM_TOL:
         raise AssertionError(f"recommendation row sums to {total}")
-    return {slot: w / total for slot, w in cleaned.items() if w / total > 1e-15}
+    return {slot: w / total for slot, w in cleaned.items() if w / total > NEGLIGIBLE_TOL}
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +396,7 @@ def bicriteria_scheme(
     # E[x_i * (rho_i - rho_j + eps)] >= 0 on the empirical distribution.
     # The LP runs on a slightly tightened epsilon so the solver's own
     # feasibility tolerance cannot push realized regret past the promise.
-    eps_lp = max(epsilon - 1e-5, 0.0)
+    eps_lp = max(epsilon - BICRITERIA_MARGIN, 0.0)
     for i in range(k):
         for j in range(k):
             if i == j:
@@ -456,7 +450,7 @@ def bicriteria_scheme(
                 deviation[i][j] += w * p * float(state[j].rho - state[i].rho)
     max_regret = 0.0
     for i in range(k):
-        if signal_mass[i] <= 1e-12:
+        if signal_mass[i] <= ZERO_TOL:
             continue  # never-sent signal, no constraint
         for j in range(k):
             max_regret = max(max_regret, deviation[i][j] / signal_mass[i])

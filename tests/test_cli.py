@@ -143,6 +143,33 @@ def test_solve_large_iid_instance(tmp_path):
     assert blob["u_receiver"] >= 0.5 - 1e-8  # rho_e: the palette's mean receiver utility
 
 
+def test_exact_refusal_prints_a_count_past_the_int_string_limit(tmp_path):
+    # 3000! orderings has over 9000 digits, past what int-to-str will print.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"kind": "prophet_secretary", "dists": [
+        [{"id": f"t{i}", "rho": f"{i % 7}/7", "xi": f"{i % 5}/5", "q": 1}] for i in range(3000)
+    ]}))
+    res = invoke("exact", "--instance", str(path), "--k", "2", "--state-bound", str(10**12))
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "10^9130" in lines[0] and str(10**12) in lines[0]
+
+
+def test_memory_error_exits_1(fixture_dir, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr("persuade.cli.slope_algorithm", exhausted)
+    res = invoke("solve", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2")
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        "error: out of memory on this instance: Unable to allocate 7.45 GiB"
+    ]
+
+
 def test_help_exits_0():
     assert invoke("--help").exit_code == 0
     assert invoke("solve", "--help").exit_code == 0

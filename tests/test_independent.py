@@ -323,6 +323,23 @@ def test_expost_scheme_structure_and_utilities():
         assert set(dist) <= set(range(n))
 
 
+def test_relaxation_merges_a_type_id_listed_twice():
+    # Action 1 lists "h" twice with identical utilities: the relaxation and the
+    # scheme see one type of mass 1/2, not two columns under one key.
+    inst = P.instance_from_dict({"kind": "independent", "actions": [
+        [{"id": "g", "rho": "3/4", "xi": 0, "q": 1}],
+        [{"id": "h", "rho": 1, "xi": 1, "q": "1/4"}, {"id": "h", "rho": 1, "xi": 1, "q": "1/4"},
+         {"id": "l", "rho": 0, "xi": 1, "q": "1/2"}],
+    ]})
+    assert _relaxation_value(inst, _curves(inst), [1]) == Fraction(2, 3)
+    assert abs(f_of_S(inst, [1]).objective - 2 / 3) < 1e-12
+    scheme = independent_scheme(inst, 2)
+    u_s, u_r = P.expected_utilities(scheme, inst)
+    assert abs(scheme.u_sender - 2 / 3) < 1e-12
+    assert abs(u_s - scheme.u_sender) < 1e-12
+    assert abs(u_r - scheme.u_receiver) < 1e-12
+
+
 def test_precondition_gate(trap):
     with pytest.raises(PreconditionError, match="certified"):
         independent_scheme(trap, 2)

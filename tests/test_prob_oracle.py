@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from persuade.model import (
     n_slots,
     truncate,
 )
+from persuade import prob_oracle
 from persuade.prob_oracle import (
     candidate_slopes,
     enumerate_oracle,
@@ -27,6 +30,7 @@ from persuade.prob_oracle import (
     subset_product_sum,
     unique_probabilities,
 )
+from persuade.symmetric_schemes import slope_algorithm
 from corpus import random_symmetric, shared_type_priors, symmetric_corpus
 
 
@@ -222,3 +226,52 @@ def test_point_mass_prophet_equals_single_vector():
             assert set(seg_d) == set(seg_p)
             for key, p in seg_d.items():
                 assert abs(p - seg_p[key]) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def bench_large():
+    """The benchmark's symmetric-large seed-1 instances with their k.  The
+    generator builds plain documents from `random.Random` and imports
+    nothing from the package or the tests."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return {c["name"]: (P.instance_from_dict(c["doc"]), c["k"]) for c in gen.symmetric_large(1)}
+
+
+@pytest.mark.parametrize("name", ["prophet_secretary", "iid"])
+def test_single_event_oracles_equal_the_batched_tables(bench_large, name):
+    # One code path per event: a single query reads its entry off the batched
+    # table, so the two agree bit for bit, not only to the last ulp.
+    inst, k = bench_large[name]
+    for seg in segment_probabilities(inst, k):
+        assert p_segment(inst, k, seg.a, seg.b) == seg.p
+        assert p_segment(inst, k, seg.b, seg.a) == seg.p
+    for s in candidate_slopes(inst, k):
+        batched = {u.c.id: u.p for u in unique_probabilities(inst, k, s)}
+        for t in all_types(inst):
+            assert p_unique(inst, k, t, s) == batched.get(t.id, 0.0), (t.id, s)
+
+
+@pytest.mark.parametrize("name", ["tug_of_war", "ratio_iid", "tight_random_order"])
+def test_one_type_table_per_oracle_call(monkeypatch, name):
+    inst = P.load_fixture(name)
+    t = all_types(inst)
+    builds = []
+    build = prob_oracle._TypeTable.build
+    monkeypatch.setattr(
+        prob_oracle._TypeTable, "build", staticmethod(lambda i: builds.append(i) or build(i))
+    )
+    calls = [
+        lambda: slope_algorithm(inst, 2),
+        lambda: segment_probabilities(inst, 2),
+        lambda: unique_probabilities(inst, 2, Fraction(-1)),
+        lambda: candidate_slopes(inst, 2),
+        lambda: p_segment(inst, 2, t[0], t[1]),
+        lambda: p_unique(inst, 2, t[0], Fraction(-1)),
+    ]
+    for call in calls:
+        builds.clear()
+        call()
+        assert len(builds) == 1
