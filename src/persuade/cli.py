@@ -133,7 +133,10 @@ def _round12(obj):
 def _emit(doc: dict, output: str | None) -> None:
     text = json.dumps(_round12(doc), sort_keys=True, indent=2) + "\n"
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            _die(1, f"cannot write {output}: {exc}")
     else:
         click.echo(text, nl=False)
 
@@ -338,12 +341,15 @@ def compare(instance_path, k, epsilon, samples, seed, state_bound, force, output
 def fixtures(output_dir):
     """Write the example instances shipped with the package to a directory."""
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     root = resources.files("persuade") / "fixtures"
-    for name in fixture_names():
-        path = out / f"{name}.json"
-        path.write_text((root / f"{name}.json").read_text())
-        click.echo(str(path))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in fixture_names():
+            path = out / f"{name}.json"
+            path.write_text((root / f"{name}.json").read_text())
+            click.echo(str(path))
+    except OSError as exc:
+        _die(1, f"cannot write {output_dir}: {exc}")
 
 
 if __name__ == "__main__":

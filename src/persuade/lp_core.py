@@ -7,6 +7,10 @@ around scipy's HiGHS backend for the handful of generic LPs in the package
 segment shares one slope, trading receiver value for sender value happens at
 a single fixed exchange rate, so the optimum is a one-dimensional shift from
 the sender-optimal corner.
+
+HiGHS (scipy) is imported on the first ``solve_lp`` call, not with the
+package: importing scipy is most of a CLI call's start-up, and a command
+that never solves a generic LP (a slope ``solve``, ``simulate``) skips it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .prob_oracle import SegmentProb, UniquePointProb
 
@@ -90,6 +92,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Returns an LpSolution whose status is "optimal", "infeasible", or
     "unbounded".  Values and objective are None unless optimal.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n_vars = len(lp.objective)
     objective = np.asarray(lp.objective, dtype=float)
     if not np.all(np.isfinite(objective)):

@@ -341,6 +341,11 @@ def _cdf(probs) -> np.ndarray:
     return cdf
 
 
+# Most slots one drawn state may have: a draw holds a few arrays of that length,
+# so an IID prior with n = 10^9 is refused instead of asking numpy for gigabytes.
+SAMPLER_MAX_SLOTS = 10**7
+
+
 def _state_sampler(instance: Instance) -> Callable[[np.random.Generator], State]:
     """Precompute an instance's float CDFs once; return a function drawing one
     state from a generator.
@@ -352,6 +357,12 @@ def _state_sampler(instance: Instance) -> Callable[[np.random.Generator], State]
     and then the permutation; truncated views crop the base draw.  So a seed
     gives the same states as a per-slot `choice` sampler.
     """
+    slots = n_slots(instance)
+    if slots > SAMPLER_MAX_SLOTS:
+        raise ValueError(
+            f"cannot sample states of {slots} slots, more than the "
+            f"sampler's limit of {SAMPLER_MAX_SLOTS}"
+        )
     if isinstance(instance, TruncatedSymmetricInstance):
         base, n = _state_sampler(instance.base), instance.n
         return lambda rng: base(rng)[:n]

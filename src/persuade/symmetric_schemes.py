@@ -15,6 +15,7 @@ that trades exact persuasiveness for epsilon slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -349,6 +350,8 @@ def bicriteria_scheme(
         raise TypeError("bicriteria_scheme requires a symmetric instance")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     for t in all_types(instance):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -300,3 +303,91 @@ def test_compare_independent(fixture_dir):
     assert set(blob["methods"]) == {"greedy", "fptas", "reduce"}
     for row in blob["methods"].values():
         assert row["ok"] is True
+
+
+def one_error_line(res) -> str:
+    """The single stderr line of a reported failure (exit 1, no traceback)."""
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", []), ("simulate", ["--samples", "10"]), ("compare", []),
+])
+def test_unwritable_output_is_one_error_line(fixture_dir, tmp_path, command, extra):
+    target = tmp_path / "missing" / "x.json"
+    res = invoke(command, "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2",
+                 *extra, "--output", str(target))
+    assert one_error_line(res).startswith(f"error: cannot write {target}: ")
+    assert res.stdout == ""
+
+
+def test_fixtures_onto_an_existing_file_is_one_error_line(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    res = invoke("fixtures", "--output", str(target))
+    assert one_error_line(res).startswith(f"error: cannot write {target}: ")
+    assert target.read_text() == "keep"
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_bicriteria_rejects_a_non_finite_epsilon(fixture_dir, epsilon):
+    res = invoke("solve", "--instance", str(fixture_dir / "ratio_iid.json"), "--k", "2",
+                 "--method", "bicriteria", "--epsilon", epsilon, "--samples", "10")
+    assert "epsilon" in one_error_line(res)
+
+
+def test_simulate_refuses_states_past_the_sampler_limit(tmp_path):
+    # One drawn state of n = 10^9 slots would take gigabytes; the sampler
+    # refuses before building any array of that length.
+    path = tmp_path / "huge_iid.json"
+    path.write_text(json.dumps({"kind": "iid", "n": 10**9, "palette": [
+        {"id": "hi", "rho": 1, "xi": "1/4", "q": "1/2"},
+        {"id": "lo", "rho": 0, "xi": 1, "q": "1/2"},
+    ]}))
+    res = invoke("simulate", "--instance", str(path), "--k", "2", "--samples", "1")
+    line = one_error_line(res)
+    assert str(10**9) in line and str(P.model.SAMPLER_MAX_SLOTS) in line
+
+
+def scipy_loaded_after(code: str) -> bool:
+    """Run code in a fresh interpreter; whether scipy is imported afterwards.
+
+    A fresh process, because other tests load scipy into this one.
+    """
+    env = dict(os.environ)
+    src = str(Path(P.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return run.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["persuade", "persuade.cli"])
+def test_importing_the_package_loads_no_scipy(module):
+    assert not scipy_loaded_after(f"import {module}")
+
+
+RUN_CLI = """
+from click.testing import CliRunner
+from persuade.cli import main
+res = CliRunner().invoke(main, {args!r})
+assert res.exit_code == 0, res.output
+"""
+
+
+def test_slope_solve_and_simulate_load_no_scipy(fixture_dir):
+    solve = ["solve", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2"]
+    simulate = ["simulate", "--instance", str(fixture_dir / "ratio_iid.json"), "--k", "2",
+                "--samples", "200"]
+    assert not scipy_loaded_after(RUN_CLI.format(args=solve) + RUN_CLI.format(args=simulate))
+
+
+def test_exact_loads_scipy_on_its_first_lp(fixture_dir):
+    exact = ["exact", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2"]
+    assert scipy_loaded_after(RUN_CLI.format(args=exact))
