@@ -33,8 +33,6 @@ from .prob_oracle import (
     UniquePointProb,
     candidate_slopes,
     enumerate_oracle,
-    p_segment,
-    p_unique,
     segment_probabilities,
 )
 from .lp_core import CONSTRAINT_TOL, LinearProgram, LpSolution, solve_lp, solve_slope_lp
@@ -112,8 +110,6 @@ __all__ = [
     "load_fixture",
     "load_instance",
     "optimal_scheme_bruteforce",
-    "p_segment",
-    "p_unique",
     "pareto_frontier",
     "persuasiveness_check",
     "point_for_slope",

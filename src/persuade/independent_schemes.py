@@ -37,6 +37,7 @@ from .model import (
     IndependentInstance,
     State,
     TypeDist,
+    _cached,
     best_fixed_action_value,
 )
 
@@ -298,10 +299,15 @@ def _validate_k(instance: IndependentInstance, k: int) -> list[int]:
     return [i for i in range(n) if i != instance.designated]
 
 
-def _curves(instance: IndependentInstance) -> list[GiCurve]:
-    """Every action's value curve against the instance's receiver threshold."""
-    rho_e = best_fixed_action_value(instance)
-    return [g_curve(dist, rho_e) for dist in instance.actions]
+def _curves(instance: IndependentInstance) -> tuple[GiCurve, ...]:
+    """Every action's value curve against the instance's receiver threshold,
+    built on first use and then kept on the instance."""
+
+    def build(inst: IndependentInstance) -> tuple[GiCurve, ...]:
+        rho_e = best_fixed_action_value(inst)
+        return tuple(g_curve(dist, rho_e) for dist in inst.actions)
+
+    return _cached(instance, "_curves", build)
 
 
 def _relaxation_value(

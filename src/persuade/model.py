@@ -4,16 +4,20 @@ Utilities and input probabilities are exact `fractions.Fraction` values so that
 slope grouping and tie detection downstream can rely on exact comparisons.
 Derived quantities (oracle probabilities, LP solutions) are floats.
 
-Sampling (`_state_sampler`) precomputes the float CDFs once and draws a
+Each instance's prior is read through one private table (`_prior_table`),
+built on first use and kept on the instance: the oracle's exact ranks and
+per-type weights, and the float CDFs from which `_state_sampler` draws a
 whole state with a few numpy calls, consuming the generator exactly as one
 `rng.choice` per slot would, so a seed always gives the same states.
 
-All types are immutable after construction and safe for concurrent reads.
+Instance fields never change after construction.  The table is not a field
+(==, hash and repr ignore it); all of it is safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -263,19 +267,7 @@ def all_types(instance: Instance) -> tuple[ActionType, ...]:
     A type object may back several distributions (shared supports are legal);
     it is listed once, at its first occurrence.
     """
-    if isinstance(instance, IIDInstance):
-        listed = (t for t, _ in instance.palette)
-    elif isinstance(instance, ProphetSecretaryInstance):
-        listed = (t for dist in instance.dists for t, _ in dist)
-    elif isinstance(instance, DRandomOrderInstance):
-        listed = (t for vec in instance.vectors for t in vec)
-    elif isinstance(instance, TruncatedSymmetricInstance):
-        return all_types(instance.base)
-    elif isinstance(instance, IndependentInstance):
-        listed = (t for dist in instance.actions for t, _ in dist)
-    else:
-        raise TypeError(f"not an instance: {instance!r}")
-    return tuple({t.id: t for t in listed}.values())
+    return _prior_table(instance).types
 
 
 def best_fixed_action_value(instance: Instance) -> Fraction:
@@ -328,17 +320,119 @@ def truncate(instance: SymmetricInstance, k: int) -> SymmetricInstance:
 
 
 # --------------------------------------------------------------------------
-# Sampling
+# The prior table and sampling
 # --------------------------------------------------------------------------
 
-def _cdf(probs) -> np.ndarray:
-    """Float CDF of exact probabilities, formed exactly as `Generator.choice`
-    forms it from `p`, so a uniform draw u picks `cdf.searchsorted(u, "right")`."""
-    p = np.array([float(q) for q in probs])
-    p /= p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+def _dense_rank(keys: list) -> np.ndarray:
+    """0 for the smallest key, 1 for the next distinct one, and so on."""
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys])
+
+
+def _cached(instance: Instance, name: str, build: Callable):
+    """``build(instance)``, computed on first use and kept in the instance's
+    ``__dict__`` under ``name`` as `functools.cached_property` keeps values:
+    not a field, so constructors, ==, hash and repr ignore it."""
+    cache = vars(instance)
+    if name not in cache:
+        cache[name] = build(instance)
+    return cache[name]
+
+
+@dataclass(frozen=True)
+class _PriorTable:
+    """One instance's prior, type by type (column j is ``types[j]``).
+
+    ``weights`` is the palette's mass vector (IID), the n x T mass matrix
+    (prophet-secretary, independent) or the V x T entry-count matrix
+    (d-random-order); ``positive`` marks weights backed by a positive exact
+    probability.  ``rho_num``/``xi_num`` are the utilities over their common
+    denominator, so exact keys are integers.  ``cdfs`` has one CDF row per
+    listed distribution (d-random-order: one, over the vectors), formed as
+    `Generator.choice` forms it from ``p`` and padded with 2.0, above every
+    uniform draw; row i's outcomes start at ``outcomes[offsets[i]]``.  The
+    arrays are read-only, because every caller shares them.
+    """
+
+    types: tuple[ActionType, ...]
+    rho_num: tuple[int, ...]
+    xi_num: tuple[int, ...]
+    point_rank: np.ndarray  # dense rank of (rho, xi): equal exactly for coincident types
+    id_rank: np.ndarray  # rank of the id in string order
+    weights: np.ndarray
+    positive: np.ndarray
+    vector_probs: tuple[Fraction, ...]  # d-random-order only, else empty
+    outcomes: tuple
+    offsets: np.ndarray
+    cdfs: np.ndarray
+
+    @staticmethod
+    def build(prior: Instance) -> "_PriorTable":
+        dro = isinstance(prior, DRandomOrderInstance)
+        if dro:  # the sampler's one distribution is over the vectors
+            dists = (tuple(zip(prior.vectors, prior.vector_probs)),)
+        elif isinstance(prior, IIDInstance):
+            dists = (prior.palette,)
+        elif isinstance(prior, ProphetSecretaryInstance):
+            dists = prior.dists
+        elif isinstance(prior, IndependentInstance):
+            dists = prior.actions
+        else:
+            raise TypeError(f"not an instance: {prior!r}")
+        listed = [t for vec in prior.vectors for t in vec] if dro else [t for d in dists for t, _ in d]
+        types = tuple({t.id: t for t in listed}.values())
+        col = {t.id: j for j, t in enumerate(types)}
+        if dro:
+            weights = np.zeros((len(prior.vectors), len(types)), dtype=np.int64)
+            for v, vec in enumerate(prior.vectors):
+                np.add.at(weights[v], [col[t.id] for t in vec], 1)
+            positive = weights > 0
+        else:
+            cell = (
+                [i for i, d in enumerate(dists) for _ in d],
+                [col[t.id] for d in dists for t, _ in d],
+            )
+            qs = [q for d in dists for _, q in d]
+            weights = np.zeros((len(dists), len(types)))
+            np.add.at(weights, cell, [q.numerator / q.denominator for q in qs])
+            positive = np.zeros(weights.shape, dtype=bool)
+            np.logical_or.at(positive, cell, [q.numerator > 0 for q in qs])
+            if isinstance(prior, IIDInstance):
+                weights, positive = weights[0], positive[0]
+        sizes = [len(d) for d in dists]
+        cdfs = np.full((len(dists), max(sizes)), 2.0)
+        for i, d in enumerate(dists):
+            p = np.array([q.numerator / q.denominator for _, q in d])
+            p /= p.sum()
+            cdf = p.cumsum()
+            cdfs[i, : sizes[i]] = cdf / cdf[-1]
+        scale = math.lcm(*(c.denominator for t in types for c in (t.rho, t.xi)))
+        rho_num = tuple(t.rho.numerator * (scale // t.rho.denominator) for t in types)
+        xi_num = tuple(t.xi.numerator * (scale // t.xi.denominator) for t in types)
+        table = _PriorTable(
+            types,
+            rho_num,
+            xi_num,
+            _dense_rank(list(zip(rho_num, xi_num))),
+            _dense_rank([t.id for t in types]),
+            weights,
+            positive,
+            prior.vector_probs if dro else (),
+            tuple(x for d in dists for x, _ in d),
+            np.cumsum([0] + sizes[:-1]),
+            cdfs,
+        )
+        for array in (table.point_rank, table.id_rank, weights, positive, table.offsets, cdfs):
+            array.flags.writeable = False
+        return table
+
+
+def _prior_table(instance: Instance) -> _PriorTable:
+    """The instance's prior table, built on first use and then kept on the
+    instance; a truncated view reads its base's."""
+    if isinstance(instance, TruncatedSymmetricInstance):
+        instance = instance.base
+    return _cached(instance, "_prior_table", _PriorTable.build)
 
 
 # Most slots one drawn state may have: a draw holds a few arrays of that length,
@@ -347,8 +441,9 @@ SAMPLER_MAX_SLOTS = 10**7
 
 
 def _state_sampler(instance: Instance) -> Callable[[np.random.Generator], State]:
-    """Precompute an instance's float CDFs once; return a function drawing one
-    state from a generator.
+    """Return a function drawing one state from a generator, off the
+    instance's prior table.  Two threads making an instance's first call at
+    once may both build the table: harmless, since the tables are equal.
 
     The stream contract: each draw consumes the generator exactly as one
     `rng.choice(len(d), p=d)` per slot in slot order would.  Prophet-secretary
@@ -357,49 +452,37 @@ def _state_sampler(instance: Instance) -> Callable[[np.random.Generator], State]
     and then the permutation; truncated views crop the base draw.  So a seed
     gives the same states as a per-slot `choice` sampler.
     """
-    slots = n_slots(instance)
-    if slots > SAMPLER_MAX_SLOTS:
+    n = n_slots(instance)
+    if n > SAMPLER_MAX_SLOTS:
         raise ValueError(
-            f"cannot sample states of {slots} slots, more than the "
+            f"cannot sample states of {n} slots, more than the "
             f"sampler's limit of {SAMPLER_MAX_SLOTS}"
         )
     if isinstance(instance, TruncatedSymmetricInstance):
-        base, n = _state_sampler(instance.base), instance.n
+        base = _state_sampler(instance.base)
         return lambda rng: base(rng)[:n]
+    table = _prior_table(instance)
+    outcomes, offsets, cdfs = table.outcomes, table.offsets, table.cdfs
     if isinstance(instance, DRandomOrderInstance):
-        vectors = instance.vectors
-        cdf = _cdf(instance.vector_probs)
-        n = len(vectors[0])
 
         def draw(rng: np.random.Generator) -> State:
-            vec = vectors[cdf.searchsorted(rng.random(), side="right")]
+            vec = outcomes[cdfs[0].searchsorted(rng.random(), side="right")]
             return tuple(map(vec.__getitem__, rng.permutation(n).tolist()))
 
         return draw
     # slot_rows[j] is the distribution of slot j; prophet-secretary permutes them per draw.
     if isinstance(instance, IIDInstance):
-        dists, slot_rows = (instance.palette,), np.zeros(instance.n, dtype=np.intp)
+        slot_rows = np.zeros(n, dtype=np.intp)
     elif isinstance(instance, ProphetSecretaryInstance):
-        dists, slot_rows = instance.dists, None
-    elif isinstance(instance, IndependentInstance):
-        dists, slot_rows = instance.actions, np.arange(len(instance.actions))
+        slot_rows = None
     else:
-        raise TypeError(f"not an instance: {instance!r}")
-    # One padded CDF row per distribution; the padding (2.0) exceeds every
-    # uniform draw, so counting the row's entries <= u is searchsorted(u, "right").
-    n = len(dists) if slot_rows is None else len(slot_rows)
-    types = tuple(t for dist in dists for t, _ in dist)
-    sizes = [len(dist) for dist in dists]
-    offsets = np.cumsum([0] + sizes[:-1])
-    cdfs = np.full((len(dists), max(sizes)), 2.0)
-    for i, dist in enumerate(dists):
-        cdfs[i, : sizes[i]] = _cdf(q for _, q in dist)
+        slot_rows = np.arange(n)
 
     def draw(rng: np.random.Generator) -> State:
         rows = rng.permutation(n) if slot_rows is None else slot_rows
-        u = rng.random(n)
+        u = rng.random(n)  # a row's entries <= u count as its searchsorted(u, "right")
         idx = offsets[rows] + (cdfs[rows] <= u[:, None]).sum(axis=1)
-        return tuple(map(types.__getitem__, idx.tolist()))
+        return tuple(map(outcomes.__getitem__, idx.tolist()))
 
     return draw
 
@@ -452,7 +535,7 @@ def instance_from_dict(doc: dict) -> Instance:
     kind = doc.get("kind")
     if kind == "iid":
         n = doc.get("n")
-        if not isinstance(n, int):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise InstanceFormatError("iid: 'n' must be an integer")
         palette = tuple(
             _type_from_dict(o, "iid palette", want_q=True) for o in doc.get("palette", [])

@@ -3,10 +3,11 @@
 For a symmetric instance observed through its first k slots, the slope
 algorithm needs, per tangent slope s:
 
-* ``p_segment(a, b)``: the probability that the segment a-b is the maximal
-  slope-s segment of the realized Pareto frontier, and
-* ``p_unique(c, s)``: the probability that c alone is the slope-s tangency
-  point.
+* ``segment_probabilities``: for each pair a-b, the probability that the
+  segment a-b is the maximal slope-s segment of the realized Pareto
+  frontier, and
+* ``unique_probabilities``: for each type c, the probability that c alone is
+  the slope-s tangency point.
 
 Together these partition the probability space for every slope: each realized
 type set has exactly one correspondence. Three conventions make the partition
@@ -22,14 +23,13 @@ exact beyond general position:
   at each tangency coordinate owns the event.
 
 Both are one event: the required types (the pair, or the point) are among the
-first k realized, and every other realized type is allowed. Each public call
-builds one type table, and a slope solve builds one for its whole sweep;
-``p_segment`` and ``p_unique`` read their entry off the batched tables, so
-each event has one code path. The table holds the distinct types with exact
-dense ranks of their points and of their ids, plus the prior's weights per
-type - one palette vector for IID priors, an n x T float mass matrix for
-prophet-secretary ones, a V x T integer entry-count matrix for d-random-order
-ones. At a slope every type gets one exact key (``xi - s*rho`` over a common
+first k realized, and every other realized type is allowed. Each event has
+one code path: the two batched tables above. Both read the instance's prior
+table (``model._prior_table``), built once per instance and shared with the
+sampler: the distinct types with exact dense ranks of their points and of
+their ids, plus the prior's weights per type - one palette vector for IID
+priors, an n x T float mass matrix for prophet-secretary ones, a V x T
+integer entry-count matrix for d-random-order ones. At a slope every type gets one exact key (``xi - s*rho`` over a common
 denominator; ``(rho, xi)`` at -inf and ``(xi, rho)`` at 0), and a query's
 allowed set is a boolean mask read off the keys' dense ranks: lower rank, or
 the same point with a larger id, or for a pair the interior of the open
@@ -52,19 +52,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .geometry import NEG_INF, Slope, pareto_frontier, slope_between
 from .model import (
     ActionType,
-    DRandomOrderInstance,
-    IIDInstance,
-    ProphetSecretaryInstance,
     SymmetricInstance,
-    TruncatedSymmetricInstance,
-    all_types,
+    _dense_rank,
+    _prior_table,
+    _PriorTable,
+    is_symmetric,
     n_slots,
 )
 
@@ -74,8 +73,6 @@ __all__ = [
     "UniquePointProb",
     "candidate_slopes",
     "enumerate_oracle",
-    "p_segment",
-    "p_unique",
     "segment_probabilities",
     "subset_product_sum",
     "unique_probabilities",
@@ -116,103 +113,41 @@ def subset_product_sum(values: list[float], r: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# The type table and its per-slope classification
+# Per-slope classification of the prior table's types
 # --------------------------------------------------------------------------
 
-def _dense_rank(keys: list) -> np.ndarray:
-    """0 for the smallest key, 1 for the next distinct one, and so on."""
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return np.array([rank[key] for key in keys])
+def _ranks(table: _PriorTable, s: Slope) -> np.ndarray:
+    """Dense ranks of the types' exact slope-s keys xi - s*rho (lexicographic
+    (rho, xi) at -inf, (xi, rho) at 0): a lower rank lies strictly below
+    the slope-s line through a higher-ranked type."""
+    if s is NEG_INF:
+        return table.point_rank
+    if s == 0:
+        return _dense_rank(list(zip(table.xi_num, table.rho_num)))
+    p, q = s.numerator, s.denominator
+    return _dense_rank([x * q - p * r for r, x in zip(table.rho_num, table.xi_num)])
 
 
-@dataclass(frozen=True)
-class _TypeTable:
-    """One symmetric prior, type by type (column j is ``types[j]``).
+def _unique_allowed(table: _PriorTable, s: Slope, c: np.ndarray) -> np.ndarray:
+    """allowed[q, t]: may type t be realized alongside "c[q] alone is the
+    slope-s tangency point"?"""
+    rank, point, ids, c = _ranks(table, s), table.point_rank, table.id_rank, c[:, None]
+    return (rank < rank[c]) | (point == point[c]) & (ids > ids[c])
 
-    ``weights`` is the palette's mass vector (IID), the n x T mass matrix
-    (prophet-secretary) or the V x T entry-count matrix (d-random-order);
-    ``positive`` marks the weights backed by a positive exact probability.
-    ``rho_num`` and ``xi_num`` are the utilities times their common
-    denominator, so the exact keys are integers, which sort and hash faster
-    than Fractions.
-    """
 
-    prior: Union[IIDInstance, ProphetSecretaryInstance, DRandomOrderInstance]
-    types: tuple[ActionType, ...]
-    rho_num: list[int]
-    xi_num: list[int]
-    point_rank: np.ndarray  # dense rank of (rho, xi): equal exactly for coincident types
-    id_rank: np.ndarray  # rank of the id in string order
-    weights: np.ndarray
-    positive: np.ndarray
-
-    @staticmethod
-    def build(instance: SymmetricInstance) -> "_TypeTable":
-        prior = instance.base if isinstance(instance, TruncatedSymmetricInstance) else instance
-        types = all_types(prior)
-        col = {t.id: j for j, t in enumerate(types)}
-        if isinstance(prior, DRandomOrderInstance):
-            weights = np.zeros((len(prior.vectors), len(types)), dtype=np.int64)
-            for v, vec in enumerate(prior.vectors):
-                np.add.at(weights[v], [col[t.id] for t in vec], 1)
-            positive = weights > 0
-        else:
-            dists = (prior.palette,) if isinstance(prior, IIDInstance) else prior.dists
-            cell = (
-                [i for i, d in enumerate(dists) for _ in d],
-                [col[t.id] for d in dists for t, _ in d],
-            )
-            qs = [q for d in dists for _, q in d]
-            weights = np.zeros((len(dists), len(types)))
-            np.add.at(weights, cell, [q.numerator / q.denominator for q in qs])
-            positive = np.zeros(weights.shape, dtype=bool)
-            np.logical_or.at(positive, cell, [q.numerator > 0 for q in qs])
-            if isinstance(prior, IIDInstance):
-                weights, positive = weights[0], positive[0]
-        scale = math.lcm(*(c.denominator for t in types for c in (t.rho, t.xi)))
-        rho_num = [t.rho.numerator * (scale // t.rho.denominator) for t in types]
-        xi_num = [t.xi.numerator * (scale // t.xi.denominator) for t in types]
-        return _TypeTable(
-            prior,
-            types,
-            rho_num,
-            xi_num,
-            _dense_rank(list(zip(rho_num, xi_num))),
-            _dense_rank([t.id for t in types]),
-            weights,
-            positive,
-        )
-
-    def ranks(self, s: Slope) -> np.ndarray:
-        """Dense ranks of the types' exact slope-s keys xi - s*rho (lexicographic
-        (rho, xi) at -inf, (xi, rho) at 0): a lower rank lies strictly below
-        the slope-s line through a higher-ranked type."""
-        if s is NEG_INF:
-            return self.point_rank
-        if s == 0:
-            return _dense_rank(list(zip(self.xi_num, self.rho_num)))
-        p, q = s.numerator, s.denominator
-        return _dense_rank([x * q - p * r for r, x in zip(self.rho_num, self.xi_num)])
-
-    def unique_allowed(self, s: Slope, c: np.ndarray) -> np.ndarray:
-        """allowed[q, t]: may type t be realized alongside "c[q] alone is the
-        slope-s tangency point"?"""
-        rank, point, ids, c = self.ranks(s), self.point_rank, self.id_rank, c[:, None]
-        return (rank < rank[c]) | (point == point[c]) & (ids > ids[c])
-
-    def pair_allowed(self, s: Fraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """allowed[q, t]: may type t be realized alongside "a[q]-b[q] is the
-        maximal slope-s segment"? Each a[q] has the lower receiver utility.
-        On a line of finite slope the (rho, xi) order of points is their rho
-        order, so the open segment is the point ranks strictly between a and b."""
-        rank, point, ids = self.ranks(s), self.point_rank, self.id_rank
-        a, b = a[:, None], b[:, None]
-        on_line = (
-            (point == point[a]) & (ids > ids[a])
-            | (point == point[b]) & (ids > ids[b])
-            | (point > point[a]) & (point < point[b])
-        )
-        return (rank < rank[a]) | (rank == rank[a]) & on_line
+def _pair_allowed(table: _PriorTable, s: Fraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """allowed[q, t]: may type t be realized alongside "a[q]-b[q] is the
+    maximal slope-s segment"? Each a[q] has the lower receiver utility.
+    On a line of finite slope the (rho, xi) order of points is their rho
+    order, so the open segment is the point ranks strictly between a and b."""
+    rank, point, ids = _ranks(table, s), table.point_rank, table.id_rank
+    a, b = a[:, None], b[:, None]
+    on_line = (
+        (point == point[a]) & (ids > ids[a])
+        | (point == point[b]) & (ids > ids[b])
+        | (point > point[a]) & (point < point[b])
+    )
+    return (rank < rank[a]) | (rank == rank[a]) & on_line
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +167,7 @@ def _mean_k_products(masses: np.ndarray, k: int) -> np.ndarray:
 
 
 def _event_probs(
-    table: _TypeTable, k: int, required: np.ndarray, allowed: np.ndarray
+    table: _PriorTable, k: int, required: np.ndarray, allowed: np.ndarray
 ) -> list[float | None]:
     """For each query q: the probability that every type in ``required[q]``
     (one column for a unique point, two for a segment) is among the first k
@@ -242,15 +177,15 @@ def _event_probs(
     r = required.shape[1]
     subsets = [s for size in range(r, -1, -1) for s in combinations(range(r), size)]
     signs = np.array([1 if (r - len(s)) % 2 == 0 else -1 for s in subsets])
-    prior, w = table.prior, table.weights
-    if isinstance(prior, DRandomOrderInstance):
+    w, vector_probs = table.weights, table.vector_probs
+    if vector_probs:  # d-random-order
         # The first k entries are a uniform k-subset of the vector; a type may
         # fill several entries. Sum over vectors of P(vector) * #good k-subsets
         # in Python integers over a common denominator, so totals are exact.
-        n = len(prior.vectors[0])
-        denom = math.lcm(*(q.denominator for q in prior.vector_probs))
+        n = int(w[0].sum())  # every vector has n entries
+        denom = math.lcm(*(q.denominator for q in vector_probs))
         scale = np.array(
-            [[q.numerator * (denom // q.denominator)] for q in prior.vector_probs], dtype=object
+            [[q.numerator * (denom // q.denominator)] for q in vector_probs], dtype=object
         )
         ways = np.array([math.comb(m, k) for m in range(n + 1)], dtype=object)
         free = w @ allowed.T  # V x Q
@@ -261,7 +196,7 @@ def _event_probs(
         whole = denom * math.comb(n, k)
         return [min(1.0, t / whole) if t > 0 else None for t in totals]
 
-    if isinstance(prior, IIDInstance):
+    if w.ndim == 1:  # IID
         # k i.i.d. draws: E[product of allowed masses] is v^k.
         base = allowed @ w
         terms = np.stack([(base + w[required[:, list(s)]].sum(axis=1)) ** k for s in subsets])
@@ -280,30 +215,32 @@ def _event_probs(
     return [x if possible else None for x, possible in zip(p.tolist(), support.tolist())]
 
 
-def _check_query(instance: SymmetricInstance, k: int, *types: ActionType) -> _TypeTable:
-    """Validate k and the queried types; return the instance's type table."""
+def _check_query(instance: SymmetricInstance, k: int) -> _PriorTable:
+    """Validate k; return the instance's prior table."""
     n = n_slots(instance)
+    if not is_symmetric(instance):
+        raise TypeError("frontier events are defined for symmetric instances only")
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
-    table = _TypeTable.build(instance)
-    ids = {t.id for t in table.types}
-    for t in types:
-        if t.id not in ids:
-            raise ValueError(f"unknown type id {t.id!r}")
-    return table
+    return _prior_table(instance)
 
 
 def _check_slope(s: Slope | int) -> Slope:
     if isinstance(s, int):
         s = Fraction(s)
     if s is not NEG_INF and (not isinstance(s, Fraction) or s > 0):
-        raise ValueError(f"p_unique: slope must be <= 0 or NEG_INF, got {s!r}")
+        raise ValueError(f"slope must be <= 0 or NEG_INF, got {s!r}")
     return s
 
 
-def _segments(table: _TypeTable, k: int) -> list[SegmentProb]:
-    """`segment_probabilities` read off a built type table; the allowed sets
-    are classified once per distinct slope."""
+def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentProb]:
+    """All canonical type pairs whose maximal-segment event can happen.
+
+    Pairs are oriented left-to-right (increasing receiver utility) and the
+    list is sorted by (slope, left id, right id) for determinism.  The
+    allowed sets are classified once per distinct slope.
+    """
+    table = _check_query(instance, k)
     types = table.types
     pairs = []
     for i, a in enumerate(types):
@@ -318,7 +255,7 @@ def _segments(table: _TypeTable, k: int) -> list[SegmentProb]:
     for q, (_, _, s) in enumerate(pairs):
         by_slope.setdefault(s, []).append(q)
     for s, rows in by_slope.items():
-        allowed[rows] = table.pair_allowed(s, required[rows, 0], required[rows, 1])
+        allowed[rows] = _pair_allowed(table, s, required[rows, 0], required[rows, 1])
     out = [
         SegmentProb(types[a], types[b], s, p)
         for (a, b, s), p in zip(pairs, _event_probs(table, k, required, allowed))
@@ -328,49 +265,13 @@ def _segments(table: _TypeTable, k: int) -> list[SegmentProb]:
     return out
 
 
-def _uniques(table: _TypeTable, k: int, s: Slope) -> list[UniquePointProb]:
-    """`unique_probabilities` read off a built type table."""
-    c = np.arange(len(table.types))
-    probs = _event_probs(table, k, c[:, None], table.unique_allowed(s, c))
-    return [UniquePointProb(t, s, p) for t, p in zip(table.types, probs) if p is not None]
-
-
-def p_segment(instance: SymmetricInstance, k: int, a: ActionType, b: ActionType) -> float:
-    """Probability that a-b is the maximal segment of its slope on the realized frontier.
-
-    This is the pair's entry in `segment_probabilities`, in either
-    orientation.  Only pairs with a finite negative slope form segments;
-    horizontal, vertical, and coincident pairs return 0 (the dominated
-    endpoint can never sit on the frontier next to the other).
-    """
-    table = _check_query(instance, k, a, b)
-    if a.id == b.id:
-        raise ValueError("p_segment: a and b must be distinct types")
-    pair = {a.id, b.id}
-    return next((seg.p for seg in _segments(table, k) if {seg.a.id, seg.b.id} == pair), 0.0)
-
-
-def p_unique(instance: SymmetricInstance, k: int, c: ActionType, s: Slope | int) -> float:
-    """Probability that c alone is the slope-s tangency point of the realized frontier:
-    c's entry in `unique_probabilities`, or 0 when it has none."""
-    s = _check_slope(s)
-    table = _check_query(instance, k, c)
-    return next((u.p for u in _uniques(table, k, s) if u.c.id == c.id), 0.0)
-
-
-def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentProb]:
-    """All canonical type pairs whose maximal-segment event can happen.
-
-    Pairs are oriented left-to-right (increasing receiver utility) and the
-    list is sorted by (slope, left id, right id) for determinism.
-    """
-    return _segments(_check_query(instance, k), k)
-
-
 def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[UniquePointProb]:
     """All types that can be slope s's sole tangency point, with their probabilities."""
     s = _check_slope(s)
-    return _uniques(_check_query(instance, k), k, s)
+    table = _check_query(instance, k)
+    c = np.arange(len(table.types))
+    probs = _event_probs(table, k, c[:, None], _unique_allowed(table, s, c))
+    return [UniquePointProb(t, s, p) for t, p in zip(table.types, probs) if p is not None]
 
 
 def _auxiliary_slopes(finite: list[Fraction]) -> list[Fraction]:

@@ -1,12 +1,13 @@
 """Monte Carlo estimates of a scheme's performance.
 
-Sampling uses counter-based Philox streams keyed by (seed, chunk index):
-every chunk of samples owns an independent stream and the per-chunk sums
-are merged in chunk order, so the same seed gives the same report bit for
-bit.  `estimate` builds the instance's state sampler once per call (float
-CDFs precomputed, a few numpy calls per state); each state consumes its
-chunk's stream exactly as one `rng.choice` per slot did, so reports are
-also unchanged from versions that sampled slot by slot.
+Sampling uses counter-based Philox streams keyed by (seed mod 2^64, chunk
+index) as exact unsigned 64-bit integers, so each seed modulo 2^64 has its
+own streams: every chunk of samples owns an independent stream and the
+per-chunk sums are merged in chunk order, so the same seed gives the same
+report bit for bit.  `estimate` builds the instance's state sampler once
+per call (float CDFs kept on the instance, a few numpy calls per state);
+each state consumes its chunk's stream exactly as one `rng.choice` per slot
+did, so reports are also unchanged from versions that sampled slot by slot.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class _Sums:
 
 
 def _run_chunk(scheme, draw, seed: int, chunk_index: int, count: int) -> _Sums:
-    rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, chunk_index]))
+    key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     sums = _Sums()
     for _ in range(count):
         state = draw(rng)

@@ -1,8 +1,8 @@
 """Signaling schemes for symmetric instances.
 
 The central routine is ``slope_algorithm``: for every candidate tangent
-slope it reads the realizable frontier events off one type table built per
-solve, solves the per-slope scheme LP in closed form, and keeps the best
+slope it reads the realizable frontier events off the instance's prior
+table, solves the per-slope scheme LP in closed form, and keeps the best
 feasible answer.  The returned scheme is compact (a slope and one
 recommendation weight per same-slope segment); execution recommends the
 realized frontier's tangency point, found per state from one cached exact
@@ -40,7 +40,9 @@ from .model import (
     truncate,
     _state_sampler,
 )
-from .prob_oracle import SegmentProb, _candidates_around, _check_query, _segments, _uniques
+from .prob_oracle import (
+    SegmentProb, _candidates_around, segment_probabilities, unique_probabilities,
+)
 
 __all__ = [
     "BicriteriaResult",
@@ -85,17 +87,16 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     """
     if not is_symmetric(instance):
         raise TypeError("slope_algorithm requires a symmetric instance")
-    table = _check_query(instance, k)
+    by_slope: dict[Fraction, list[SegmentProb]] = {}
+    for seg in segment_probabilities(instance, k):
+        by_slope.setdefault(seg.slope, []).append(seg)
 
     rho_e = best_fixed_action_value(instance)
-    by_slope: dict[Fraction, list[SegmentProb]] = {}
-    for seg in _segments(table, k):
-        by_slope.setdefault(seg.slope, []).append(seg)
 
     best_s: Slope | None = None
     best = None
     for s in _candidates_around(by_slope):
-        res = solve_slope_lp(by_slope.get(s, []), _uniques(table, k, s), rho_e, s)
+        res = solve_slope_lp(by_slope.get(s, []), unique_probabilities(instance, k, s), rho_e, s)
         if res is None:
             continue
         if best is None or res.u_sender > best.u_sender + GAIN_TOL:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -116,17 +118,25 @@ def test_certified_independent_scheme_has_no_warning(fixture_dir, tmp_path):
         ("solve", "--instance", "IGNORED", "--k", "4"),
         ("solve", "--instance", "COINS", "--k", "2", "--method", "fptas", "--epsilon", "1e-6",
          "--force"),
+        ("solve", "--instance", "N_TRUE", "--k", "2"),
     ],
 )
-def test_validation_failures_exit_1(fixture_dir, args):
+def test_validation_failures_exit_1(fixture_dir, tmp_path, args):
+    n_true = tmp_path / "n_true.json"  # a JSON boolean is not a slot count
+    n_true.write_text(json.dumps({"kind": "iid", "n": True, "palette": [
+        {"id": "a", "rho": 0, "xi": 1, "q": 1},
+    ]}))
     paths = {
         "IGNORED": str(fixture_dir / "tug_of_war.json"),  # n=3
         "COINS": str(fixture_dir / "coins_k3.json"),
+        "N_TRUE": str(n_true),
     }
     res = invoke(*(paths.get(a, a) for a in args))
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit)  # reported, not a traceback
     assert "error:" in res.output
+    if "N_TRUE" in args:  # rejected as a document, not read as n = 1
+        assert "'n' must be an integer" in res.output
 
 
 def test_solve_large_iid_instance(tmp_path):
@@ -353,18 +363,21 @@ def test_simulate_refuses_states_past_the_sampler_limit(tmp_path):
     assert str(10**9) in line and str(P.model.SAMPLER_MAX_SLOTS) in line
 
 
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with these arguments on this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(P.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def scipy_loaded_after(code: str) -> bool:
     """Run code in a fresh interpreter; whether scipy is imported afterwards.
 
     A fresh process, because other tests load scipy into this one.
     """
-    env = dict(os.environ)
-    src = str(Path(P.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    run = run_fresh("-c", code + "\nimport sys\nprint('scipy' in sys.modules)")
+    assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()[-1] == "True"
 
 
@@ -391,3 +404,30 @@ def test_slope_solve_and_simulate_load_no_scipy(fixture_dir):
 def test_exact_loads_scipy_on_its_first_lp(fixture_dir):
     exact = ["exact", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2"]
     assert scipy_loaded_after(RUN_CLI.format(args=exact))
+
+
+def test_simulate_with_a_negative_seed_writes_no_warning(fixture_dir):
+    # A fresh process, so numpy's warnings reach stderr instead of pytest.
+    run = run_fresh("-m", "persuade.cli", "simulate", "--instance",
+                    str(fixture_dir / "ratio_iid.json"), "--k", "2", "--samples", "300",
+                    "--seed", "-1")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert json.loads(run.stdout)["seed"] == -1
+
+
+def test_every_benchmark_traced_function_exists():
+    # perfbench/tracing.py wraps these package functions by name; a renamed
+    # one would drop its metrics from the benchmark's traced result line.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"persuade.{module}")
+        for name in attr.split("."):  # "Class.method" names a method on its class
+            owner = getattr(owner, name, None)
+        if not callable(owner):
+            missing.append(f"persuade.{module}.{attr}")
+    assert missing == []

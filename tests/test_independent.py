@@ -379,3 +379,18 @@ def test_coins_closed_form(coins3):
     # Even without certification this particular scheme is persuasive: if
     # every coin fails, every action is known to be worthless.
     assert P.persuasiveness_check(scheme, coins3).persuasive
+
+
+def test_value_curves_built_once_per_instance(monkeypatch):
+    # The curves are kept on the instance: later selection calls reuse them.
+    from persuade import independent_schemes
+
+    inst = P.load_fixture("coins_k3")
+    calls = []
+    monkeypatch.setattr(
+        independent_schemes, "g_curve", lambda dist, rho_e: calls.append(dist) or g_curve(dist, rho_e)
+    )
+    actions_greedy(inst, 3)
+    fptas_select(inst, 3, 0.2)
+    independent_scheme(inst, 3, "greedy", force=True)
+    assert calls == list(inst.actions)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +14,12 @@ from persuade.model import (
     IIDInstance,
     ProphetSecretaryInstance,
     TruncatedSymmetricInstance,
-    all_types,
     n_slots,
     truncate,
 )
-from persuade import prob_oracle
 from persuade.prob_oracle import (
     candidate_slopes,
     enumerate_oracle,
-    p_segment,
-    p_unique,
     segment_probabilities,
     subset_product_sum,
     unique_probabilities,
@@ -36,37 +30,40 @@ from corpus import random_symmetric, shared_type_priors, symmetric_corpus
 
 @pytest.fixture(scope="module")
 def tug():
-    inst = P.load_fixture("tug_of_war")
-    types = {t.id: t for t in all_types(inst)}
-    return inst, types
+    return P.load_fixture("tug_of_war")
 
 
 def test_candidate_slopes_frozen(tug):
-    inst, _ = tug
+    inst = tug
     got = candidate_slopes(inst, 2)
     assert got[0] is NEG_INF
     assert got[1:] == [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0)]
 
 
 def test_segment_probability_frozen(tug):
-    inst, types = tug
-    assert abs(p_segment(inst, 2, types["sender_pick"], types["receiver_pick"]) - 1 / 3) < 1e-12
-    assert abs(p_segment(inst, 3, types["sender_pick"], types["receiver_pick"]) - 1.0) < 1e-12
+    inst = tug
+    for k, want in [(2, 1 / 3), (3, 1.0)]:
+        segs = {(s.a.id, s.b.id): s.p for s in segment_probabilities(inst, k)}
+        assert abs(segs[("sender_pick", "receiver_pick")] - want) < 1e-12
 
 
 def test_unique_probabilities_frozen(tug):
-    inst, types = tug
-    s = Fraction(-1)
-    assert abs(p_unique(inst, 2, types["sender_pick"], s) - 1 / 3) < 1e-12
-    assert abs(p_unique(inst, 2, types["receiver_pick"], s) - 1 / 3) < 1e-12
-    assert p_unique(inst, 2, types["dud"], s) == 0.0
+    inst = tug
+
+    def uniques(s):
+        return {u.c.id: u.p for u in unique_probabilities(inst, 2, s)}
+
+    at_minus_one = uniques(Fraction(-1))
+    assert abs(at_minus_one["sender_pick"] - 1 / 3) < 1e-12
+    assert abs(at_minus_one["receiver_pick"] - 1 / 3) < 1e-12
+    assert at_minus_one.get("dud", 0.0) == 0.0
     # At slope 0 the sender-best vertex owns the state unless the segment is flat.
-    assert abs(p_unique(inst, 2, types["sender_pick"], 0) - 2 / 3) < 1e-12
-    assert abs(p_unique(inst, 2, types["receiver_pick"], NEG_INF) - 2 / 3) < 1e-12
+    assert abs(uniques(0)["sender_pick"] - 2 / 3) < 1e-12
+    assert abs(uniques(NEG_INF)["receiver_pick"] - 2 / 3) < 1e-12
 
 
 def test_segment_probabilities_table(tug):
-    inst, _ = tug
+    inst = tug
     segs = [s for s in segment_probabilities(inst, 2) if s.p > 0]
     assert len(segs) == 1
     assert (segs[0].a.id, segs[0].b.id) == ("sender_pick", "receiver_pick")
@@ -208,7 +205,6 @@ def test_support_is_exact_below_float_range():
     assert abs(sum(dist.values()) - 1.0) < 1e-12
     segs = {(s.a.id, s.b.id): s.p for s in segment_probabilities(inst, 2)}
     assert segs[("a", "b")] == 0.0
-    assert p_segment(inst, 2, a, b) == 0.0
 
 
 def test_point_mass_prophet_equals_single_vector():
@@ -228,50 +224,26 @@ def test_point_mass_prophet_equals_single_vector():
                 assert abs(p - seg_p[key]) < 1e-12
 
 
-@pytest.fixture(scope="module")
-def bench_large():
-    """The benchmark's symmetric-large seed-1 instances with their k.  The
-    generator builds plain documents from `random.Random` and imports
-    nothing from the package or the tests."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return {c["name"]: (P.instance_from_dict(c["doc"]), c["k"]) for c in gen.symmetric_large(1)}
-
-
-@pytest.mark.parametrize("name", ["prophet_secretary", "iid"])
-def test_single_event_oracles_equal_the_batched_tables(bench_large, name):
-    # One code path per event: a single query reads its entry off the batched
-    # table, so the two agree bit for bit, not only to the last ulp.
-    inst, k = bench_large[name]
-    for seg in segment_probabilities(inst, k):
-        assert p_segment(inst, k, seg.a, seg.b) == seg.p
-        assert p_segment(inst, k, seg.b, seg.a) == seg.p
-    for s in candidate_slopes(inst, k):
-        batched = {u.c.id: u.p for u in unique_probabilities(inst, k, s)}
-        for t in all_types(inst):
-            assert p_unique(inst, k, t, s) == batched.get(t.id, 0.0), (t.id, s)
-
-
 @pytest.mark.parametrize("name", ["tug_of_war", "ratio_iid", "tight_random_order"])
 def test_one_type_table_per_oracle_call(monkeypatch, name):
+    # One prior table per instance: the oracle entry points, the slope solve
+    # and the sampler all read the table the first of them built.
+    from persuade import model
+    from persuade.simulate import estimate
+    from persuade.symmetric_schemes import SlopeSchemeExecutor
+
     inst = P.load_fixture(name)
-    t = all_types(inst)
     builds = []
-    build = prob_oracle._TypeTable.build
+    build = model._PriorTable.build
     monkeypatch.setattr(
-        prob_oracle._TypeTable, "build", staticmethod(lambda i: builds.append(i) or build(i))
+        model._PriorTable, "build", staticmethod(lambda i: builds.append(i) or build(i))
     )
-    calls = [
-        lambda: slope_algorithm(inst, 2),
-        lambda: segment_probabilities(inst, 2),
-        lambda: unique_probabilities(inst, 2, Fraction(-1)),
-        lambda: candidate_slopes(inst, 2),
-        lambda: p_segment(inst, 2, t[0], t[1]),
-        lambda: p_unique(inst, 2, t[0], Fraction(-1)),
-    ]
-    for call in calls:
-        builds.clear()
-        call()
-        assert len(builds) == 1
+    scheme = slope_algorithm(inst, 2)
+    segment_probabilities(inst, 2)
+    unique_probabilities(inst, 2, Fraction(-1))
+    candidate_slopes(inst, 2)
+    estimate(SlopeSchemeExecutor(scheme, 2), inst, 50, seed=1)
+    model.sample_state(inst, np.random.default_rng(1))
+    if not isinstance(inst, IIDInstance):  # a truncated view reads its base's table
+        model.sample_state(truncate(inst, 2), np.random.default_rng(1))
+    assert builds == [inst]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,17 @@ def test_same_seed_same_report(tug_executor):
     assert a == b
     c = estimate(ex, inst, samples=5000, seed=43)
     assert c != a
+
+
+def test_every_seed_has_its_own_stream(tug_executor):
+    # The Philox key is exact unsigned 64-bit: a negative seed is taken modulo
+    # 2^64 instead of collapsing to key 0 behind a cast warning, and seeds at
+    # or above 2^63 keep their low bits.
+    ex, inst = tug_executor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [estimate(ex, inst, samples=2000, seed=s) for s in (0, -1, 2**63, 2**63 + 1)]
+    assert len({repr(r) for r in reports}) == 4
 
 
 def test_estimates_track_exact_values(tug_executor):
