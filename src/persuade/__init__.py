@@ -16,7 +16,6 @@ from .model import (
     InstanceFormatError,
     ProphetSecretaryInstance,
     SymmetricInstance,
-    TruncatedSymmetricInstance,
     best_fixed_action_value,
     fixture_names,
     instance_from_dict,
@@ -25,7 +24,6 @@ from .model import (
     load_fixture,
     load_instance,
     save_instance,
-    truncate,
 )
 from .geometry import ParetoFrontier, pareto_frontier, point_for_slope, slope_between, NEG_INF
 from .prob_oracle import (
@@ -87,7 +85,6 @@ __all__ = [
     "SlopeSchemeExecutor",
     "SymmetricInstance",
     "TabularScheme",
-    "TruncatedSymmetricInstance",
     "UniquePointProb",
     "actions_greedy",
     "actions_reduce",
@@ -119,5 +116,4 @@ __all__ = [
     "slope_between",
     "solve_lp",
     "solve_slope_lp",
-    "truncate",
 ]

@@ -19,7 +19,6 @@ from importlib import resources
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .exact_oracle import (
     expected_utilities,
@@ -156,13 +155,13 @@ def _build(instance, k, method, epsilon, samples, seed, force):
             "method": "imitation",
             "k": k,
             "n": n_slots(instance),
-            "base": slope_scheme_to_dict(executor.base_scheme),
+            "base": slope_scheme_to_dict(executor.base.scheme),
         }
         return executor, doc
     if method == "bicriteria":
         _need(epsilon, "--epsilon")
         _need(samples, "--samples")
-        result = bicriteria_scheme(instance, k, epsilon, samples, np.random.default_rng(seed))
+        result = bicriteria_scheme(instance, k, epsilon, samples, seed)
         doc = {
             "method": "bicriteria",
             "epsilon": epsilon,
@@ -312,9 +311,7 @@ def compare(instance_path, k, epsilon, samples, seed, state_bound, force, output
         value, _ = expected_utilities(executor, instance, state_bound)
         methods["imitation"] = entry(value, k / n)
         if epsilon is not None and samples is not None:
-            result = bicriteria_scheme(
-                instance, k, epsilon, samples, np.random.default_rng(seed)
-            )
+            result = bicriteria_scheme(instance, k, epsilon, samples, seed)
             value, _ = expected_utilities(result.scheme, instance, state_bound)
             methods["bicriteria"] = entry(value, None)
     else:

@@ -23,7 +23,6 @@ from .model import (
     Instance,
     ProphetSecretaryInstance,
     State,
-    TruncatedSymmetricInstance,
     n_slots,
 )
 from .symmetric_schemes import TabularScheme
@@ -49,8 +48,6 @@ def enumerate_count(instance: Instance) -> int:
         )
     if isinstance(instance, DRandomOrderInstance):
         return len(instance.vectors) * math.factorial(len(instance.vectors[0]))
-    if isinstance(instance, TruncatedSymmetricInstance):
-        return enumerate_count(instance.base)
     if isinstance(instance, IndependentInstance):
         return math.prod(len(d) for d in instance.actions)
     raise TypeError(f"not an instance: {instance!r}")
@@ -93,9 +90,6 @@ def enumerate_prior(instance: Instance, state_bound: int = 10**6) -> dict[State,
         for vec, qv in zip(instance.vectors, instance.vector_probs):
             for perm in permutations(range(n)):
                 add(tuple(vec[i] for i in perm), qv * perm_prob)
-    elif isinstance(instance, TruncatedSymmetricInstance):
-        for state, prob in enumerate_prior(instance.base, state_bound).items():
-            add(state[: instance.n], prob)
     elif isinstance(instance, IndependentInstance):
         for combo in product(*instance.actions):
             prob = math.prod((q for _, q in combo), start=Fraction(1))

@@ -36,7 +36,6 @@ __all__ = [
     "ProphetSecretaryInstance",
     "State",
     "SymmetricInstance",
-    "TruncatedSymmetricInstance",
     "all_types",
     "best_fixed_action_value",
     "fixture_names",
@@ -49,7 +48,6 @@ __all__ = [
     "parse_rational",
     "sample_state",
     "save_instance",
-    "truncate",
 ]
 
 
@@ -183,24 +181,6 @@ class DRandomOrderInstance:
 
 
 @dataclass(frozen=True)
-class TruncatedSymmetricInstance:
-    """View of a permutation-based instance exposing only its first `n` slots.
-
-    Dropping distributions or vector entries would change each slot's marginal
-    law, so truncation keeps the full permutation semantics and crops observed
-    states instead. Internal representation only; not part of the JSON schema.
-    """
-
-    base: Union[ProphetSecretaryInstance, DRandomOrderInstance]
-    n: int
-
-    def __post_init__(self) -> None:
-        base_n = n_slots(self.base)
-        if not 1 <= self.n <= base_n:
-            raise InstanceFormatError(f"truncated view: n={self.n} outside [1, {base_n}]")
-
-
-@dataclass(frozen=True)
 class IndependentInstance:
     """n actions with independent type draws; signals recommend actions directly.
 
@@ -231,9 +211,7 @@ class IndependentInstance:
         object.__setattr__(self, "designated", best)
 
 
-SymmetricInstance = Union[
-    IIDInstance, ProphetSecretaryInstance, DRandomOrderInstance, TruncatedSymmetricInstance
-]
+SymmetricInstance = Union[IIDInstance, ProphetSecretaryInstance, DRandomOrderInstance]
 Instance = Union[SymmetricInstance, IndependentInstance]
 
 
@@ -254,8 +232,6 @@ def n_slots(instance: Instance) -> int:
         return len(instance.dists)
     if isinstance(instance, DRandomOrderInstance):
         return len(instance.vectors[0])
-    if isinstance(instance, TruncatedSymmetricInstance):
-        return instance.n
     if isinstance(instance, IndependentInstance):
         return len(instance.actions)
     raise TypeError(f"not an instance: {instance!r}")
@@ -290,33 +266,9 @@ def best_fixed_action_value(instance: Instance) -> Fraction:
         for vec, qv in zip(instance.vectors, instance.vector_probs):
             total += qv * sum((t.rho for t in vec), Fraction(0)) / n
         return total
-    if isinstance(instance, TruncatedSymmetricInstance):
-        return best_fixed_action_value(instance.base)
     if isinstance(instance, IndependentInstance):
         return max(sum((q * t.rho for t, q in dist), Fraction(0)) for dist in instance.actions)
     raise TypeError(f"not an instance: {instance!r}")
-
-
-def truncate(instance: SymmetricInstance, k: int) -> SymmetricInstance:
-    """Restrict a symmetric instance to its first k observable slots.
-
-    IID instances shrink to a literal copy with n = k. Permutation-based
-    instances (prophet-secretary, d-random-order) become views: all n original
-    slots still participate in the random order, but only the first k are
-    exposed. k = n returns the instance unchanged.
-    """
-    n = n_slots(instance)
-    if not 1 <= k <= n:
-        raise ValueError(f"truncate: k={k} outside [1, {n}]")
-    if k == n:
-        return instance
-    if isinstance(instance, IIDInstance):
-        return IIDInstance(palette=instance.palette, n=k)
-    if isinstance(instance, TruncatedSymmetricInstance):
-        return TruncatedSymmetricInstance(base=instance.base, n=k)
-    if isinstance(instance, (ProphetSecretaryInstance, DRandomOrderInstance)):
-        return TruncatedSymmetricInstance(base=instance, n=k)
-    raise TypeError(f"not a symmetric instance: {instance!r}")
 
 
 # --------------------------------------------------------------------------
@@ -429,58 +381,63 @@ class _PriorTable:
 
 def _prior_table(instance: Instance) -> _PriorTable:
     """The instance's prior table, built on first use and then kept on the
-    instance; a truncated view reads its base's."""
-    if isinstance(instance, TruncatedSymmetricInstance):
-        instance = instance.base
+    instance."""
     return _cached(instance, "_prior_table", _PriorTable.build)
 
 
-# Most slots one drawn state may have: a draw holds a few arrays of that length,
-# so an IID prior with n = 10^9 is refused instead of asking numpy for gigabytes.
+# Most slots one draw may generate: a draw holds a few arrays of that length, so
+# drawing whole states of an IID prior with n = 10^9 is refused instead of
+# asking numpy for gigabytes.
 SAMPLER_MAX_SLOTS = 10**7
 
 
-def _state_sampler(instance: Instance) -> Callable[[np.random.Generator], State]:
+def _state_sampler(
+    instance: Instance, slots: int | None = None
+) -> Callable[[np.random.Generator], State]:
     """Return a function drawing one state from a generator, off the
     instance's prior table.  Two threads making an instance's first call at
     once may both build the table: harmless, since the tables are equal.
 
+    Each state holds the first ``slots`` slots (all n by default).  IID
+    slots are independent, so only those are drawn; a permutation prior
+    draws its whole random order and keeps the first ``slots`` slots, which
+    leaves each kept slot's marginal law that of the full instance.
+
     The stream contract: each draw consumes the generator exactly as one
-    `rng.choice(len(d), p=d)` per slot in slot order would.  Prophet-secretary
-    takes `permutation(n)` and then one uniform per slot, IID and independent
-    priors one uniform per slot, d-random-order one uniform for the vector
-    and then the permutation; truncated views crop the base draw.  So a seed
-    gives the same states as a per-slot `choice` sampler.
+    `rng.choice(len(d), p=d)` per drawn slot in slot order would.
+    Prophet-secretary takes `permutation(n)` and then one uniform per slot,
+    IID and independent priors one uniform per slot, d-random-order one
+    uniform for the vector and then the permutation.  So a seed gives the
+    same states as a per-slot `choice` sampler.
     """
     n = n_slots(instance)
-    if n > SAMPLER_MAX_SLOTS:
+    slots = n if slots is None else slots
+    drawn = slots if isinstance(instance, IIDInstance) else n
+    if drawn > SAMPLER_MAX_SLOTS:
         raise ValueError(
-            f"cannot sample states of {n} slots, more than the "
+            f"cannot sample states of {drawn} slots, more than the "
             f"sampler's limit of {SAMPLER_MAX_SLOTS}"
         )
-    if isinstance(instance, TruncatedSymmetricInstance):
-        base = _state_sampler(instance.base)
-        return lambda rng: base(rng)[:n]
     table = _prior_table(instance)
     outcomes, offsets, cdfs = table.outcomes, table.offsets, table.cdfs
     if isinstance(instance, DRandomOrderInstance):
 
         def draw(rng: np.random.Generator) -> State:
             vec = outcomes[cdfs[0].searchsorted(rng.random(), side="right")]
-            return tuple(map(vec.__getitem__, rng.permutation(n).tolist()))
+            return tuple(map(vec.__getitem__, rng.permutation(n)[:slots].tolist()))
 
         return draw
     # slot_rows[j] is the distribution of slot j; prophet-secretary permutes them per draw.
     if isinstance(instance, IIDInstance):
-        slot_rows = np.zeros(n, dtype=np.intp)
+        slot_rows = np.zeros(slots, dtype=np.intp)
     elif isinstance(instance, ProphetSecretaryInstance):
         slot_rows = None
     else:
-        slot_rows = np.arange(n)
+        slot_rows = np.arange(slots)
 
     def draw(rng: np.random.Generator) -> State:
-        rows = rng.permutation(n) if slot_rows is None else slot_rows
-        u = rng.random(n)  # a row's entries <= u count as its searchsorted(u, "right")
+        rows = rng.permutation(n)[:slots] if slot_rows is None else slot_rows
+        u = rng.random(drawn)[:slots]  # a row's entries <= u count as its searchsorted(u, "right")
         idx = offsets[rows] + (cdfs[rows] <= u[:, None]).sum(axis=1)
         return tuple(map(outcomes.__getitem__, idx.tolist()))
 
@@ -493,7 +450,7 @@ def sample_state(instance: Instance, rng: np.random.Generator) -> State:
     Sampling converts exact probabilities to floats; exact computations should
     use `persuade.exact_oracle.enumerate_prior` instead.  Loops over many
     states should build the sampler once (`_state_sampler`), as `estimate`
-    and `bicriteria_scheme` do; the states drawn are the same.
+    does; the states drawn are the same.
     """
     return _state_sampler(instance)(rng)
 
@@ -588,7 +545,7 @@ def instance_to_dict(instance: Instance) -> dict:
             "kind": "independent",
             "actions": [[_type_to_dict(t, q) for t, q in dist] for dist in instance.actions],
         }
-    raise TypeError(f"not serializable (views are internal): {instance!r}")
+    raise TypeError(f"not an instance: {instance!r}")
 
 
 def load_instance(source: str | Path | dict) -> Instance:

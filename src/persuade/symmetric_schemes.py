@@ -37,7 +37,6 @@ from .model import (
     is_symmetric,
     n_slots,
     parse_rational,
-    truncate,
     _state_sampler,
 )
 from .prob_oracle import (
@@ -237,10 +236,6 @@ class ImitationExecutor:
     base: SlopeSchemeExecutor
     k: int
 
-    @property
-    def base_scheme(self) -> SlopeScheme:
-        return self.base.scheme
-
     def recommendation_distribution(self, state: State) -> dict[int, float]:
         base_dist = self.base.recommendation_distribution(state)
         out = {i: 0.0 for i in range(self.k)}
@@ -339,13 +334,15 @@ def bicriteria_scheme(
 ) -> BicriteriaResult:
     """Epsilon-persuasive, approximately optimal scheme from sampled states.
 
-    Truncates the instance to its first k slots, draws an empirical sample,
-    and solves an LP maximizing empirical sender utility subject to relaxed
+    Draws an empirical sample of the first k slots of each state and solves
+    an LP maximizing empirical sender utility subject to relaxed
     persuasiveness: per recommended slot, the receiver's conditional regret
-    against any other slot is at most epsilon.  The LP's recommendation
-    variables are shared across all states with the same type multiset and
-    split uniformly among slots holding the recommended type, so the scheme
-    is symmetric by construction and permutation ties cost nothing.
+    against any other of the k slots is at most epsilon.  The LP's
+    recommendation variables are shared across all states with the same type
+    multiset and split uniformly among slots holding the recommended type,
+    so the scheme is symmetric by construction and permutation ties cost
+    nothing.  An int ``rng`` seeds a generator; a negative one is taken
+    modulo 2^64, as `estimate` takes every seed.
     """
     if not is_symmetric(instance):
         raise TypeError("bicriteria_scheme requires a symmetric instance")
@@ -364,9 +361,11 @@ def bicriteria_scheme(
     n = n_slots(instance)
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
+    if isinstance(rng, int) and rng < 0:
+        rng %= 2**64
     rng = np.random.default_rng(rng)
 
-    draw = _state_sampler(truncate(instance, k))
+    draw = _state_sampler(instance, k)
     counts: dict[State, int] = {}
     for _ in range(samples):
         state = draw(rng)

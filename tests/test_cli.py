@@ -361,6 +361,10 @@ def test_simulate_refuses_states_past_the_sampler_limit(tmp_path):
     res = invoke("simulate", "--instance", str(path), "--k", "2", "--samples", "1")
     line = one_error_line(res)
     assert str(10**9) in line and str(P.model.SAMPLER_MAX_SLOTS) in line
+    # The limit counts the slots a draw holds: bicriteria draws only k of them.
+    res = invoke("solve", "--instance", str(path), "--k", "2", "--method", "bicriteria",
+                 "--epsilon", "0.1", "--samples", "20")
+    assert res.exit_code == 0, res.output
 
 
 def run_fresh(*args: str) -> subprocess.CompletedProcess:
@@ -414,6 +418,22 @@ def test_simulate_with_a_negative_seed_writes_no_warning(fixture_dir):
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     assert json.loads(run.stdout)["seed"] == -1
+
+
+@pytest.mark.parametrize("command", [
+    ["compare"], ["solve", "--method", "bicriteria"], ["simulate", "--method", "bicriteria"],
+])
+def test_bicriteria_takes_a_negative_seed_modulo_2_64(fixture_dir, command):
+    args = [*command, "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2",
+            "--epsilon", "0.1", "--samples", "200", "--seed"]
+    neg, pos = invoke(*args, "-1"), invoke(*args, str(2**64 - 1))
+    assert neg.exit_code == pos.exit_code == 0, neg.output
+    if command == ["compare"]:
+        assert neg.stdout == pos.stdout
+    else:  # solve and simulate echo the seed as given
+        a, b = json.loads(neg.stdout), json.loads(pos.stdout)
+        assert (a.pop("seed"), b.pop("seed")) == (-1, 2**64 - 1)
+        assert a == b
 
 
 def test_every_benchmark_traced_function_exists():

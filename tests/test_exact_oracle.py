@@ -19,7 +19,6 @@ from persuade.model import (
     IIDInstance,
     ProphetSecretaryInstance,
     all_types,
-    truncate,
 )
 from persuade.symmetric_schemes import SlopeSchemeExecutor, TabularScheme, slope_algorithm
 
@@ -40,7 +39,6 @@ def test_enumerate_count(tug):
         dists=(((a, Fraction(1, 2)), (b, Fraction(1, 2))), ((c, Fraction(1)),))
     )
     assert enumerate_count(ps) == 4
-    assert enumerate_count(truncate(tug, 2)) == 6
 
 
 def test_enumerate_prior_running_example(tug):
@@ -62,15 +60,6 @@ def test_enumerate_prior_iid_products():
     assert by_ids[("a", "b")] == Fraction(3, 16)
     assert by_ids[("b", "a")] == Fraction(3, 16)
     assert by_ids[("b", "b")] == Fraction(9, 16)
-
-
-def test_enumerate_prior_truncated_marginal(tug):
-    view_prior = enumerate_prior(truncate(tug, 2))
-    assert sum(view_prior.values()) == 1
-    marginal: dict = {}
-    for state, p in enumerate_prior(tug).items():
-        marginal[state[:2]] = marginal.get(state[:2], Fraction(0)) + p
-    assert view_prior == marginal
 
 
 def test_enumerate_prior_bound_guard():

@@ -18,13 +18,11 @@ from persuade.model import (
     IndependentInstance,
     InstanceFormatError,
     ProphetSecretaryInstance,
-    TruncatedSymmetricInstance,
     all_types,
     format_rational,
     n_slots,
     parse_rational,
     sample_state,
-    truncate,
 )
 from persuade.model import _state_sampler
 from corpus import independent_corpus, random_symmetric, shared_type_priors, symmetric_corpus
@@ -111,18 +109,6 @@ def test_best_fixed_action_value():
     assert P.best_fixed_action_value(trap) == Fraction(1, 2)
 
 
-def test_truncate_view_semantics():
-    inst = P.load_fixture("tug_of_war")
-    view = truncate(inst, 2)
-    assert n_slots(view) == 2
-    assert truncate(inst, 3) is inst
-    assert {t.id for t in all_types(view)} == {t.id for t in all_types(inst)}
-    with pytest.raises(ValueError):
-        truncate(inst, 9)
-    with pytest.raises(TypeError, match="views are internal"):
-        P.instance_to_dict(view)
-
-
 def test_sample_state_matches_slots():
     rng = np.random.default_rng(7)
     for inst in symmetric_corpus(count=12, seed=5):
@@ -148,8 +134,10 @@ def test_sample_state_frequencies_iid():
     assert abs(hits / 4000 - 0.25) < 0.03
 
 
-def _choice_per_slot(instance, rng):
-    """Reference sampler: one `rng.choice` over the float probabilities per slot."""
+def _choice_per_slot(instance, rng, slots=None):
+    """Reference sampler: one `rng.choice` over the float probabilities per
+    slot, keeping the first `slots` slots (all by default).  IID draws only
+    those slots; the permutation priors draw the whole state and crop it."""
 
     def draw(dist):
         probs = np.array([float(q) for _, q in dist])
@@ -157,21 +145,21 @@ def _choice_per_slot(instance, rng):
         return dist[rng.choice(len(dist), p=probs)][0]
 
     if isinstance(instance, IIDInstance):
-        return tuple(draw(instance.palette) for _ in range(instance.n))
+        return tuple(draw(instance.palette) for _ in range(slots or instance.n))
     if isinstance(instance, ProphetSecretaryInstance):
         order = rng.permutation(len(instance.dists))
-        return tuple(draw(instance.dists[i]) for i in order)
+        return tuple(draw(instance.dists[i]) for i in order)[:slots]
     if isinstance(instance, DRandomOrderInstance):
         probs = np.array([float(q) for q in instance.vector_probs])
         probs /= probs.sum()
         vec = instance.vectors[rng.choice(len(instance.vectors), p=probs)]
-        return tuple(vec[i] for i in rng.permutation(len(vec)))
-    if isinstance(instance, TruncatedSymmetricInstance):
-        return _choice_per_slot(instance.base, rng)[: instance.n]
+        return tuple(vec[i] for i in rng.permutation(len(vec)))[:slots]
     return tuple(draw(dist) for dist in instance.actions)
 
 
-def _stream_pin_instances():
+def _stream_pin_cases():
+    """(instance, slots) pairs: every instance whole, and every symmetric one
+    cropped to each k in [1, n), as bicriteria_scheme samples it."""
     out = symmetric_corpus(count=40, seed=9) + shared_type_priors(np.random.default_rng(12), 4)
     out += independent_corpus(count=12, seed=10)
     # Zero masses, a one-type distribution and unequal supports.
@@ -184,9 +172,9 @@ def _stream_pin_instances():
     )))
     out.append(IIDInstance(palette=((a, Fraction(1, 5)), (b, Fraction(0)), (c, Fraction(4, 5))), n=6))
     out.append(IndependentInstance(actions=(((a, Fraction(1)), (b, Fraction(0))), ((c, Fraction(1)),))))
-    views = [truncate(inst, k) for inst in out if P.is_symmetric(inst)
-             for k in range(1, n_slots(inst))]
-    return out + [v for v in views if isinstance(v, TruncatedSymmetricInstance)]
+    return [(inst, None) for inst in out] + [
+        (inst, k) for inst in out if P.is_symmetric(inst) for k in range(1, n_slots(inst))
+    ]
 
 
 @pytest.mark.parametrize("make_rng", [
@@ -194,13 +182,14 @@ def _stream_pin_instances():
     np.random.default_rng,
 ], ids=["philox", "pcg64"])
 def test_sampler_keeps_the_per_slot_choice_stream(make_rng):
-    for seed, inst in enumerate(_stream_pin_instances()):
+    for seed, (inst, slots) in enumerate(_stream_pin_cases()):
         ours, ref = make_rng(seed), make_rng(seed)
-        draw = _state_sampler(inst)  # built once, as estimate and bicriteria_scheme do
+        draw = _state_sampler(inst, slots)  # built once, as estimate and bicriteria_scheme do
         for _ in range(15):
-            assert draw(ours) == _choice_per_slot(inst, ref)
+            assert draw(ours) == _choice_per_slot(inst, ref, slots)
         assert sample_state(inst, ours) == _choice_per_slot(inst, ref)
         assert ours.random() == ref.random()
+
 
 
 def test_json_round_trip_all_kinds():

@@ -13,9 +13,7 @@ from persuade.model import (
     DRandomOrderInstance,
     IIDInstance,
     ProphetSecretaryInstance,
-    TruncatedSymmetricInstance,
     n_slots,
-    truncate,
 )
 from persuade.prob_oracle import (
     candidate_slopes,
@@ -122,22 +120,6 @@ def test_analytic_matches_enumeration():
                     assert abs(uniq.get(tid, 0.0) - exact_u.get(tid, 0.0)) < tol, (tid, s)
 
 
-def test_truncated_view_matches_base():
-    # A truncated view keeps the base's random order over all n slots, so for
-    # every k it exposes, its tables equal the base instance's bit for bit.
-    for inst in symmetric_corpus(60):
-        if not isinstance(inst, (ProphetSecretaryInstance, DRandomOrderInstance)):
-            continue
-        n = n_slots(inst)
-        for m in range(2, n):
-            view = truncate(inst, m)
-            assert isinstance(view, TruncatedSymmetricInstance)
-            for k in range(2, m + 1):
-                assert segment_probabilities(view, k) == segment_probabilities(inst, k)
-                for s in candidate_slopes(inst, k):
-                    assert unique_probabilities(view, k, s) == unique_probabilities(inst, k, s)
-
-
 def test_kind_cross_check():
     # The same distribution expressed through different instance kinds must
     # produce the same oracle tables: the IID closed form v^k against the
@@ -226,11 +208,12 @@ def test_point_mass_prophet_equals_single_vector():
 
 @pytest.mark.parametrize("name", ["tug_of_war", "ratio_iid", "tight_random_order"])
 def test_one_type_table_per_oracle_call(monkeypatch, name):
-    # One prior table per instance: the oracle entry points, the slope solve
-    # and the sampler all read the table the first of them built.
+    # One prior table per instance: the oracle entry points, the slope solve,
+    # the sampler and the bicriteria LP all read the table the first of them
+    # built.
     from persuade import model
     from persuade.simulate import estimate
-    from persuade.symmetric_schemes import SlopeSchemeExecutor
+    from persuade.symmetric_schemes import SlopeSchemeExecutor, bicriteria_scheme
 
     inst = P.load_fixture(name)
     builds = []
@@ -244,6 +227,6 @@ def test_one_type_table_per_oracle_call(monkeypatch, name):
     candidate_slopes(inst, 2)
     estimate(SlopeSchemeExecutor(scheme, 2), inst, 50, seed=1)
     model.sample_state(inst, np.random.default_rng(1))
-    if not isinstance(inst, IIDInstance):  # a truncated view reads its base's table
-        model.sample_state(truncate(inst, 2), np.random.default_rng(1))
+    model._state_sampler(inst, 2)(np.random.default_rng(1))
+    bicriteria_scheme(inst, 2, 0.1, 50, 1)
     assert builds == [inst]
