@@ -15,8 +15,10 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -32,6 +34,7 @@ from .independent_schemes import (
 )
 from .lp_core import GUARANTEE_TOL, ZERO_TOL
 from .model import (
+    all_types,
     fixture_names,
     is_symmetric,
     load_instance,
@@ -45,9 +48,6 @@ from .symmetric_schemes import (
     slope_algorithm,
     slope_scheme_to_dict,
 )
-
-_SYMMETRIC_METHODS = ("slope", "imitation", "bicriteria")
-_INDEPENDENT_METHODS = ("greedy", "fptas", "reduce")
 
 
 def _die(code: int, message: str) -> None:
@@ -107,18 +107,6 @@ def _need(value, flag: str):
     return value
 
 
-def _check_method(method: str, instance) -> None:
-    if method not in _SYMMETRIC_METHODS + _INDEPENDENT_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of "
-            f"{', '.join(_SYMMETRIC_METHODS + _INDEPENDENT_METHODS)}"
-        )
-    if method in _SYMMETRIC_METHODS and not is_symmetric(instance):
-        raise ValueError(f"method {method!r} needs a symmetric instance")
-    if method in _INDEPENDENT_METHODS and is_symmetric(instance):
-        raise ValueError(f"method {method!r} needs an independent-actions instance")
-
-
 def _round12(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}") + 0.0  # adding 0.0 turns -0.0 into 0.0
@@ -140,40 +128,71 @@ def _emit(doc: dict, output: str | None) -> None:
         click.echo(text, nl=False)
 
 
+def _slope(instance, k, method, epsilon, samples, seed, force):
+    scheme = slope_algorithm(instance, k)
+    return SlopeSchemeExecutor(scheme, k), slope_scheme_to_dict(scheme)
+
+
+def _imitation(instance, k, method, epsilon, samples, seed, force):
+    executor = imitation_scheme(instance, k)
+    base = slope_scheme_to_dict(executor.base.scheme)
+    return executor, {"method": "imitation", "k": k, "n": n_slots(instance), "base": base}
+
+
+def _bicriteria(instance, k, method, epsilon, samples, seed, force):
+    epsilon, samples = _need(epsilon, "--epsilon"), _need(samples, "--samples")
+    r = bicriteria_scheme(instance, k, epsilon, samples, seed)
+    return r.scheme, {"method": "bicriteria", "epsilon": epsilon, "samples": r.samples,
+                      "seed": seed, "u_sender": r.u_sender, "u_receiver": r.u_receiver,
+                      "max_regret": r.max_regret}
+
+
+def _independent(instance, k, method, epsilon, samples, seed, force):
+    scheme = independent_scheme(instance, k, method=method, epsilon=epsilon, force=force)
+    return scheme, expost_scheme_to_dict(scheme)
+
+
+@dataclass(frozen=True)
+class _Method:
+    """What solve, simulate and compare know about one method.
+
+    `build` refuses a missing option its method needs.  A `value` of None
+    makes compare enumerate the prior for the exact expected sender utility.
+    """
+
+    symmetric: bool  # serves symmetric priors, otherwise independent-actions ones
+    build: Callable  # (instance, k, method, epsilon, samples, seed, force) -> (executor, doc)
+    value: str | None  # key of the doc's sender utility that compare checks
+    bound: Callable  # (k, n, epsilon) -> guaranteed share of the optimum, or None
+    by_epsilon: bool = False  # compare runs it only when --epsilon is given
+
+
+# The one method table, in the order `unknown method` lists it.
+_METHODS = {
+    "slope": _Method(True, _slope, "u_sender", lambda k, n, eps: 1.0),
+    "imitation": _Method(True, _imitation, None, lambda k, n, eps: k / n),
+    "bicriteria": _Method(True, _bicriteria, None, lambda k, n, eps: None, by_epsilon=True),
+    "greedy": _Method(False, _independent, "u_sender_lb", lambda k, n, eps: (
+        (1.0 - (1.0 - 1.0 / k) ** k) * (1.0 - (1.0 - 1.0 / k) ** (k - 1)))),
+    "fptas": _Method(False, _independent, "u_sender_lb", lambda k, n, eps: (
+        (1.0 - (1.0 - 1.0 / k) ** k) * (1.0 - eps) * (1.0 - 1.0 / k)), by_epsilon=True),
+    "reduce": _Method(False, _independent, "u_sender_lb", lambda k, n, eps: (
+        (1.0 - (1.0 - 1.0 / k) ** k) * (k - 1) / n)),
+}
+
+
 def _build(instance, k, method, epsilon, samples, seed, force):
     """Build the scheme of any method: (executor, document for ``solve``).
 
     The executor has recommend/recommendation_distribution methods.
     """
-    _check_method(method, instance)
-    if method == "slope":
-        scheme = slope_algorithm(instance, k)
-        return SlopeSchemeExecutor(scheme, k), slope_scheme_to_dict(scheme)
-    if method == "imitation":
-        executor = imitation_scheme(instance, k)
-        doc = {
-            "method": "imitation",
-            "k": k,
-            "n": n_slots(instance),
-            "base": slope_scheme_to_dict(executor.base.scheme),
-        }
-        return executor, doc
-    if method == "bicriteria":
-        _need(epsilon, "--epsilon")
-        _need(samples, "--samples")
-        result = bicriteria_scheme(instance, k, epsilon, samples, seed)
-        doc = {
-            "method": "bicriteria",
-            "epsilon": epsilon,
-            "samples": result.samples,
-            "seed": seed,
-            "u_sender": result.u_sender,
-            "u_receiver": result.u_receiver,
-            "max_regret": result.max_regret,
-        }
-        return result.scheme, doc
-    scheme = independent_scheme(instance, k, method=method, epsilon=epsilon, force=force)
-    return scheme, expost_scheme_to_dict(scheme)
+    row = _METHODS.get(method)
+    if row is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_METHODS)}")
+    if row.symmetric != is_symmetric(instance):
+        family = "a symmetric" if row.symmetric else "an independent-actions"
+        raise ValueError(f"method {method!r} needs {family} instance")
+    return row.build(instance, k, method, epsilon, samples, seed, force)
 
 
 @click.group(cls=_Group, no_args_is_help=False)
@@ -248,25 +267,8 @@ def simulate(instance_path, k, method, epsilon, samples, seed, force, output):
     samples = _need(samples, "--samples")
     executor, _ = _build(instance, k, method, epsilon, samples, seed, force)
     report = estimate(executor, instance, samples, seed)
-    doc = {
-        "method": method,
-        "k": k,
-        "seed": seed,
-        "samples": report.samples,
-        "sender_mean": report.sender_mean,
-        "sender_stderr": report.sender_stderr,
-        "receiver_mean": report.receiver_mean,
-        "receiver_stderr": report.receiver_stderr,
-        "signals": {
-            str(i): {
-                "count": s.count,
-                "frequency": s.frequency,
-                "receiver_mean": s.receiver_mean,
-                "receiver_stderr": s.receiver_stderr,
-            }
-            for i, s in report.signals.items()
-        },
-    }
+    doc = {"method": method, "k": k, "seed": seed, **asdict(report)}
+    doc["signals"] = {str(i): stats for i, stats in doc["signals"].items()}
     _emit(doc, output)
 
 
@@ -274,7 +276,8 @@ def simulate(instance_path, k, method, epsilon, samples, seed, force, output):
 @click.option("--instance", "instance_path", type=str, default=None, help="Instance JSON file.")
 @click.option("--k", type=int, default=None, help="Number of signals.")
 @click.option("--epsilon", type=float, default=None,
-              help="Include fptas (independent) or bicriteria (symmetric) at this accuracy.")
+              help="Include fptas (independent) or bicriteria (symmetric; needs --samples) "
+                   "at this accuracy.")
 @click.option("--samples", type=int, default=None, help="Bicriteria sample count.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--state-bound", type=int, default=10**5, show_default=True)
@@ -284,46 +287,33 @@ def simulate(instance_path, k, method, epsilon, samples, seed, force, output):
 def compare(instance_path, k, epsilon, samples, seed, state_bound, force, output):
     """Compare every applicable method against the brute-force optimum.
 
-    Exits with status 2 when a method lands below its guaranteed share of
-    the optimum.
+    Runs slope and imitation on symmetric instances, greedy and reduce on
+    independent ones; --epsilon adds bicriteria or fptas.  Exits with status
+    2 when a method lands below its guaranteed share of the optimum.  The
+    shares assume nonnegative sender utilities: when some type has xi < 0,
+    only shares of 1 are checked and the others are reported as null.
     """
     instance = load_instance(_need(instance_path, "--instance"))
     k = _need(k, "--k")
     _, opt = optimal_scheme_bruteforce(instance, k, state_bound=state_bound)
     n = n_slots(instance)
-    cascade = 1.0 - (1.0 - 1.0 / k) ** k
-
+    # A share below 1 of a negative optimum asks for more than the optimum:
+    # the ratio bounds hold for nonnegative sender utilities only.
+    negative = any(t.xi < 0 for t in all_types(instance))
     methods: dict[str, dict] = {}
-
-    def entry(value: float, bound: float | None) -> dict:
+    # The methods --epsilon adds run last, so their errors print last.
+    for name, row in sorted(_METHODS.items(), key=lambda item: item[1].by_epsilon):
+        if row.symmetric != is_symmetric(instance) or (row.by_epsilon and epsilon is None):
+            continue
+        executor, doc = _build(instance, k, name, epsilon, samples, seed, force)
+        value = (doc[row.value] if row.value is not None
+                 else expected_utilities(executor, instance, state_bound)[0])
+        bound = row.bound(k, n, epsilon)
+        if negative and bound is not None and bound < 1.0:
+            bound = None
         ok = bound is None or value >= bound * opt - GUARANTEE_TOL
-        return {
-            "value": value,
-            "ratio": value / opt if abs(opt) > ZERO_TOL else None,
-            "bound": bound,
-            "ok": ok,
-        }
-
-    if is_symmetric(instance):
-        scheme = slope_algorithm(instance, k)
-        methods["slope"] = entry(scheme.u_sender, 1.0)
-        executor = imitation_scheme(instance, k)
-        value, _ = expected_utilities(executor, instance, state_bound)
-        methods["imitation"] = entry(value, k / n)
-        if epsilon is not None and samples is not None:
-            result = bicriteria_scheme(instance, k, epsilon, samples, seed)
-            value, _ = expected_utilities(result.scheme, instance, state_bound)
-            methods["bicriteria"] = entry(value, None)
-    else:
-        picks = [("greedy", cascade * (1.0 - (1.0 - 1.0 / k) ** (k - 1)))]
-        picks.append(("reduce", cascade * (k - 1) / n))
-        if epsilon is not None:
-            picks.append(("fptas", cascade * (1.0 - epsilon) * (1.0 - 1.0 / k)))
-        for method, bound in picks:
-            scheme = independent_scheme(
-                instance, k, method=method, epsilon=epsilon, force=force
-            )
-            methods[method] = entry(scheme.u_sender, bound)
+        ratio = value / opt if abs(opt) > ZERO_TOL else None
+        methods[name] = {"value": value, "ratio": ratio, "bound": bound, "ok": ok}
 
     doc = {"k": k, "u_exact": opt, "methods": methods}
     _emit(doc, output)

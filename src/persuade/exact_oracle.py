@@ -38,19 +38,23 @@ __all__ = [
 ]
 
 
+def _count_terms(instance: Instance) -> tuple[int, list[tuple[int, int]]]:
+    """(m, [(size, power), ...]): the raw count is m! * prod(size ** power)."""
+    if isinstance(instance, IIDInstance):
+        return 0, [(len(instance.palette), instance.n)]
+    if isinstance(instance, ProphetSecretaryInstance):
+        return len(instance.dists), [(len(d), 1) for d in instance.dists]
+    if isinstance(instance, DRandomOrderInstance):
+        return len(instance.vectors[0]), [(len(instance.vectors), 1)]
+    if isinstance(instance, IndependentInstance):
+        return 0, [(len(d), 1) for d in instance.actions]
+    raise TypeError(f"not an instance: {instance!r}")
+
+
 def enumerate_count(instance: Instance) -> int:
     """Raw combination count an exact enumeration would visit."""
-    if isinstance(instance, IIDInstance):
-        return len(instance.palette) ** instance.n
-    if isinstance(instance, ProphetSecretaryInstance):
-        return math.factorial(len(instance.dists)) * math.prod(
-            len(d) for d in instance.dists
-        )
-    if isinstance(instance, DRandomOrderInstance):
-        return len(instance.vectors) * math.factorial(len(instance.vectors[0]))
-    if isinstance(instance, IndependentInstance):
-        return math.prod(len(d) for d in instance.actions)
-    raise TypeError(f"not an instance: {instance!r}")
+    m, terms = _count_terms(instance)
+    return math.factorial(m) * math.prod(size**power for size, power in terms)
 
 
 def enumerate_prior(instance: Instance, state_bound: int = 10**6) -> dict[State, Fraction]:
@@ -60,11 +64,14 @@ def enumerate_prior(instance: Instance, state_bound: int = 10**6) -> dict[State,
     draws) are aggregated.  Raises ValueError when the raw combination
     count exceeds `state_bound` before doing any work.
     """
-    count = enumerate_count(instance)
-    if count > state_bound:
-        # A count past the 4300-digit limit of int-to-str cannot be printed.
+    # Decided from log10 of the count, which is formed only near the bound:
+    # forming it takes seconds for an IID prior with n = 10^9.
+    m, terms = _count_terms(instance)
+    log_count = math.lgamma(m + 1) / math.log(10)
+    log_count += sum(power * math.log10(size) for size, power in terms)
+    if log_count > math.log10(max(state_bound, 1)) + 1 or enumerate_count(instance) > state_bound:
         raise ValueError(
-            f"exact enumeration would visit about 10^{math.log10(count):.1f} "
+            f"exact enumeration would visit about 10^{log_count:.1f} "
             f"combinations, over the bound of {state_bound}"
         )
     prior: dict[State, Fraction] = {}

@@ -315,6 +315,71 @@ def test_compare_independent(fixture_dir):
         assert row["ok"] is True
 
 
+COMPARE_CASES = [
+    (name, k, extra)
+    for name in P.fixture_names()
+    for k in (2, 3) if k <= P.model.n_slots(P.load_fixture(name))
+    for extra in ([], ["--epsilon", "0.1", "--samples", "500", "--force"])
+]
+
+
+@pytest.mark.parametrize("name, k, extra", COMPARE_CASES,
+                         ids=[f"{n}-k{k}-{'forced' if e else 'plain'}" for n, k, e in COMPARE_CASES])
+def test_compare_output_is_pinned_across_releases(fixture_dir, name, k, extra):
+    # Every bundled fixture, plain and forced with bicriteria/fptas included:
+    # exit 0, exit 3 (coins without --force) and exit 2 (fallback_trap forced).
+    expected = json.loads((GOLDEN / "compare.json").read_text())[
+        " ".join([name, "--k", str(k), *extra])
+    ]
+    res = invoke("compare", "--instance", str(fixture_dir / f"{name}.json"), "--k", str(k), *extra)
+    assert [res.stdout, res.stderr, res.exit_code] == [
+        expected["stdout"], expected["stderr"], expected["exit"]
+    ]
+
+
+NEGATIVE_TYPES = [{"id": "a", "rho": 1, "xi": -1, "q": "1/2"},
+                  {"id": "b", "rho": 0, "xi": "-1/10", "q": "1/2"}]
+
+
+@pytest.mark.parametrize("doc, extra", [
+    ({"kind": "iid", "n": 4, "palette": NEGATIVE_TYPES}, []),
+    ({"kind": "independent", "actions": [NEGATIVE_TYPES] * 3}, ["--epsilon", "0.1", "--force"]),
+], ids=["iid", "independent"])
+def test_compare_checks_no_ratio_bound_on_negative_sender_utilities(tmp_path, doc, extra):
+    # Every method here is optimal, but a share below 1 of a negative optimum
+    # asks for more than the optimum; only slope's exact bound is checked.
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    res = invoke("compare", "--instance", str(path), "--k", "2", *extra)
+    assert res.exit_code == 0, res.output
+    blob = json.loads(res.stdout)
+    assert blob["u_exact"] < 0
+    assert set(blob["methods"]) == ({"slope", "imitation"} if doc["kind"] == "iid"
+                                    else {"greedy", "reduce", "fptas"})
+    for name, row in blob["methods"].items():
+        assert row["ratio"] == pytest.approx(1.0)
+        assert (row["bound"], row["ok"]) == ((1.0 if name == "slope" else None), True)
+
+
+def test_compare_with_epsilon_needs_samples_on_a_symmetric_instance(fixture_dir):
+    res = invoke("compare", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2",
+                 "--epsilon", "0.1")
+    assert one_error_line(res) == "error: missing required option --samples"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["exact", "compare"])
+def test_exact_enumeration_refuses_a_huge_instance_from_its_logarithm(tmp_path, command):
+    # 2^(10^12) raw states: the exact count alone would take over 100 GB.
+    path = tmp_path / "huge_iid.json"
+    path.write_text(json.dumps({"kind": "iid", "n": 10**12, "palette": NEGATIVE_TYPES}))
+    res = invoke(command, "--instance", str(path), "--k", "2")
+    assert one_error_line(res) == (
+        "error: exact enumeration would visit about 10^301029995664.0 combinations, "
+        "over the bound of 100000"
+    )
+
+
 def one_error_line(res) -> str:
     """The single stderr line of a reported failure (exit 1, no traceback)."""
     assert res.exit_code == 1, res.output
