@@ -148,6 +148,8 @@ def _bicriteria(instance, k, method, epsilon, samples, seed, force):
 
 
 def _independent(instance, k, method, epsilon, samples, seed, force):
+    if method == "fptas":
+        epsilon = _need(epsilon, "--epsilon")
     scheme = independent_scheme(instance, k, method=method, epsilon=epsilon, force=force)
     return scheme, expost_scheme_to_dict(scheme)
 

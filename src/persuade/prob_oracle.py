@@ -24,19 +24,29 @@ exact beyond general position:
 
 Both are one event: the required types (the pair, or the point) are among the
 first k realized, and every other realized type is allowed. Each event has
-one code path: the two batched tables above. Both read the instance's prior
-table (``model._prior_table``), built once per instance and shared with the
-sampler: the distinct types with exact dense ranks of their points and of
-their ids, plus the prior's weights per type - one palette vector for IID
-priors, an n x T float mass matrix for prophet-secretary ones, a V x T
-integer entry-count matrix for d-random-order ones. At a slope every type gets one exact key (``xi - s*rho`` over a common
-denominator; ``(rho, xi)`` at -inf and ``(xi, rho)`` at 0), and a query's
-allowed set is a boolean mask read off the keys' dense ranks: lower rank, or
-the same point with a larger id, or for a pair the interior of the open
-segment.
+one code path, a batched table: every pair at once for the segments, and
+for the unique points ``_unique_table``, which takes every slope of a solve
+at once. ``slope_algorithm`` reads its whole sweep off one unique table;
+``unique_probabilities`` reads one slope's row.  Both tables read the
+instance's prior table (``model._prior_table``), built once per instance and
+shared with the sampler: the distinct types with exact dense ranks of their
+points and of their ids, plus the prior's weights per type - one palette
+vector for IID priors, an n x T float mass matrix for prophet-secretary
+ones, a V x T integer entry-count matrix for d-random-order ones. At a slope
+every type gets one exact key (``xi - s*rho`` over a common denominator;
+``(rho, xi)`` at -inf and ``(xi, rho)`` at 0), and a query's allowed set is
+a boolean mask read off the keys' dense ranks: lower rank, or the same point
+with a larger id, or for a pair the interior of the open segment.
 
 The probability is an inclusion-exclusion over the subsets of the required
-types, all queries of a call at once. Prophet-secretary: the expected product
+types, all queries of a call at once: one prophet-secretary recursion, or
+one exact integer pass for d-random-order, serves every slope of a unique
+table.  The table goes through in blocks of whole slopes, each within
+``_BLOCK_CELLS`` float cells of working set (per slope, 2T query columns of
+n distribution masses and 2k + 2 recursion rows), so memory stays bounded
+however many slopes and types there are; every slope's masses come from a
+matrix product of their own, so a slope's probabilities are bit-identical to
+its lone query's. Prophet-secretary: the expected product
 of the allowed masses of a uniform k-subset of the distributions, by the
 normalised recursion f(i, j) = (1 - j/i) f(i-1, j) + (j/i) m_i f(i-1, j-1),
 which stays in [0, 1] for any n. IID: its closed form v^k. d-random-order:
@@ -52,7 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,9 +170,13 @@ def _mean_k_products(masses: np.ndarray, k: int) -> np.ndarray:
     recursion f(i, j) = (1 - j/i) f(i-1, j) + (j/i) m_i f(i-1, j-1)."""
     f = np.zeros((k + 1, masses.shape[1]))
     f[0] = 1.0
+    step = np.empty((k, masses.shape[1]))  # one buffer for the update, not three
     j = np.arange(1, k + 1)[:, None]
     for i, row in enumerate(masses, 1):
-        f[1:] += (j / i) * (row * f[:-1] - f[1:])
+        np.multiply(f[:-1], row, out=step)
+        step -= f[1:]
+        step *= j / i
+        f[1:] += step
     return f[k]
 
 
@@ -171,9 +185,14 @@ def _event_probs(
 ) -> list[float | None]:
     """For each query q: the probability that every type in ``required[q]``
     (one column for a unique point, two for a segment) is among the first k
-    realized types and every other one is in ``allowed[q]``; None when that
-    cannot happen, decided exactly.
+    realized types and every other one is allowed by q's row of ``allowed``;
+    None when that cannot happen, decided exactly.
+
+    ``allowed`` is B x (Q/B) x T, the queries in B equal blocks.  Each
+    block's float masses come from a matrix product of its own, so a query's
+    probability does not depend on the blocks beside it.
     """
+    blocks, allowed = allowed, allowed.reshape(-1, allowed.shape[-1])
     r = required.shape[1]
     subsets = [s for size in range(r, -1, -1) for s in combinations(range(r), size)]
     signs = np.array([1 if (r - len(s)) % 2 == 0 else -1 for s in subsets])
@@ -198,18 +217,26 @@ def _event_probs(
 
     if w.ndim == 1:  # IID
         # k i.i.d. draws: E[product of allowed masses] is v^k.
-        base = allowed @ w
+        base = np.concatenate([a @ w for a in blocks])
         terms = np.stack([(base + w[required[:, list(s)]].sum(axis=1)) ** k for s in subsets])
         support = table.positive[required].all(axis=1)
     else:
-        base = w @ allowed.T  # n x Q
-        masses = [base + w[:, required[:, list(s)]].sum(axis=2) for s in subsets]
-        terms = _mean_k_products(np.hstack(masses), k).reshape(len(subsets), -1)
+        # Columns subset by subset, filled block by block: no temporary as
+        # large as the n x (subsets * Q) masses themselves.
+        q, b = len(required), blocks.shape[1]
+        masses = np.empty((len(w), len(subsets) * q))
+        for i, a in enumerate(blocks):
+            base = w @ a.T  # n x b
+            req = required[i * b : (i + 1) * b]
+            for j, s in enumerate(subsets):
+                cols = slice(j * q + i * b, j * q + (i + 1) * b)
+                masses[:, cols] = base + w[:, req[:, list(s)]].sum(axis=2)
+        terms = _mean_k_products(masses, k).reshape(len(subsets), -1)
         # Distinct distributions must host the required types, and k
         # distributions must be able to draw an allowed or required type.
         hosts = table.positive[:, required]  # n x Q x r
         support = hosts.any(axis=0).all(axis=1) & (hosts.any(axis=2).sum(axis=0) >= r)
-        usable = (table.positive.astype(np.int64) @ allowed.T > 0) | hosts.any(axis=2)
+        usable = (table.positive @ allowed.T) | hosts.any(axis=2)  # boolean product: any
         support &= usable.sum(axis=0) >= k
     p = np.clip(signs @ terms, 0.0, 1.0)
     return [x if possible else None for x, possible in zip(p.tolist(), support.tolist())]
@@ -258,7 +285,7 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
         allowed[rows] = _pair_allowed(table, s, required[rows, 0], required[rows, 1])
     out = [
         SegmentProb(types[a], types[b], s, p)
-        for (a, b, s), p in zip(pairs, _event_probs(table, k, required, allowed))
+        for (a, b, s), p in zip(pairs, _event_probs(table, k, required, allowed[None]))
         if p is not None
     ]
     out.sort(key=lambda seg: (seg.slope, seg.a.id, seg.b.id))
@@ -269,9 +296,36 @@ def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[
     """All types that can be slope s's sole tangency point, with their probabilities."""
     s = _check_slope(s)
     table = _check_query(instance, k)
-    c = np.arange(len(table.types))
-    probs = _event_probs(table, k, c[:, None], _unique_allowed(table, s, c))
+    (probs,) = _unique_table(table, k, [s])
     return [UniquePointProb(t, s, p) for t, p in zip(table.types, probs) if p is not None]
+
+
+# The most float cells one `_event_probs` call of `_unique_table` works on:
+# per query column, the masses of the n distributions and the 2k + 2 rows of
+# the recursion and its update buffer.  8 MiB of float64.
+_BLOCK_CELLS = 1 << 20
+
+
+def _unique_table(table: _PriorTable, k: int, slopes: Sequence[Slope]) -> list[list[float | None]]:
+    """Row i, column t: the probability that type t alone is the tangency point
+    of ``slopes[i]``, None when that cannot happen.
+
+    The slopes' queries go through `_event_probs` together, in blocks of whole
+    slopes holding at most ``_BLOCK_CELLS`` cells of working set (at least one
+    slope each), with one matrix product per slope: every row equals what
+    the slope gives on its own.
+    """
+    c = np.arange(len(table.types))
+    w = table.weights
+    height = 1 if w.ndim == 1 else len(w) + 2 * k + 2
+    per_call = max(1, _BLOCK_CELLS // (2 * len(c) * height))  # two subsets per query
+    rows: list[list[float | None]] = []
+    for start in range(0, len(slopes), per_call):
+        block = slopes[start : start + per_call]
+        allowed = np.stack([_unique_allowed(table, s, c) for s in block])
+        probs = _event_probs(table, k, np.tile(c, len(block))[:, None], allowed)
+        rows.extend(probs[i : i + len(c)] for i in range(0, len(probs), len(c)))
+    return rows
 
 
 def _auxiliary_slopes(finite: list[Fraction]) -> list[Fraction]:

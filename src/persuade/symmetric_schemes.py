@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import NEG_INF, Slope
 from .lp_core import (
     BICRITERIA_MARGIN, CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ROW_SUM_TOL, ZERO_TOL,
-    LinearProgram, solve_lp, solve_slope_lp,
+    LinearProgram, _slope_lp, solve_lp,
 )
 from .model import (
     ActionType,
@@ -37,11 +37,10 @@ from .model import (
     is_symmetric,
     n_slots,
     parse_rational,
+    _prior_table,
     _state_sampler,
 )
-from .prob_oracle import (
-    SegmentProb, _candidates_around, segment_probabilities, unique_probabilities,
-)
+from .prob_oracle import SegmentProb, _candidates_around, _unique_table, segment_probabilities
 
 __all__ = [
     "BicriteriaResult",
@@ -83,6 +82,12 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     candidate in ascending slope order.  The candidate at -inf (recommend
     the receiver-best realized type) is always feasible, so the sweep
     cannot come back empty.
+
+    One segment table and one unique table (``prob_oracle._unique_table``,
+    every candidate slope in blocks of whole slopes under its cell budget)
+    serve the whole sweep.  Each slope's LP runs on float sums formed as
+    `solve_slope_lp` forms them, in the same order from the same floats, so
+    the result is bit-identical to calling it slope by slope.
     """
     if not is_symmetric(instance):
         raise TypeError("slope_algorithm requires a symmetric instance")
@@ -92,10 +97,21 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
 
     rho_e = best_fixed_action_value(instance)
 
+    table = _prior_table(instance)
+    xi = [float(t.xi) for t in table.types]
+    rho = [float(t.rho) for t in table.types]
+    slopes = _candidates_around(by_slope)
     best_s: Slope | None = None
     best = None
-    for s in _candidates_around(by_slope):
-        res = solve_slope_lp(by_slope.get(s, []), unique_probabilities(instance, k, s), rho_e, s)
+    for s, probs in zip(slopes, _unique_table(table, k, slopes)):
+        # The sums of `solve_slope_lp`, in its order, on the same floats.
+        segs = by_slope.get(s, [])
+        sender = sum(seg.p * float(seg.a.xi) for seg in segs)
+        receiver = sum(seg.p * float(seg.a.rho) for seg in segs)
+        sender += sum(p * x for p, x in zip(probs, xi) if p is not None)
+        receiver += sum(p * r for p, r in zip(probs, rho) if p is not None)
+        available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segs)
+        res = _slope_lp(sender, receiver, available, len(segs), float(rho_e), s)
         if res is None:
             continue
         if best is None or res.u_sender > best.u_sender + GAIN_TOL:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -147,3 +149,15 @@ def random_best_fixed_deterministic(rng: np.random.Generator, n: int) -> Indepen
 def independent_corpus(count: int = 100, seed: int = INDEPENDENT_SEED) -> list[IndependentInstance]:
     rng = np.random.default_rng(seed)
     return [random_best_fixed_deterministic(rng, int(rng.integers(3, 9))) for _ in range(count)]
+
+
+def perfbench(name: str):
+    """The benchmark harness's module ``perfbench/<name>.py``: `gen` writes
+    the workloads' instance documents from a seed, and `instances.load`
+    reads them, including prophet-secretary ones whose distributions share
+    type ids, which `instance_from_dict` refuses."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

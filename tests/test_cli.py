@@ -368,6 +368,17 @@ def test_compare_with_epsilon_needs_samples_on_a_symmetric_instance(fixture_dir)
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "forced"])
+def test_fptas_without_epsilon_is_a_missing_option(fixture_dir, command, force):
+    # coins_k3 is not certified: the missing option is reported before the
+    # persuasiveness refusal, in the words bicriteria uses.
+    res = invoke(command, "--instance", str(fixture_dir / "coins_k3.json"), "--k", "2",
+                 "--method", "fptas", "--samples", "10", *force)
+    assert one_error_line(res) == "error: missing required option --epsilon"
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["exact", "compare"])
 def test_exact_enumeration_refuses_a_huge_instance_from_its_logarithm(tmp_path, command):
     # 2^(10^12) raw states: the exact count alone would take over 100 GB.
