@@ -6,10 +6,10 @@ around scipy's HiGHS backend for the handful of generic LPs in the package
 ``solve_slope_lp`` solves the per-slope scheme LP in closed form: when every
 segment shares one slope, trading receiver value for sender value happens at
 a single fixed exchange rate, so the optimum is a one-dimensional shift from
-the sender-optimal corner.  The closed form itself is ``_slope_lp``, on three
-float sums; ``slope_algorithm`` calls it directly with sums read off the one
-unique-event table that serves its whole sweep, and ``solve_slope_lp`` with
-sums of the event lists it is given.
+the sender-optimal corner.  The closed form itself is ``_slope_lp``;
+``slope_algorithm`` calls it directly with one row of the unique-event table
+that serves its whole sweep, and ``solve_slope_lp`` with the event lists it
+is given.
 
 HiGHS (scipy) is imported on the first ``solve_lp`` call, not with the
 package: importing scipy is most of a CLI call's start-up, and a command
@@ -191,28 +191,30 @@ def solve_slope_lp(
         if pt.s != s:
             raise ValueError(f"unique point {pt.c.id} was computed for slope {pt.s}, not {s}")
 
-    sender = sum(seg.p * float(seg.a.xi) for seg in segments)
-    receiver = sum(seg.p * float(seg.a.rho) for seg in segments)
-    sender += sum(pt.p * float(pt.c.xi) for pt in uniques)
-    receiver += sum(pt.p * float(pt.c.rho) for pt in uniques)
-    available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segments)
-    return _slope_lp(sender, receiver, available, len(segments), float(rho_e), s)
+    xi, rho = [float(pt.c.xi) for pt in uniques], [float(pt.c.rho) for pt in uniques]
+    return _slope_lp(segments, [pt.p for pt in uniques], xi, rho, float(rho_e), s)
 
 
 def _slope_lp(
-    sender: float, receiver: float, available: float, n_segments: int, rho_e: float, s
+    segments: Sequence[SegmentProb], probs: Sequence[float | None], xi: Sequence[float],
+    rho: Sequence[float], rho_e: float, s,
 ) -> SlopeLpResult | None:
-    """The closed form of `solve_slope_lp` on the tables' sums: ``sender`` and
-    ``receiver`` with every alpha at 1, and ``available``, the receiver value
-    that lowering every alpha to 0 adds."""
+    """The closed form of `solve_slope_lp`; ``probs[t]`` is the probability
+    that the point (``xi[t]``, ``rho[t]``) alone is the tangency point, None
+    when that cannot happen."""
+    sender = sum(seg.p * float(seg.a.xi) for seg in segments)
+    receiver = sum(seg.p * float(seg.a.rho) for seg in segments)
+    sender += sum(p * x for p, x in zip(probs, xi) if p is not None)
+    receiver += sum(p * r for p, r in zip(probs, rho) if p is not None)
+    available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segments)
     deficit = rho_e - receiver
     if deficit <= CONSTRAINT_TOL:
-        return SlopeLpResult((1.0,) * n_segments, sender, receiver)
+        return SlopeLpResult((1.0,) * len(segments), sender, receiver)
     if deficit > available + CONSTRAINT_TOL:
         return None
     shift = min(1.0, deficit / available)  # fraction of the available receiver gain
     return SlopeLpResult(
-        alphas=(1.0 - shift,) * n_segments,
+        alphas=(1.0 - shift,) * len(segments),
         u_sender=sender + float(s) * shift * available,
         u_receiver=receiver + shift * available,
     )

@@ -389,6 +389,9 @@ def _prior_table(instance: Instance) -> _PriorTable:
 # drawing whole states of an IID prior with n = 10^9 is refused instead of
 # asking numpy for gigabytes.
 SAMPLER_MAX_SLOTS = 10**7
+# Most states one `estimate` or `bicriteria_scheme` call may draw, checked
+# before the first: at tens of thousands a second, 10^12 would take days.
+SAMPLER_MAX_SAMPLES = 10**8
 
 
 def _state_sampler(

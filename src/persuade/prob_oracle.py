@@ -26,8 +26,10 @@ Both are one event: the required types (the pair, or the point) are among the
 first k realized, and every other realized type is allowed. Each event has
 one code path, a batched table: every pair at once for the segments, and
 for the unique points ``_unique_table``, which takes every slope of a solve
-at once. ``slope_algorithm`` reads its whole sweep off one unique table;
-``unique_probabilities`` reads one slope's row.  Both tables read the
+at once. ``slope_algorithm`` reads its whole sweep off one unique table, at
+-inf and the segment slopes (``candidate_slopes`` says why no other slope
+does better); ``unique_probabilities`` reads one row, at any slope <= 0.
+Both tables read the
 instance's prior table (``model._prior_table``), built once per instance and
 shared with the sampler: the distinct types with exact dense ranks of their
 points and of their ids, plus the prior's weights per type - one palette
@@ -328,36 +330,23 @@ def _unique_table(table: _PriorTable, k: int, slopes: Sequence[Slope]) -> list[l
     return rows
 
 
-def _auxiliary_slopes(finite: list[Fraction]) -> list[Fraction]:
-    aux: list[Fraction] = []
-    if finite:
-        aux.append(finite[0] - 1)
-        for lo, hi in zip(finite, finite[1:]):
-            aux.append((lo + hi) / 2)
-        if finite[-1] < 0:
-            aux.append(finite[-1] / 2)
-    return aux
-
-
 def candidate_slopes(instance: SymmetricInstance, k: int) -> list[Slope]:
-    """Sorted slope candidates: positive-probability segment slopes, auxiliaries
-    strictly between and beyond them, and the boundary slopes 0 and -inf.
+    """Sorted slope candidates: -inf, then every positive-probability segment
+    slope.  One of them always attains the optimum of the per-slope LPs.
 
-    One of these slopes always attains the optimum of the per-slope LPs: the
-    tangency correspondence is constant on the open interval between two
-    adjacent segment slopes, so probing one interior point per interval covers
-    every realizable recommendation rule.
+    Strictly between two adjacent segment slopes no realized frontier has a
+    segment, and its tangency point is the one the lower slope's LP
+    recommends with every alpha at 1; below every segment slope it is
+    -inf's, above every one (0 included) the largest segment slope's.  With
+    no segment each realized frontier is one point, recommended at 0 and
+    -inf alike.  So no other slope offers a better scheme.
     """
     return _candidates_around(seg.slope for seg in segment_probabilities(instance, k))
 
 
 def _candidates_around(segment_slopes: Iterable[Fraction]) -> list[Slope]:
     """The candidate slopes of ``candidate_slopes`` for known segment slopes."""
-    finite = sorted(set(segment_slopes))
-    slopes: set[Slope] = {NEG_INF, Fraction(0)}
-    slopes.update(finite)
-    slopes.update(_auxiliary_slopes(finite))
-    return sorted(slopes, key=lambda s: (0,) if s is NEG_INF else (1, s))
+    return [NEG_INF, *sorted(set(segment_slopes))]
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import Instance, _state_sampler
+from .model import SAMPLER_MAX_SAMPLES, Instance, _state_sampler
 
 __all__ = ["SignalStats", "SimReport", "estimate"]
 
@@ -120,6 +120,8 @@ def estimate(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples > SAMPLER_MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {SAMPLER_MAX_SAMPLES}, got {samples}")
     draw = _state_sampler(instance)
     total = _Sums()
     for index, start in enumerate(range(0, samples, _CHUNK)):

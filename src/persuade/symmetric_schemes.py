@@ -1,12 +1,13 @@
 """Signaling schemes for symmetric instances.
 
-The central routine is ``slope_algorithm``: for every candidate tangent
-slope it reads the realizable frontier events off the instance's prior
-table, solves the per-slope scheme LP in closed form, and keeps the best
-feasible answer.  The returned scheme is compact (a slope and one
-recommendation weight per same-slope segment); execution recommends the
-realized frontier's tangency point, found per state from one cached exact
-score per type, so it runs on state spaces far too large to tabulate.
+The central routine is ``slope_algorithm``: at -inf and at every slope a
+realized frontier segment can have (no other tangent slope does better) it
+reads the realizable frontier events off the instance's prior table, solves
+the per-slope scheme LP in closed form, and keeps the best feasible answer.
+The returned scheme is compact (a slope and one recommendation weight per
+same-slope segment); execution recommends the realized frontier's tangency
+point, found per state from one cached exact score per type, so it runs on
+state spaces far too large to tabulate.
 
 Also here: the imitation wrapper that turns the optimal n-signal scheme
 into a persuasive k-signal scheme, and the sampling-based bicriteria LP
@@ -28,6 +29,7 @@ from .lp_core import (
     LinearProgram, _slope_lp, solve_lp,
 )
 from .model import (
+    SAMPLER_MAX_SAMPLES,
     ActionType,
     State,
     SymmetricInstance,
@@ -77,17 +79,18 @@ class SlopeScheme:
 def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     """Compute an optimal direct persuasive scheme with k signals.
 
-    Evaluates the closed-form scheme LP at every candidate slope and keeps
-    the feasible one with the best sender utility; ties keep the earliest
-    candidate in ascending slope order.  The candidate at -inf (recommend
-    the receiver-best realized type) is always feasible, so the sweep
-    cannot come back empty.
+    Evaluates the closed-form scheme LP at -inf and at every segment slope
+    and keeps the feasible one with the best sender utility; ties keep the
+    earliest candidate in ascending slope order.  Any other slope recommends
+    what one of these does with its alphas at 0 or 1 (`candidate_slopes`),
+    so it cannot do better.  The candidate at -inf (recommend the
+    receiver-best realized type) is always feasible, so the sweep cannot
+    come back empty.
 
     One segment table and one unique table (``prob_oracle._unique_table``,
     every candidate slope in blocks of whole slopes under its cell budget)
-    serve the whole sweep.  Each slope's LP runs on float sums formed as
-    `solve_slope_lp` forms them, in the same order from the same floats, so
-    the result is bit-identical to calling it slope by slope.
+    serve the whole sweep.  Each slope's LP is `solve_slope_lp`'s closed
+    form on the same floats, bit-identical to calling it slope by slope.
     """
     if not is_symmetric(instance):
         raise TypeError("slope_algorithm requires a symmetric instance")
@@ -95,8 +98,7 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     for seg in segment_probabilities(instance, k):
         by_slope.setdefault(seg.slope, []).append(seg)
 
-    rho_e = best_fixed_action_value(instance)
-
+    rho_e = float(best_fixed_action_value(instance))
     table = _prior_table(instance)
     xi = [float(t.xi) for t in table.types]
     rho = [float(t.rho) for t in table.types]
@@ -104,14 +106,7 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     best_s: Slope | None = None
     best = None
     for s, probs in zip(slopes, _unique_table(table, k, slopes)):
-        # The sums of `solve_slope_lp`, in its order, on the same floats.
-        segs = by_slope.get(s, [])
-        sender = sum(seg.p * float(seg.a.xi) for seg in segs)
-        receiver = sum(seg.p * float(seg.a.rho) for seg in segs)
-        sender += sum(p * x for p, x in zip(probs, xi) if p is not None)
-        receiver += sum(p * r for p, r in zip(probs, rho) if p is not None)
-        available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segs)
-        res = _slope_lp(sender, receiver, available, len(segs), float(rho_e), s)
+        res = _slope_lp(by_slope.get(s, []), probs, xi, rho, rho_e, s)
         if res is None:
             continue
         if best is None or res.u_sender > best.u_sender + GAIN_TOL:
@@ -125,7 +120,7 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
         (seg.a.id, seg.b.id): a
         for seg, a in zip(by_slope.get(best_s, []), best.alphas)
     }
-    assert best.u_receiver >= float(rho_e) - CONSTRAINT_TOL
+    assert best.u_receiver >= rho_e - CONSTRAINT_TOL
     return SlopeScheme(s_star=best_s, alpha=alpha, u_sender=best.u_sender, u_receiver=best.u_receiver)
 
 
@@ -364,6 +359,8 @@ def bicriteria_scheme(
         raise TypeError("bicriteria_scheme requires a symmetric instance")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples > SAMPLER_MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {SAMPLER_MAX_SAMPLES}, got {samples}")
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from persuade.geometry import NEG_INF
 from persuade.model import (
     ActionType,
     DRandomOrderInstance,
@@ -15,6 +16,7 @@ from persuade.model import (
     IndependentInstance,
     ProphetSecretaryInstance,
 )
+from persuade.prob_oracle import segment_probabilities
 
 SYMMETRIC_SEED = 20240817
 INDEPENDENT_SEED = 20240818
@@ -109,6 +111,20 @@ def shared_type_priors(rng: np.random.Generator, count: int) -> list:
 def symmetric_corpus(count: int = 200, seed: int = SYMMETRIC_SEED) -> list:
     rng = np.random.default_rng(seed)
     return [random_symmetric(rng) for _ in range(count)]
+
+
+def probe_slopes(instance, k: int) -> list:
+    """Slopes at which the oracle tests query the frontier-event tables,
+    sorted: -inf, every segment slope, one probe inside each open interval
+    between adjacent segment slopes and beyond them, and 0.  The slope
+    sweep needs only -inf and the segment slopes; the probes and 0 keep the
+    oracles checked between and beyond them."""
+    finite = sorted({seg.slope for seg in segment_probabilities(instance, k)})
+    slopes = {Fraction(0), *finite}
+    if finite:
+        slopes.update([finite[0] - 1, finite[-1] / 2])
+        slopes.update((lo + hi) / 2 for lo, hi in zip(finite, finite[1:]))
+    return [NEG_INF, *sorted(slopes)]
 
 
 def random_best_fixed_deterministic(rng: np.random.Generator, n: int) -> IndependentInstance:

@@ -25,6 +25,7 @@ from persuade.prob_oracle import unique_probabilities
 from persuade.symmetric_schemes import SlopeSchemeExecutor
 from corpus import (
     independent_corpus,
+    probe_slopes,
     random_best_fixed_deterministic,
     random_symmetric,
     symmetric_corpus,
@@ -86,7 +87,7 @@ def test_03_probability_oracle_equivalence(symmetric200):
     for inst in symmetric200:
         n = n_slots(inst)
         for k in range(2, n + 1):
-            slopes = P.candidate_slopes(inst, k)
+            slopes = probe_slopes(inst, k)
             tables = P.enumerate_oracle(inst, k, slopes=slopes)
             analytic = {(s.a.id, s.b.id): s.p for s in P.segment_probabilities(inst, k)}
             exact = {key: float(v) for key, v in tables.segments.items()}

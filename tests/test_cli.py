@@ -443,6 +443,19 @@ def test_simulate_refuses_states_past_the_sampler_limit(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", []),
+    ("solve", ["--method", "bicriteria", "--epsilon", "0.1"]),
+])
+def test_a_sample_count_past_the_limit_is_refused_before_drawing(fixture_dir, command, extra):
+    # Drawing 10^8 + 1 states would take the better part of an hour.
+    over = P.model.SAMPLER_MAX_SAMPLES + 1
+    res = invoke(command, "--instance", str(fixture_dir / "ratio_iid.json"), "--k", "2",
+                 "--samples", str(over), *extra)
+    line = one_error_line(res)
+    assert str(over) in line and str(P.model.SAMPLER_MAX_SAMPLES) in line
+
+
 def run_fresh(*args: str) -> subprocess.CompletedProcess:
     """Run the interpreter with these arguments on this checkout's package."""
     env = dict(os.environ)

@@ -19,6 +19,7 @@ import pytest
 from persuade import prob_oracle
 from persuade.cli import _round12
 from persuade.exact_oracle import optimal_scheme_bruteforce
+from persuade.geometry import NEG_INF
 from persuade.lp_core import GAIN_TOL, solve_slope_lp
 from persuade.model import ActionType, ProphetSecretaryInstance, best_fixed_action_value, n_slots
 from persuade.prob_oracle import candidate_slopes, segment_probabilities, unique_probabilities
@@ -63,6 +64,23 @@ def test_large_slope_schemes_are_pinned_across_releases(case):
         assert _round12(slope_scheme_to_dict(slope_algorithm(inst, int(k)))) == expected
 
 
+def test_optimal_slope_is_minus_infinity_or_a_segment_slope():
+    # The sweep's candidates: a slope strictly between segment slopes, or
+    # beyond them, is dominated by one of these.
+    cases = [(inst, range(2, n_slots(inst) + 1)) for inst in symmetric_corpus(200)]
+    for seed in (1, 2, 3):
+        for case in perfbench("gen").symmetric_large(seed):
+            inst = load(case["doc"])
+            n = n_slots(inst)
+            cases.append((inst, sorted({2, 5, case["k"], n // 2, n})))
+    for inst, ks in cases:
+        for k in ks:
+            s_star = slope_algorithm(inst, k).s_star
+            assert s_star is NEG_INF or s_star in {
+                seg.slope for seg in segment_probabilities(inst, k)
+            }, (inst, k, s_star)
+
+
 def many_type_prophet_secretary(n: int, count: int, seed: int) -> ProphetSecretaryInstance:
     """n distributions, each over 3 of ``count`` distinct grid points."""
     rng = np.random.default_rng(seed)
@@ -80,7 +98,7 @@ def many_type_prophet_secretary(n: int, count: int, seed: int) -> ProphetSecreta
 
 
 def test_unique_table_works_in_blocks_within_its_cell_budget():
-    n, count, k = 100, 40, 2
+    n, count, k = 100, 56, 2
     inst = many_type_prophet_secretary(n, count, seed=11)
     budget = prob_oracle._BLOCK_CELLS * 8  # bytes of float64
     slopes = len(candidate_slopes(inst, k))
