@@ -30,7 +30,6 @@ from .prob_oracle import (
     SegmentProb,
     UniquePointProb,
     candidate_slopes,
-    enumerate_oracle,
     segment_probabilities,
 )
 from .lp_core import CONSTRAINT_TOL, LinearProgram, LpSolution, solve_lp, solve_slope_lp
@@ -54,6 +53,7 @@ from .independent_schemes import (
     independent_scheme,
 )
 from .exact_oracle import (
+    enumerate_oracle,
     enumerate_prior,
     expected_utilities,
     optimal_scheme_bruteforce,

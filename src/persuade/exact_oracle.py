@@ -3,8 +3,12 @@
 Everything here enumerates the full state space, so it only runs when the
 raw combination count clears a guard.  It exists to validate the scalable
 paths: the brute-force LP is the reference optimum for the slope algorithm
-and the relaxation-based schemes, and the persuasiveness check audits any
-executable scheme signal by signal.
+and the relaxation-based schemes, the persuasiveness check audits any
+executable scheme signal by signal, and ``enumerate_oracle`` is the exact
+reference for the analytic frontier-event oracles of ``prob_oracle``.  A
+realized frontier depends only on the set of the first k types, so
+``enumerate_oracle`` sums the prior's mass per such set and asks
+``geometry.point_for_slope`` once per set and query slope.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Mapping
 
+from .geometry import SegmentTangent, Slope, pareto_frontier, point_for_slope
 from .lp_core import CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ZERO_TOL, LinearProgram, solve_lp
 from .model import (
     DRandomOrderInstance,
@@ -23,14 +28,17 @@ from .model import (
     Instance,
     ProphetSecretaryInstance,
     State,
+    _check_k,
     n_slots,
 )
 from .symmetric_schemes import TabularScheme
 
 __all__ = [
+    "OracleTables",
     "PersuasivenessReport",
     "SignalCheck",
     "enumerate_count",
+    "enumerate_oracle",
     "enumerate_prior",
     "expected_utilities",
     "optimal_scheme_bruteforce",
@@ -108,6 +116,46 @@ def enumerate_prior(instance: Instance, state_bound: int = 10**6) -> dict[State,
     return prior
 
 
+@dataclass(frozen=True)
+class OracleTables:
+    """Exact correspondence probabilities per query slope.
+
+    ``segments`` maps (left id, right id) to the probability that this pair is
+    the maximal segment of its slope; ``uniques`` maps (type id, slope) to the
+    probability that the type alone is the slope's tangency point.
+    """
+
+    slopes: tuple[Slope, ...]
+    segments: dict[tuple[str, str], Fraction]
+    uniques: dict[tuple[str, Slope], Fraction]
+
+
+def enumerate_oracle(instance: Instance, k: int, slopes: list[Slope]) -> OracleTables:
+    """Exact frontier-event tables of the first k slots at every query slope.
+
+    Sums the prior's mass per realized set of the first k types, builds each
+    set's frontier once, and credits its ``point_for_slope`` correspondence
+    at every slope (each <= 0 or NEG_INF).
+    """
+    _check_k(instance, k)
+    mass: dict[frozenset, Fraction] = {}
+    for state, prob in enumerate_prior(instance).items():
+        key = frozenset(state[:k])
+        mass[key] = mass.get(key, Fraction(0)) + prob
+    segments: dict[tuple[str, str], Fraction] = {}
+    uniques: dict[tuple[str, Slope], Fraction] = {}
+    for types, prob in mass.items():
+        frontier = pareto_frontier(types)
+        for s in slopes:
+            hit = point_for_slope(frontier, s)
+            if isinstance(hit, SegmentTangent):
+                key, table = (hit.left.id, hit.right.id), segments
+            else:
+                key, table = (hit.vertex.id, s), uniques
+            table[key] = table.get(key, Fraction(0)) + prob
+    return OracleTables(slopes=tuple(sorted(slopes)), segments=segments, uniques=uniques)
+
+
 def expected_utilities(
     scheme, instance: Instance, state_bound: int = 10**6
 ) -> tuple[float, float]:
@@ -139,9 +187,7 @@ def optimal_scheme_bruteforce(
     obedience: conditioned on any signal, the recommended slot's receiver
     utility beats every alternative slot in expectation.
     """
-    n = n_slots(instance)
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+    n = _check_k(instance, k)
     prior = enumerate_prior(instance, state_bound)
     states = sorted(prior, key=lambda s: tuple(t.id for t in s))
 

@@ -38,6 +38,7 @@ from .model import (
     State,
     TypeDist,
     _cached,
+    _check_k,
     best_fixed_action_value,
 )
 
@@ -293,9 +294,8 @@ def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSo
 # --------------------------------------------------------------------------
 
 def _validate_k(instance: IndependentInstance, k: int) -> list[int]:
-    n = len(instance.actions)
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+    n = len(instance.actions)  # first, so a symmetric prior fails here
+    _check_k(instance, k)
     return [i for i in range(n) if i != instance.designated]
 
 

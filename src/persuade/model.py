@@ -237,6 +237,14 @@ def n_slots(instance: Instance) -> int:
     raise TypeError(f"not an instance: {instance!r}")
 
 
+def _check_k(instance: Instance, k: int) -> int:
+    """n, after checking that k signals fit: 2 <= k <= n."""
+    n = n_slots(instance)
+    if not 2 <= k <= n:
+        raise ValueError(f"k={k} outside [2, {n}]")
+    return n
+
+
 def all_types(instance: Instance) -> tuple[ActionType, ...]:
     """Every distinct type of the instance, in deterministic declaration order.
 

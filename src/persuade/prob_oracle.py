@@ -29,16 +29,22 @@ for the unique points ``_unique_table``, which takes every slope of a solve
 at once. ``slope_algorithm`` reads its whole sweep off one unique table, at
 -inf and the segment slopes (``candidate_slopes`` says why no other slope
 does better); ``unique_probabilities`` reads one row, at any slope <= 0.
-Both tables read the
-instance's prior table (``model._prior_table``), built once per instance and
-shared with the sampler: the distinct types with exact dense ranks of their
-points and of their ids, plus the prior's weights per type - one palette
-vector for IID priors, an n x T float mass matrix for prophet-secretary
-ones, a V x T integer entry-count matrix for d-random-order ones. At a slope
-every type gets one exact key (``xi - s*rho`` over a common denominator;
-``(rho, xi)`` at -inf and ``(xi, rho)`` at 0), and a query's allowed set is
-a boolean mask read off the keys' dense ranks: lower rank, or the same point
-with a larger id, or for a pair the interior of the open segment.
+Both tables read nothing but the instance's prior table
+(``model._prior_table``), built once per instance and shared with the
+sampler: the distinct types with their utilities as integers over one
+common denominator, exact dense ranks of their points and of their ids,
+plus the prior's weights per type - one palette vector for IID priors, an
+n x T float mass matrix for prophet-secretary ones, a V x T integer
+entry-count matrix for d-random-order ones. The segment pairs and their
+slopes come from the integer utilities. At a slope every type gets one
+exact key (``xi - s*rho`` over the common denominator; ``(rho, xi)`` at
+-inf and ``(xi, rho)`` at 0), and a query's allowed set is a boolean mask
+read off the keys' dense ranks: lower rank, or the same point with a larger
+id, or for a pair the interior of the open segment.
+
+The exact reference these oracles are tested against,
+``exact_oracle.enumerate_oracle``, lives with the other referees and shares
+no code with this module.
 
 The probability is an inclusion-exclusion over the subsets of the required
 types, all queries of a call at once: one prophet-secretary recursion, or
@@ -68,23 +74,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import NEG_INF, Slope, pareto_frontier, slope_between
+from .geometry import NEG_INF, Slope
 from .model import (
     ActionType,
     SymmetricInstance,
+    _check_k,
     _dense_rank,
     _prior_table,
     _PriorTable,
     is_symmetric,
-    n_slots,
 )
 
 __all__ = [
-    "OracleTables",
     "SegmentProb",
     "UniquePointProb",
     "candidate_slopes",
-    "enumerate_oracle",
     "segment_probabilities",
     "subset_product_sum",
     "unique_probabilities",
@@ -246,11 +250,9 @@ def _event_probs(
 
 def _check_query(instance: SymmetricInstance, k: int) -> _PriorTable:
     """Validate k; return the instance's prior table."""
-    n = n_slots(instance)
     if not is_symmetric(instance):
         raise TypeError("frontier events are defined for symmetric instances only")
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+    _check_k(instance, k)
     return _prior_table(instance)
 
 
@@ -266,18 +268,18 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
     """All canonical type pairs whose maximal-segment event can happen.
 
     Pairs are oriented left-to-right (increasing receiver utility) and the
-    list is sorted by (slope, left id, right id) for determinism.  The
-    allowed sets are classified once per distinct slope.
+    list is sorted by (slope, left id, right id) for determinism.  A pair
+    qualifies when its slope is finite and negative, read off the table's
+    integer utilities.  The allowed sets are classified once per distinct
+    slope.
     """
     table = _check_query(instance, k)
-    types = table.types
-    pairs = []
-    for i, a in enumerate(types):
-        for j in range(i + 1, len(types)):
-            s = slope_between(a, types[j])
-            if s is None or s is NEG_INF or s >= 0:
-                continue
-            pairs.append((i, j, s) if a.rho < types[j].rho else (j, i, s))
+    types, rho, xi = table.types, table.rho_num, table.xi_num
+    pairs = [
+        (*((i, j) if rho[i] < rho[j] else (j, i)), Fraction(xi[j] - xi[i], rho[j] - rho[i]))
+        for i, j in combinations(range(len(types)), 2)
+        if (rho[j] - rho[i]) * (xi[j] - xi[i]) < 0
+    ]
     required = np.array([(a, b) for a, b, _ in pairs], dtype=np.int64).reshape(-1, 2)
     allowed = np.zeros((len(pairs), len(types)), dtype=bool)
     by_slope: dict[Fraction, list[int]] = {}
@@ -347,68 +349,3 @@ def candidate_slopes(instance: SymmetricInstance, k: int) -> list[Slope]:
 def _candidates_around(segment_slopes: Iterable[Fraction]) -> list[Slope]:
     """The candidate slopes of ``candidate_slopes`` for known segment slopes."""
     return [NEG_INF, *sorted(set(segment_slopes))]
-
-
-# --------------------------------------------------------------------------
-# Enumeration oracle (exact rationals; the test-side ground truth)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OracleTables:
-    """Exact correspondence probabilities per query slope.
-
-    ``segments`` maps (left id, right id) to the probability that this pair is
-    the maximal segment of its slope; ``uniques`` maps (type id, slope) to the
-    probability that the type alone is the slope's tangency point.
-    """
-
-    slopes: tuple[Slope, ...]
-    segments: dict[tuple[str, str], Fraction]
-    uniques: dict[tuple[str, Slope], Fraction]
-
-
-def enumerate_oracle(
-    instance: SymmetricInstance,
-    k: int,
-    slopes: list[Slope] | None = None,
-    state_bound: int = 10**6,
-) -> OracleTables:
-    """Exhaustive expansion of the generative process into exact event tables.
-
-    Enumerates every (vector, permutation, draw) combination, computes each
-    realized frontier once, and attributes its correspondence for every query
-    slope by walking the frontier's strictly decreasing segment slopes.
-    """
-    from .exact_oracle import enumerate_prior  # deferred to avoid an import cycle
-
-    if not 2 <= k <= n_slots(instance):
-        raise ValueError(f"k={k} outside [2, {n_slots(instance)}]")
-    if slopes is None:
-        slopes = candidate_slopes(instance, k)
-    ordered = sorted(slopes, key=lambda s: (0,) if s is NEG_INF else (1, s), reverse=True)
-
-    prior = enumerate_prior(instance, state_bound=state_bound)
-    segments: dict[tuple[str, str], Fraction] = {}
-    uniques: dict[tuple[str, Slope], Fraction] = {}
-    for state, prob in prior.items():
-        frontier = pareto_frontier(state[:k])
-        seg_slopes = [seg.slope for seg in frontier.segments]  # strictly decreasing
-        idx = 0
-        for s in ordered:  # shallowest first, matching the decreasing walk
-            while idx < len(seg_slopes) and seg_slopes[idx] > s:
-                idx += 1
-            if idx < len(seg_slopes) and seg_slopes[idx] == s:
-                seg = frontier.segments[idx]
-                key = (seg.left.id, seg.right.id)
-                segments[key] = segments.get(key, Fraction(0)) + prob
-            else:
-                # Strictly between two segment slopes the tangent point is the
-                # junction vertex, i.e. the right endpoint of the last segment
-                # passed.  Before the first segment it is the sender-best vertex.
-                if idx == 0:
-                    vertex = frontier.vertices[0]
-                else:
-                    vertex = frontier.segments[idx - 1].right
-                ukey = (vertex.id, s)
-                uniques[ukey] = uniques.get(ukey, Fraction(0)) + prob
-    return OracleTables(slopes=tuple(ordered[::-1]), segments=segments, uniques=uniques)

@@ -37,8 +37,8 @@ from .model import (
     best_fixed_action_value,
     format_rational,
     is_symmetric,
-    n_slots,
     parse_rational,
+    _check_k,
     _prior_table,
     _state_sampler,
 )
@@ -274,9 +274,7 @@ def imitation_scheme(instance: SymmetricInstance, k: int) -> ImitationExecutor:
     probability k/n the optimal recommendation already lies in the first k
     slots and is forwarded unchanged.
     """
-    n = n_slots(instance)
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+    n = _check_k(instance, k)
     base = slope_algorithm(instance, n)
     return ImitationExecutor(base=SlopeSchemeExecutor(base, n), k=k)
 
@@ -371,9 +369,7 @@ def bicriteria_scheme(
                 f"type {t.id} has utilities outside [-1, 1]; the bicriteria "
                 "guarantee is stated for that scaling"
             )
-    n = n_slots(instance)
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+    _check_k(instance, k)
     if isinstance(rng, int) and rng < 0:
         rng %= 2**64
     rng = np.random.default_rng(rng)

@@ -9,18 +9,22 @@ import pytest
 import persuade as P
 from persuade.exact_oracle import (
     enumerate_count,
+    enumerate_oracle,
     enumerate_prior,
     expected_utilities,
     optimal_scheme_bruteforce,
     persuasiveness_check,
 )
+from persuade.geometry import slope_between
 from persuade.model import (
     ActionType,
     IIDInstance,
     ProphetSecretaryInstance,
     all_types,
+    n_slots,
 )
 from persuade.symmetric_schemes import SlopeSchemeExecutor, TabularScheme, slope_algorithm
+from corpus import probe_slopes, symmetric_corpus
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +122,26 @@ def test_persuasiveness_check_passes_slope_executor(tug):
     assert all(check.persuasive for check in report.signals.values())
     total = sum(check.probability for check in report.signals.values())
     assert abs(total - 1.0) < 1e-12
+
+
+def test_enumerate_oracle_refuses_a_positive_slope(tug):
+    with pytest.raises(ValueError):
+        enumerate_oracle(tug, 2, slopes=[Fraction(1)])
+
+
+def test_enumerate_oracle_partitions_probability_at_every_slope():
+    # Each realized type set has one correspondence per slope: its segment of
+    # that slope, or one unique point.
+    for inst in symmetric_corpus()[:40]:
+        types = {t.id: t for t in all_types(inst)}
+        for k in range(2, n_slots(inst) + 1):
+            slopes = probe_slopes(inst, k)
+            tables = enumerate_oracle(inst, k, slopes=slopes)
+            for s in slopes:
+                total = sum(p for (_, at), p in tables.uniques.items() if at == s)
+                total += sum(
+                    p
+                    for (a, b), p in tables.segments.items()
+                    if slope_between(types[a], types[b]) == s
+                )
+                assert total == Fraction(1), (k, s)

@@ -235,3 +235,25 @@ def test_is_symmetric_flags():
     assert P.is_symmetric(P.load_fixture("tug_of_war"))
     assert P.is_symmetric(P.load_fixture("ratio_iid"))
     assert not P.is_symmetric(P.load_fixture("fallback_trap"))
+
+
+K_RANGE_ENTRY_POINTS = {
+    "segment_probabilities": ("tug_of_war", P.segment_probabilities),
+    "imitation_scheme": ("tug_of_war", P.imitation_scheme),
+    "bicriteria_scheme": ("tug_of_war", lambda inst, k: P.bicriteria_scheme(inst, k, 0.1, 10, 0)),
+    "actions_greedy": ("coins_k3", P.actions_greedy),
+    "optimal_scheme_bruteforce": ("tug_of_war", P.optimal_scheme_bruteforce),
+    "enumerate_oracle": ("tug_of_war", lambda inst, k: P.enumerate_oracle(inst, k, [P.NEG_INF])),
+}
+
+
+@pytest.mark.parametrize("past_n", [False, True], ids=["k=1", "k=n+1"])
+@pytest.mark.parametrize("entry", sorted(K_RANGE_ENTRY_POINTS))
+def test_every_entry_point_refuses_k_outside_2_to_n_in_the_same_words(entry, past_n):
+    fixture, call = K_RANGE_ENTRY_POINTS[entry]
+    inst = P.load_fixture(fixture)
+    n = n_slots(inst)
+    k = n + 1 if past_n else 1
+    with pytest.raises(ValueError) as refused:
+        call(inst, k)
+    assert str(refused.value) == f"k={k} outside [2, {n}]"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import persuade as P
+from persuade.exact_oracle import enumerate_oracle
 from persuade.geometry import NEG_INF
 from persuade.model import (
     DRandomOrderInstance,
@@ -17,7 +18,6 @@ from persuade.model import (
 )
 from persuade.prob_oracle import (
     candidate_slopes,
-    enumerate_oracle,
     segment_probabilities,
     subset_product_sum,
     unique_probabilities,

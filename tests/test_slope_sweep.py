@@ -142,7 +142,7 @@ def test_duality_certificate_on_the_corpus():
                 assert bound >= optimal_scheme_bruteforce(inst, k)[1] - 1e-9, (i, k)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(1, 11))
 def test_duality_certificate_on_large_instances(seed):
     for case in perfbench("gen").symmetric_large(seed):
         inst = load(case["doc"])
