@@ -9,6 +9,10 @@ reference for the analytic frontier-event oracles of ``prob_oracle``.  A
 realized frontier depends only on the set of the first k types, so
 ``enumerate_oracle`` sums the prior's mass per such set and asks
 ``geometry.point_for_slope`` once per set and query slope.
+
+Each instance's prior is enumerated once, in integers over one common
+denominator, and kept on the instance (`_exact_prior`) for every later
+call and every k; each call checks its own guard first.
 """
 
 from __future__ import annotations
@@ -16,21 +20,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Mapping
+
+import numpy as np
 
 from .geometry import SegmentTangent, Slope, pareto_frontier, point_for_slope
 from .lp_core import CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ZERO_TOL, LinearProgram, solve_lp
 from .model import (
+    ActionType,
     DRandomOrderInstance,
     IIDInstance,
     IndependentInstance,
     Instance,
     ProphetSecretaryInstance,
     State,
+    _cached,
     _check_k,
+    _prior_table,
     n_slots,
 )
+from .prob_oracle import _check_query, _check_slope
 from .symmetric_schemes import TabularScheme
 
 __all__ = [
@@ -65,13 +75,108 @@ def enumerate_count(instance: Instance) -> int:
     return math.factorial(m) * math.prod(size**power for size, power in terms)
 
 
-def enumerate_prior(instance: Instance, state_bound: int = 10**6) -> dict[State, Fraction]:
-    """The exact prior over ordered states, as a dict of Fractions.
+def _product(dists, col: Mapping[str, int]) -> tuple[np.ndarray, list[int], int]:
+    """Every draw of independent distributions, in `itertools.product` order:
+    (prior-table columns, one row per draw; integer numerators; their common
+    denominator, the product of the distributions' denominators).  Entries
+    of probability 0 are dropped, and a type listed twice in a distribution
+    is one entry, at its first position, with the summed probability, so
+    each state is one row, in the order a draw first reaches it."""
+    grids, num, den = [], [1], 1
+    for dist in dists:
+        d = math.lcm(*(q.denominator for _, q in dist))
+        kept: dict[int, int] = {}
+        for t, q in dist:
+            if q:
+                kept[col[t.id]] = kept.get(col[t.id], 0) + q.numerator * (d // q.denominator)
+        grids.append(list(kept))
+        num = [x * a for x in num for a in kept.values()]
+        den *= d
+    cells = chain.from_iterable(product(*grids))
+    cols = np.fromiter(cells, dtype=np.min_scalar_type(len(col)), count=len(num) * len(grids))
+    return cols.reshape(len(num), len(grids)), num, den
 
-    States reachable through several histories (different permutations or
-    draws) are aggregated.  Raises ValueError when the raw combination
-    count exceeds `state_bound` before doing any work.
+
+def _first_reached(cols: np.ndarray, num: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Merge repeated rows, summing their numerators; rows keep the order in
+    which they first occur."""
+    rows, first, inverse = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+    total = [0] * len(rows)
+    for g, x in zip(inverse.ravel().tolist(), num):
+        total[g] += x
+    keep = np.argsort(first)
+    return rows[keep], [total[g] for g in keep.tolist()]
+
+
+# Rows of `_ExactPrior.cols` turned into states at once: a block of Python
+# lists, not one per state of a 10^6-state prior.
+_BLOCK_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class _ExactPrior:
+    """One instance's exact prior, state by state, built by `_exact_prior`.
+
+    Row s of ``cols`` is a state as columns of the prior table: slot j holds
+    ``types[cols[s, j]]``.  Rows come in the order an enumeration of the
+    prior's histories first reaches them.  The state's exact probability is
+    ``num[s] / den`` and ``prob[s]`` is that ratio correctly rounded, which
+    is ``float`` of the exact `Fraction`.  Kept compact because it stays on
+    the instance: about n + 8 bytes per state plus one Python int.
     """
+
+    types: tuple[ActionType, ...]
+    cols: np.ndarray
+    num: tuple[int, ...]
+    den: int
+    prob: np.ndarray
+
+    @staticmethod
+    def build(instance: Instance) -> "_ExactPrior":
+        types = _prior_table(instance).types
+        col = {t.id: j for j, t in enumerate(types)}
+        if isinstance(instance, IIDInstance):
+            cols, num, den = _product((instance.palette,) * instance.n, col)
+        elif isinstance(instance, IndependentInstance):
+            cols, num, den = _product(instance.actions, col)
+        elif isinstance(instance, ProphetSecretaryInstance):
+            n = len(instance.dists)
+            blocks = [_product([instance.dists[i] for i in perm], col) for perm in permutations(range(n))]
+            cols, num = _first_reached(
+                np.concatenate([b[0] for b in blocks]), [x for b in blocks for x in b[1]]
+            )
+            den = blocks[0][2] * math.factorial(n)
+        else:
+            n = len(instance.vectors[0])
+            d = math.lcm(*(q.denominator for q in instance.vector_probs))
+            perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.intp)
+            perms = perms.reshape(-1, n)
+            drawn = [(vec, qv) for vec, qv in zip(instance.vectors, instance.vector_probs) if qv]
+            small = np.min_scalar_type(len(col))
+            cols, num = _first_reached(
+                np.concatenate([np.array([col[t.id] for t in vec], small)[perms] for vec, _ in drawn]),
+                [qv.numerator * (d // qv.denominator) for _, qv in drawn for _ in range(len(perms))],
+            )
+            den = d * math.factorial(n)
+        assert sum(num) == den
+        prob = np.fromiter((x / den for x in num), dtype=float, count=len(num))
+        for array in (cols, prob):
+            array.flags.writeable = False
+        return _ExactPrior(types, cols, tuple(num), den, prob)
+
+    def states(self):
+        """Yield (state, columns, float probability) for every state, in row
+        order, forming the states a block of rows at a time."""
+        for start in range(0, len(self.num), _BLOCK_ROWS):
+            rows = self.cols[start : start + _BLOCK_ROWS].tolist()
+            for row, q in zip(rows, self.prob[start : start + _BLOCK_ROWS].tolist()):
+                yield tuple(map(self.types.__getitem__, row)), row, q
+
+
+def _exact_prior(instance: Instance, state_bound: int) -> _ExactPrior:
+    """The instance's exact prior, built on first use and then kept on the
+    instance.  Every call first raises ValueError when the raw combination
+    count exceeds `state_bound`."""
     # Decided from log10 of the count, which is formed only near the bound:
     # forming it takes seconds for an IID prior with n = 10^9.
     m, terms = _count_terms(instance)
@@ -82,38 +187,18 @@ def enumerate_prior(instance: Instance, state_bound: int = 10**6) -> dict[State,
             f"exact enumeration would visit about 10^{log_count:.1f} "
             f"combinations, over the bound of {state_bound}"
         )
-    prior: dict[State, Fraction] = {}
+    return _cached(instance, "_exact_prior", _ExactPrior.build)
 
-    def add(state: State, prob: Fraction) -> None:
-        if prob > 0:
-            prior[state] = prior.get(state, Fraction(0)) + prob
 
-    if isinstance(instance, IIDInstance):
-        for combo in product(instance.palette, repeat=instance.n):
-            prob = math.prod((q for _, q in combo), start=Fraction(1))
-            add(tuple(t for t, _ in combo), prob)
-    elif isinstance(instance, ProphetSecretaryInstance):
-        n = len(instance.dists)
-        perm_prob = Fraction(1, math.factorial(n))
-        for perm in permutations(range(n)):
-            for combo in product(*(instance.dists[i] for i in perm)):
-                prob = perm_prob * math.prod((q for _, q in combo), start=Fraction(1))
-                add(tuple(t for t, _ in combo), prob)
-    elif isinstance(instance, DRandomOrderInstance):
-        n = len(instance.vectors[0])
-        perm_prob = Fraction(1, math.factorial(n))
-        for vec, qv in zip(instance.vectors, instance.vector_probs):
-            for perm in permutations(range(n)):
-                add(tuple(vec[i] for i in perm), qv * perm_prob)
-    elif isinstance(instance, IndependentInstance):
-        for combo in product(*instance.actions):
-            prob = math.prod((q for _, q in combo), start=Fraction(1))
-            add(tuple(t for t, _ in combo), prob)
-    else:
-        raise TypeError(f"not an instance: {instance!r}")
+def enumerate_prior(instance: Instance, state_bound: int = 10**6) -> dict[State, Fraction]:
+    """The exact prior over ordered states, as a new dict of Fractions.
 
-    assert sum(prior.values()) == 1
-    return prior
+    States reachable through several histories (different permutations or
+    draws) are aggregated.  Raises ValueError when the raw combination
+    count exceeds `state_bound` before doing any work.
+    """
+    prior = _exact_prior(instance, state_bound)
+    return {state: Fraction(x, prior.den) for (state, _, _), x in zip(prior.states(), prior.num)}
 
 
 @dataclass(frozen=True)
@@ -135,39 +220,48 @@ def enumerate_oracle(instance: Instance, k: int, slopes: list[Slope]) -> OracleT
 
     Sums the prior's mass per realized set of the first k types, builds each
     set's frontier once, and credits its ``point_for_slope`` correspondence
-    at every slope (each <= 0 or NEG_INF).
+    at every slope (each <= 0 or NEG_INF).  The instance, k and the slopes
+    are checked as the analytic oracles check them, before enumerating.
     """
-    _check_k(instance, k)
-    mass: dict[frozenset, Fraction] = {}
-    for state, prob in enumerate_prior(instance).items():
-        key = frozenset(state[:k])
-        mass[key] = mass.get(key, Fraction(0)) + prob
-    segments: dict[tuple[str, str], Fraction] = {}
-    uniques: dict[tuple[str, Slope], Fraction] = {}
-    for types, prob in mass.items():
-        frontier = pareto_frontier(types)
+    types = _check_query(instance, k).types
+    for s in slopes:
+        _check_slope(s)
+    prior = _exact_prior(instance, 10**6)
+    mass: dict[frozenset, int] = {}
+    for row, x in zip(prior.cols[:, :k].tolist(), prior.num):
+        key = frozenset(row)
+        mass[key] = mass.get(key, 0) + x
+    segments: dict[tuple[str, str], int] = {}
+    uniques: dict[tuple[str, Slope], int] = {}
+    for cols, x in mass.items():
+        frontier = pareto_frontier(types[c] for c in cols)
         for s in slopes:
             hit = point_for_slope(frontier, s)
             if isinstance(hit, SegmentTangent):
                 key, table = (hit.left.id, hit.right.id), segments
             else:
                 key, table = (hit.vertex.id, s), uniques
-            table[key] = table.get(key, Fraction(0)) + prob
-    return OracleTables(slopes=tuple(sorted(slopes)), segments=segments, uniques=uniques)
+            table[key] = table.get(key, 0) + x
+    return OracleTables(
+        slopes=tuple(sorted(slopes)),
+        segments={key: Fraction(x, prior.den) for key, x in segments.items()},
+        uniques={key: Fraction(x, prior.den) for key, x in uniques.items()},
+    )
 
 
 def expected_utilities(
     scheme, instance: Instance, state_bound: int = 10**6
 ) -> tuple[float, float]:
     """Exact expected (sender, receiver) utilities of an executable scheme."""
-    prior = enumerate_prior(instance, state_bound)
+    prior = _exact_prior(instance, state_bound)
+    xi = [float(t.xi) for t in prior.types]
+    rho = [float(t.rho) for t in prior.types]
     u_sender = 0.0
     u_receiver = 0.0
-    for state, prob in prior.items():
-        q = float(prob)
+    for state, row, q in prior.states():
         for i, p in scheme.recommendation_distribution(state).items():
-            u_sender += q * p * float(state[i].xi)
-            u_receiver += q * p * float(state[i].rho)
+            u_sender += q * p * xi[row[i]]
+            u_receiver += q * p * rho[row[i]]
     return u_sender, u_receiver
 
 
@@ -186,10 +280,23 @@ def optimal_scheme_bruteforce(
     expected sender utility over per-state recommendation rows, subject to
     obedience: conditioned on any signal, the recommended slot's receiver
     utility beats every alternative slot in expectation.
+
+    States are ordered by their type ids.  Each coefficient, a state's
+    exact probability times a utility or a utility difference, is formed
+    as one ratio of integers over the common denominators of the prior and
+    of the prior table's utilities, so it is the correctly rounded float of
+    the exact product.
     """
     n = _check_k(instance, k)
-    prior = enumerate_prior(instance, state_bound)
-    states = sorted(prior, key=lambda s: tuple(t.id for t in s))
+    prior = _exact_prior(instance, state_bound)
+    table = _prior_table(instance)
+    order = np.lexsort(table.id_rank[prior.cols].T[::-1])
+    rows = prior.cols[order].tolist()
+    states = [tuple(map(table.types.__getitem__, row)) for row in rows]
+    num = [prior.num[s] for s in order.tolist()]
+    rho = [[table.rho_num[c] for c in row] for row in rows]
+    xi = [[table.xi_num[c] for c in row] for row in rows]
+    den = prior.den * table.scale
 
     if isinstance(instance, IndependentInstance):
         subsets = list(combinations(range(n), k))
@@ -198,30 +305,24 @@ def optimal_scheme_bruteforce(
 
     best: tuple[float, dict[State, dict[int, float]]] | None = None
     for signals in subsets:
-        col: dict[tuple[int, int], int] = {}
-        objective: list[float] = []
-        for si, state in enumerate(states):
-            for i in signals:
-                col[(si, i)] = len(objective)
-                objective.append(float(prior[state] * state[i].xi))
-
-        rows: list[tuple[Mapping[int, float], str, float]] = []
-        for si in range(len(states)):
-            rows.append(({col[(si, i)]: 1.0 for i in signals}, "=", 1.0))
-        for i in signals:
+        # Column si * len(signals) + p is the weight of signal signals[p] in state si.
+        width = len(signals)
+        objective = [x * r[i] / den for x, r in zip(num, xi) for i in signals]
+        cells = range(len(objective))
+        lp_rows: list[tuple[Mapping[int, float], str, float]] = [
+            (dict.fromkeys(cells[si * width : (si + 1) * width], 1.0), "=", 1.0)
+            for si in range(len(states))
+        ]
+        for p, i in enumerate(signals):
             for j in range(n):
-                if j == i:
-                    continue
-                coeffs = {
-                    col[(si, i)]: float(prior[state] * (state[i].rho - state[j].rho))
-                    for si, state in enumerate(states)
-                }
-                rows.append((coeffs, ">=", 0.0))
+                if j != i:
+                    coeffs = [x * (r[i] - r[j]) / den for x, r in zip(num, rho)]
+                    lp_rows.append((dict(zip(cells[p::width], coeffs)), ">=", 0.0))
 
         solution = solve_lp(
             LinearProgram(
                 objective=tuple(objective),
-                rows=tuple(rows),
+                rows=tuple(lp_rows),
                 bounds=((0.0, 1.0),) * len(objective),
             )
         )
@@ -229,14 +330,14 @@ def optimal_scheme_bruteforce(
             continue
         if best is not None and solution.objective <= best[0] + GAIN_TOL:
             continue
-        table: dict[State, dict[int, float]] = {}
+        scheme: dict[State, dict[int, float]] = {}
         for si, state in enumerate(states):
-            row = {i: solution.values[col[(si, i)]] for i in signals}
+            row = dict(zip(signals, solution.values[si * width : (si + 1) * width]))
             total = sum(max(p, 0.0) for p in row.values())
-            table[state] = {
+            scheme[state] = {
                 i: max(p, 0.0) / total for i, p in row.items() if p > ZERO_TOL
             }
-        best = (solution.objective, table)
+        best = (solution.objective, scheme)
 
     if best is None:
         raise RuntimeError(
@@ -279,21 +380,22 @@ def persuasiveness_check(
     method.
     """
     n = n_slots(instance)
-    prior = enumerate_prior(instance, state_bound)
+    prior = _exact_prior(instance, state_bound)
+    rho_of = [float(t.rho) for t in prior.types]
     mass: dict[int, float] = {}
     obey: dict[int, float] = {}
     deviate: dict[int, list[float]] = {}
-    for state, prob in prior.items():
-        q = float(prob)
+    for state, row, q in prior.states():
+        rho = [rho_of[c] for c in row]
         for i, p in scheme.recommendation_distribution(state).items():
             if p <= 0.0:
                 continue
             w = q * p
             mass[i] = mass.get(i, 0.0) + w
-            obey[i] = obey.get(i, 0.0) + w * float(state[i].rho)
+            obey[i] = obey.get(i, 0.0) + w * rho[i]
             slots = deviate.setdefault(i, [0.0] * n)
             for j in range(n):
-                slots[j] += w * float(state[j].rho)
+                slots[j] += w * rho[j]
 
     signals: dict[int, SignalCheck] = {}
     all_ok = True

@@ -18,9 +18,9 @@ that never solves a generic LP (a slope ``solve``, ``simulate``) skips it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -69,24 +69,74 @@ class LpSolution:
     objective: float | None
 
 
-def _row_triplets(coeffs: RowCoeffs, row_index: int, n_vars: int):
-    """Yield (row, col, value) triplets, validating indices and finiteness."""
-    if isinstance(coeffs, Mapping):
-        items = coeffs.items()
-    else:
-        if len(coeffs) != n_vars:
-            raise ValueError(
-                f"row {row_index} has {len(coeffs)} coefficients, expected {n_vars}"
-            )
-        items = enumerate(coeffs)
-    for col, value in items:
-        if not 0 <= col < n_vars:
-            raise ValueError(f"row {row_index} references variable {col} out of range")
+# relation -> (block, sign): a ">=" row enters the "<=" block negated.
+_RELATIONS = {"<=": ("ub", 1.0), ">=": ("ub", -1.0), "=": ("eq", 1.0)}
+
+
+def _blocks(rows, n_vars: int):
+    """{block: (matrix, right-hand sides)} for the "ub" and "eq" blocks, each
+    row times its relation's sign, zero coefficients left out; (None, None)
+    for a block without rows.
+
+    All coefficients are checked at once, but the error raised is the one a
+    row-by-row check would meet first, in `rows` order; row numbers count
+    within a block.
+    """
+    from scipy import sparse
+
+    keys, values, lengths, blocks, signs, numbers = [], [], [], [], [], []
+    rhs: dict[str, list[float]] = {"ub": [], "eq": []}
+    refused = None  # the first row refused before its coefficients are read
+    for coeffs, relation, value in rows:
         value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"row {row_index} has a non-finite coefficient")
-        if value != 0.0:
-            yield row_index, col, value
+        if relation not in _RELATIONS:
+            refused = f"unknown relation {relation!r}"
+            break
+        block, sign = _RELATIONS[relation]
+        if isinstance(coeffs, Mapping):
+            keys.append(coeffs.keys())
+            values.append(coeffs.values())
+        elif len(coeffs) != n_vars:
+            refused = f"row {len(rhs[block])} has {len(coeffs)} coefficients, expected {n_vars}"
+            break
+        else:
+            keys.append(range(n_vars))
+            values.append(coeffs)
+        lengths.append(len(coeffs))
+        blocks.append(block)
+        signs.append(sign)
+        numbers.append(len(rhs[block]))
+        rhs[block].append(sign * value)
+
+    total = sum(lengths)
+    cols = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=total)
+    vals = np.fromiter(chain.from_iterable(values), dtype=float, count=total)
+    row_of = np.repeat(np.arange(len(lengths)), lengths)
+    outside = (cols < 0) | (cols >= n_vars)
+    bad = outside | ~np.isfinite(vals)
+    if bad.any():
+        e = int(bad.argmax())
+        r = numbers[row_of[e]]
+        if outside[e]:
+            raise ValueError(f"row {r} references variable {cols[e]} out of range")
+        raise ValueError(f"row {r} has a non-finite coefficient")
+    if refused is not None:
+        raise ValueError(refused)
+
+    vals *= np.asarray(signs)[row_of]
+    entry_block = np.asarray(blocks)[row_of]
+    entry_row = np.asarray(numbers, dtype=np.int64)[row_of]
+    out = {}
+    for block in ("ub", "eq"):
+        if not rhs[block]:
+            out[block] = (None, None)
+            continue
+        kept = (entry_block == block) & (vals != 0.0)
+        matrix = sparse.csr_matrix(
+            (vals[kept], (entry_row[kept], cols[kept])), shape=(len(rhs[block]), n_vars)
+        )
+        out[block] = (matrix, np.asarray(rhs[block]))
+    return out
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -95,50 +145,25 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Returns an LpSolution whose status is "optimal", "infeasible", or
     "unbounded".  Values and objective are None unless optimal.
     """
-    from scipy import sparse
     from scipy.optimize import linprog
 
     n_vars = len(lp.objective)
     objective = np.asarray(lp.objective, dtype=float)
     if not np.all(np.isfinite(objective)):
         raise ValueError("objective has a non-finite coefficient")
-
-    ub_rows: list[tuple[int, int, float]] = []
-    ub_rhs: list[float] = []
-    eq_rows: list[tuple[int, int, float]] = []
-    eq_rhs: list[float] = []
-    for coeffs, relation, rhs in lp.rows:
-        rhs = float(rhs)
-        if relation == "<=":
-            target, target_rhs, sign = ub_rows, ub_rhs, 1.0
-        elif relation == ">=":
-            target, target_rhs, sign = ub_rows, ub_rhs, -1.0
-        elif relation == "=":
-            target, target_rhs, sign = eq_rows, eq_rhs, 1.0
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
-        row_index = len(target_rhs)
-        target.extend(
-            (r, c, sign * v) for r, c, v in _row_triplets(coeffs, row_index, n_vars)
-        )
-        target_rhs.append(sign * rhs)
-
-    def as_matrix(triplets, n_rows):
-        if n_rows == 0:
-            return None
-        rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_vars))
+    blocks = _blocks(lp.rows, n_vars)
 
     bounds = list(lp.bounds) if lp.bounds is not None else [(0.0, None)] * n_vars
     if len(bounds) != n_vars:
         raise ValueError(f"{len(bounds)} bounds given for {n_vars} variables")
 
+    (a_ub, b_ub), (a_eq, b_eq) = blocks["ub"], blocks["eq"]
     result = linprog(
         -objective,
-        A_ub=as_matrix(ub_rows, len(ub_rhs)),
-        b_ub=np.asarray(ub_rhs) if ub_rhs else None,
-        A_eq=as_matrix(eq_rows, len(eq_rhs)),
-        b_eq=np.asarray(eq_rhs) if eq_rhs else None,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=bounds,
         method="highs",
     )

@@ -307,7 +307,7 @@ class _PriorTable:
     (prophet-secretary, independent) or the V x T entry-count matrix
     (d-random-order); ``positive`` marks weights backed by a positive exact
     probability.  ``rho_num``/``xi_num`` are the utilities over their common
-    denominator, so exact keys are integers.  ``cdfs`` has one CDF row per
+    denominator ``scale``, so exact keys are integers.  ``cdfs`` has one CDF row per
     listed distribution (d-random-order: one, over the vectors), formed as
     `Generator.choice` forms it from ``p`` and padded with 2.0, above every
     uniform draw; row i's outcomes start at ``outcomes[offsets[i]]``.  The
@@ -317,6 +317,7 @@ class _PriorTable:
     types: tuple[ActionType, ...]
     rho_num: tuple[int, ...]
     xi_num: tuple[int, ...]
+    scale: int
     point_rank: np.ndarray  # dense rank of (rho, xi): equal exactly for coincident types
     id_rank: np.ndarray  # rank of the id in string order
     weights: np.ndarray
@@ -373,6 +374,7 @@ class _PriorTable:
             types,
             rho_num,
             xi_num,
+            scale,
             _dense_rank(list(zip(rho_num, xi_num))),
             _dense_rank([t.id for t in types]),
             weights,

@@ -60,6 +60,46 @@ def test_solve_lp_two_variable_vertex():
     assert abs(sol.values[0] - 2.0) < 1e-9 and abs(sol.values[1] - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((({0: 1.0}, "=", 1.0), ({1: 1.0, 2: 1.0}, "<=", 1.0)), "row 0 references variable 2 out of range"),
+        ((({0: 1.0}, "<=", 1.0), ({-1: 1.0}, ">=", 0.0)), "row 1 references variable -1 out of range"),
+        ((({0: 1.0}, "<=", 1.0), ((1.0, float("nan")), "<=", 1.0)), "row 1 has a non-finite coefficient"),
+        ((({0: 1.0}, "=", 1.0), ((1.0,), "=", 1.0)), "row 1 has 1 coefficients, expected 2"),
+        ((({0: 1.0}, "<", 1.0),), "unknown relation '<'"),
+    ],
+)
+def test_solve_lp_refuses_a_malformed_row(rows, message):
+    # Row numbers count within a block: "<=" and ">=" rows, or "=" rows.
+    with pytest.raises(ValueError) as refused:
+        solve_lp(LinearProgram(objective=(1.0, 1.0), rows=rows, bounds=None))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, bounds, message",
+    [
+        ((({1: 1.0, 2: 1.0}, "<=", 1.0), ({0: 1.0}, "<", 1.0)), None, "row 0 references variable 2 out of range"),
+        (
+            (({0: 1.0}, "<=", 1.0), ({0: float("nan")}, "=", 0.0), ({-1: 1.0}, "<=", 0.0)),
+            None,
+            "row 0 has a non-finite coefficient",
+        ),
+        ((({0: float("inf")}, ">=", 1.0), ((1.0,), "<=", 1.0)), None, "row 0 has a non-finite coefficient"),
+        ((((1.0,), "=", 1.0), ({0: 1.0}, "<", 1.0)), None, "row 0 has 1 coefficients, expected 2"),
+        ((({0: 1.0}, "<", 1.0), ({5: 1.0}, "=", 1.0)), None, "unknown relation '<'"),
+        ((({3: 1.0}, "=", 1.0),), ((0.0, 1.0),), "row 0 references variable 3 out of range"),
+    ],
+)
+def test_solve_lp_reports_the_first_malformed_row_in_row_order(rows, bounds, message):
+    # Several errors: the one raised is the first a row-by-row check meets,
+    # and every row is checked before the bounds.
+    with pytest.raises(ValueError) as refused:
+        solve_lp(LinearProgram(objective=(1.0, 1.0), rows=rows, bounds=bounds))
+    assert str(refused.value) == message
+
+
 def tug_inputs(k: int, s):
     inst = P.load_fixture("tug_of_war")
     segs = [seg for seg in segment_probabilities(inst, k) if seg.slope == s and seg.p > 0]
