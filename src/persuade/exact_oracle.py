@@ -37,6 +37,7 @@ from .model import (
     State,
     _cached,
     _check_k,
+    _merged,
     _prior_table,
     n_slots,
 )
@@ -80,17 +81,16 @@ def _product(dists, col: Mapping[str, int]) -> tuple[np.ndarray, list[int], int]
     (prior-table columns, one row per draw; integer numerators; their common
     denominator, the product of the distributions' denominators).  Entries
     of probability 0 are dropped, and a type listed twice in a distribution
-    is one entry, at its first position, with the summed probability, so
-    each state is one row, in the order a draw first reaches it."""
+    is one entry (`model._merged`), at its first position, with the summed
+    probability, so each state is one row, in the order a draw first
+    reaches it."""
     grids, num, den = [], [1], 1
     for dist in dists:
-        d = math.lcm(*(q.denominator for _, q in dist))
-        kept: dict[int, int] = {}
-        for t, q in dist:
-            if q:
-                kept[col[t.id]] = kept.get(col[t.id], 0) + q.numerator * (d // q.denominator)
-        grids.append(list(kept))
-        num = [x * a for x in num for a in kept.values()]
+        kept = _merged(tuple((t, q) for t, q in dist if q))
+        d = math.lcm(*(q.denominator for _, q in kept))
+        grids.append([col[t.id] for t, _ in kept])
+        weights = [q.numerator * (d // q.denominator) for _, q in kept]
+        num = [x * a for x in num for a in weights]
         den *= d
     cells = chain.from_iterable(product(*grids))
     cols = np.fromiter(cells, dtype=np.min_scalar_type(len(col)), count=len(num) * len(grids))

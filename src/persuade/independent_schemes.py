@@ -39,6 +39,7 @@ from .model import (
     TypeDist,
     _cached,
     _check_k,
+    _merged,
     best_fixed_action_value,
 )
 
@@ -219,16 +220,6 @@ class RelaxationSolution:
     x: Mapping[int, Mapping[str, float]]
     per_action: Mapping[int, float]
     objective: float
-
-
-def _merged(dist: TypeDist) -> TypeDist:
-    """The distribution with one entry per type id, in first-listed order; an
-    id listed more than once (with identical utilities) gets its summed
-    probability, so the relaxation has one acceptance mass per type."""
-    merged: dict[str, tuple] = {}
-    for t, q in dist:
-        merged[t.id] = (t, merged[t.id][1] + q) if t.id in merged else (t, q)
-    return tuple(merged.values())
 
 
 def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSolution:

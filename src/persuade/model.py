@@ -118,6 +118,16 @@ def _check_distribution(dist: TypeDist, where: str) -> None:
         raise InstanceFormatError(f"{where}: probabilities sum to {total}, expected 1")
 
 
+def _merged(dist: TypeDist) -> TypeDist:
+    """The distribution with one entry per type id, in first-listed order; an
+    id listed more than once (with identical utilities) gets its summed
+    probability."""
+    merged: dict[str, tuple] = {}
+    for t, q in dist:
+        merged[t.id] = (t, merged[t.id][1] + q) if t.id in merged else (t, q)
+    return tuple(merged.values())
+
+
 @dataclass(frozen=True)
 class IIDInstance:
     """n slots drawn independently from one shared palette of types."""

@@ -50,18 +50,20 @@ The probability is an inclusion-exclusion over the subsets of the required
 types, all queries of a call at once: one prophet-secretary recursion, or
 one exact integer pass for d-random-order, serves every slope of a unique
 table.  The table goes through in blocks of whole slopes, each within
-``_BLOCK_CELLS`` float cells of working set (per slope, 2T query columns of
-n distribution masses and 2k + 2 recursion rows), so memory stays bounded
-however many slopes and types there are; every slope's masses come from a
-matrix product of their own, so a slope's probabilities are bit-identical to
-its lone query's. Prophet-secretary: the expected product
-of the allowed masses of a uniform k-subset of the distributions, by the
-normalised recursion f(i, j) = (1 - j/i) f(i-1, j) + (j/i) m_i f(i-1, j-1),
-which stays in [0, 1] for any n. IID: its closed form v^k. d-random-order:
-exact binomial counts of vector entries, converted to float at the end.
-Whether an event can happen is decided exactly, not from the sign of a
-float, and such an event is listed even when its float probability
-underflows to 0.0.
+``_BLOCK_CELLS`` cells of working set, counted as float64: per slope, the
+T x T allowed mask and 2T query columns of n distribution masses and 2k + 2
+recursion rows (one mass for IID).  So a block's working set stays within
+8 MiB however many slopes there are, for every prior family, whenever a
+single slope fits in it (up to about 1 000 types for IID).  Every slope's
+masses come from a matrix product of their own, so a slope's probabilities
+are bit-identical to its lone query's.  Prophet-secretary: the expected
+product of the allowed masses of a uniform k-subset of the distributions,
+by the normalised recursion f(i, j) = (1 - j/i) f(i-1, j) + (j/i) m_i
+f(i-1, j-1), which stays in [0, 1] for any n. IID: its closed form v^k.
+d-random-order: exact binomial counts of vector entries, converted to float
+at the end.  Whether an event can happen is decided exactly, not from the
+sign of a float, and such an event is listed even when its float
+probability underflows to 0.0.
 """
 
 from __future__ import annotations
@@ -132,16 +134,22 @@ def subset_product_sum(values: list[float], r: int) -> float:
 # Per-slope classification of the prior table's types
 # --------------------------------------------------------------------------
 
-def _ranks(table: _PriorTable, s: Slope) -> np.ndarray:
-    """Dense ranks of the types' exact slope-s keys xi - s*rho (lexicographic
-    (rho, xi) at -inf, (xi, rho) at 0): a lower rank lies strictly below
-    the slope-s line through a higher-ranked type."""
+def _slope_ranks(rho: Sequence, xi: Sequence, s: Slope) -> np.ndarray:
+    """Dense ranks of exact slope-s keys xi - s*rho (lexicographic (rho, xi)
+    at -inf, (xi, rho) at 0), for utilities given as `Fraction`s or as
+    integers over one common denominator: a lower rank lies strictly below
+    the slope-s line through a higher-ranked point."""
     if s is NEG_INF:
-        return table.point_rank
+        return _dense_rank(list(zip(rho, xi)))
     if s == 0:
-        return _dense_rank(list(zip(table.xi_num, table.rho_num)))
+        return _dense_rank(list(zip(xi, rho)))
     p, q = s.numerator, s.denominator
-    return _dense_rank([x * q - p * r for r, x in zip(table.rho_num, table.xi_num)])
+    return _dense_rank([x * q - p * r for r, x in zip(rho, xi)])
+
+
+def _ranks(table: _PriorTable, s: Slope) -> np.ndarray:
+    """`_slope_ranks` of the table's types; at -inf their point ranks."""
+    return table.point_rank if s is NEG_INF else _slope_ranks(table.rho_num, table.xi_num, s)
 
 
 def _unique_allowed(table: _PriorTable, s: Slope, c: np.ndarray) -> np.ndarray:
@@ -304,9 +312,10 @@ def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[
     return [UniquePointProb(t, s, p) for t, p in zip(table.types, probs) if p is not None]
 
 
-# The most float cells one `_event_probs` call of `_unique_table` works on:
-# per query column, the masses of the n distributions and the 2k + 2 rows of
-# the recursion and its update buffer.  8 MiB of float64.
+# The most cells one `_event_probs` call of `_unique_table` works on, each
+# counted as a float64 (8 MiB): per slope, its T x T allowed mask and, per
+# query column, the masses of the n distributions and the 2k + 2 rows of the
+# recursion and its update buffer (one cell for an IID prior).
 _BLOCK_CELLS = 1 << 20
 
 
@@ -316,13 +325,15 @@ def _unique_table(table: _PriorTable, k: int, slopes: Sequence[Slope]) -> list[l
 
     The slopes' queries go through `_event_probs` together, in blocks of whole
     slopes holding at most ``_BLOCK_CELLS`` cells of working set (at least one
-    slope each), with one matrix product per slope: every row equals what
-    the slope gives on its own.
+    slope each): per slope, the T x T allowed mask and 2T query columns (two
+    subsets per query) of ``height`` cells.  Each slope's masses come from a
+    matrix product of their own, so every row equals what the slope gives
+    on its own.
     """
     c = np.arange(len(table.types))
     w = table.weights
     height = 1 if w.ndim == 1 else len(w) + 2 * k + 2
-    per_call = max(1, _BLOCK_CELLS // (2 * len(c) * height))  # two subsets per query
+    per_call = max(1, _BLOCK_CELLS // (len(c) * (2 * height + len(c))))
     rows: list[list[float | None]] = []
     for start in range(0, len(slopes), per_call):
         block = slopes[start : start + per_call]

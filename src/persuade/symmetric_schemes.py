@@ -6,8 +6,8 @@ reads the realizable frontier events off the instance's prior table, solves
 the per-slope scheme LP in closed form, and keeps the best feasible answer.
 The returned scheme is compact (a slope and one recommendation weight per
 same-slope segment); execution recommends the realized frontier's tangency
-point, found per state from one cached exact score per type, so it runs on
-state spaces far too large to tabulate.
+point, found per state from the oracle's exact slope keys, ranked once per
+type, so it runs on state spaces far too large to tabulate.
 
 Also here: the imitation wrapper that turns the optimal n-signal scheme
 into a persuasive k-signal scheme, and the sampling-based bicriteria LP
@@ -30,10 +30,8 @@ from .lp_core import (
 )
 from .model import (
     SAMPLER_MAX_SAMPLES,
-    ActionType,
     State,
     SymmetricInstance,
-    all_types,
     best_fixed_action_value,
     format_rational,
     is_symmetric,
@@ -42,7 +40,9 @@ from .model import (
     _prior_table,
     _state_sampler,
 )
-from .prob_oracle import SegmentProb, _candidates_around, _unique_table, segment_probabilities
+from .prob_oracle import (
+    SegmentProb, _candidates_around, _slope_ranks, _unique_table, segment_probabilities,
+)
 
 __all__ = [
     "BicriteriaResult",
@@ -130,39 +130,36 @@ class SlopeSchemeExecutor:
 
     Per state the executor finds the point of the first k types' Pareto
     frontier tangent at the scheme's slope s* without building the
-    frontier: it maximises one exact score per type id (xi - s*·rho for
-    finite s* < 0; (xi, rho) at s* = 0; (rho, xi) at s* = -inf), cached
-    with its dense rank among the scores seen so far, so a state costs
-    integer comparisons only.  Two or more distinct maximising points form
-    the tangent segment, which recommends its low-rho endpoint with the
-    stored alpha weight and its high-rho endpoint otherwise; a single
-    maximising point is recommended outright.  Among coincident points the
-    lowest id stands for them, as in `pareto_frontier`.  When several of
-    the first k slots hold the recommended type, the slot is drawn
-    uniformly among them, which keeps the scheme symmetric.
+    frontier: it maximises the exact slope-s* key of each type, ranked by
+    the oracle's own rule (`prob_oracle._slope_ranks`: xi - s*·rho for
+    finite s* < 0, (xi, rho) at s* = 0, (rho, xi) at s* = -inf).  Dense
+    ranks are cached per type id and recomputed over every type seen so far
+    when a state brings a new one, so a state costs integer comparisons
+    only.  Two or more distinct maximising points form the tangent
+    segment, which recommends its low-rho endpoint with the stored alpha
+    weight and its high-rho endpoint otherwise; a single maximising point
+    is recommended outright.  Among coincident points the lowest id stands
+    for them, as in `pareto_frontier`.  When several of the first k slots
+    hold the recommended type, the slot is drawn uniformly among them,
+    which keeps the scheme symmetric.
     """
 
     scheme: SlopeScheme
     k: int
-    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _seen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _rank(self, head: State) -> list[int]:
         ranks = self._ranks
         try:
             return [ranks[t.id] for t in head]
-        except KeyError:  # a type not seen yet: score it and rank all scores again
+        except KeyError:  # a type not seen yet: rank every type seen so far again
             pass
-        s, scores = self.scheme.s_star, self._scores
-        for t in head:
-            if s is NEG_INF:
-                scores[t.id] = (t.rho, t.xi)
-            elif s == 0:
-                scores[t.id] = (t.xi, t.rho)
-            else:
-                scores[t.id] = t.xi - s * t.rho
-        dense = {v: i for i, v in enumerate(sorted(set(scores.values())))}
-        ranks.update((tid, dense[v]) for tid, v in scores.items())
+        seen = self._seen
+        seen.update((t.id, t) for t in head)
+        types = seen.values()
+        dense = _slope_ranks([t.rho for t in types], [t.xi for t in types], self.scheme.s_star)
+        ranks.update(zip(seen, dense.tolist()))
         return [ranks[t.id] for t in head]
 
     def recommendation_distribution(self, state: State) -> dict[int, float]:
@@ -352,6 +349,13 @@ def bicriteria_scheme(
     so the scheme is symmetric by construction and permutation ties cost
     nothing.  An int ``rng`` seeds a generator; a negative one is taken
     modulo 2^64, as `estimate` takes every seed.
+
+    The sample is counted in the prior table's representation: a state is
+    the tuple of its slots' table columns, and a multiset is those columns
+    sorted by id.  Utilities and their differences are read off the table's
+    integers over their common denominator, which gives the same correctly
+    rounded floats as the exact rationals; `State` tuples are formed only
+    for the returned table's keys.
     """
     if not is_symmetric(instance):
         raise TypeError("bicriteria_scheme requires a symmetric instance")
@@ -363,7 +367,8 @@ def bicriteria_scheme(
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    for t in all_types(instance):
+    table = _prior_table(instance)
+    for t in table.types:
         if not (-1 <= t.rho <= 1 and -1 <= t.xi <= 1):
             raise ValueError(
                 f"type {t.id} has utilities outside [-1, 1]; the bicriteria "
@@ -374,36 +379,38 @@ def bicriteria_scheme(
         rng %= 2**64
     rng = np.random.default_rng(rng)
 
+    col = {t.id: j for j, t in enumerate(table.types)}
     draw = _state_sampler(instance, k)
-    counts: dict[State, int] = {}
+    counts: dict[tuple[int, ...], int] = {}  # states as prior-table columns
     for _ in range(samples):
-        state = draw(rng)
+        state = tuple(col[t.id] for t in draw(rng))
         counts[state] = counts.get(state, 0) + 1
 
-    # One recommendation variable per (type multiset, member type).
-    multiset_of: dict[State, tuple[str, ...]] = {}
-    types_of: dict[tuple[str, ...], dict[str, ActionType]] = {}
-    var_index: dict[tuple[tuple[str, ...], str], int] = {}
-    for state in counts:
-        key = tuple(sorted(t.id for t in state))
-        multiset_of[state] = key
-        if key not in types_of:
-            types_of[key] = {t.id: t for t in state}
-            for tid in sorted(types_of[key]):
-                var_index[(key, tid)] = len(var_index)
+    rho_num, scale = table.rho_num, table.scale
+    xi = [x / scale for x in table.xi_num]
+    rho = [r / scale for r in rho_num]
 
-    n_vars = len(var_index)
-    objective = [0.0] * n_vars
+    # One recommendation variable per (type multiset, member type): the
+    # multiset is the state's columns sorted by id, so its members come in
+    # id order.  Per state and slot: the slot type's variable and how many
+    # of the state's slots hold that type.
+    variables: dict[tuple[int, ...], dict[int, int]] = {}
+    slots: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    objective: list[float] = []
     for state, count in counts.items():
-        key = multiset_of[state]
+        key = tuple(sorted(state, key=table.id_rank.__getitem__))
+        if key not in variables:
+            variables[key] = {c: len(objective) + m for m, c in enumerate(dict.fromkeys(key))}
+            objective.extend([0.0] * len(variables[key]))
+        members = variables[key]
         w = count / samples
-        for tid, t in types_of[key].items():
-            objective[var_index[(key, tid)]] += w * float(t.xi)
+        for c, var in members.items():
+            objective[var] += w * xi[c]
+        slots[state] = [(members[c], state.count(c)) for c in state]
+    rows: list[tuple[Mapping[int, float], str, float]] = [
+        (dict.fromkeys(members.values(), 1.0), "=", 1.0) for members in variables.values()
+    ]
 
-    rows: list[tuple[Mapping[int, float], str, float]] = []
-    for key, members in types_of.items():
-        simplex = {var_index[(key, tid)]: 1.0 for tid in members}
-        rows.append((simplex, "=", 1.0))
     # Relaxed persuasiveness: for signal slot i and deviation slot j,
     # E[x_i * (rho_i - rho_j + eps)] >= 0 on the empirical distribution.
     # The LP runs on a slightly tightened epsilon so the solver's own
@@ -415,19 +422,17 @@ def bicriteria_scheme(
                 continue
             coeffs: dict[int, float] = {}
             for state, count in counts.items():
-                key = multiset_of[state]
                 w = count / samples
-                mult = sum(1 for t in state if t.id == state[i].id)
-                col = var_index[(key, state[i].id)]
-                gap = float(state[i].rho - state[j].rho) + eps_lp
-                coeffs[col] = coeffs.get(col, 0.0) + w * gap / mult
+                var, mult = slots[state][i]
+                gap = (rho_num[state[i]] - rho_num[state[j]]) / scale + eps_lp
+                coeffs[var] = coeffs.get(var, 0.0) + w * gap / mult
             rows.append((coeffs, ">=", 0.0))
 
     solution = solve_lp(
         LinearProgram(
             objective=tuple(objective),
             rows=tuple(rows),
-            bounds=((0.0, 1.0),) * n_vars,
+            bounds=((0.0, 1.0),) * len(objective),
         )
     )
     if solution.status != "optimal":
@@ -436,16 +441,10 @@ def bicriteria_scheme(
             "scheme is always feasible"
         )
     y = solution.values
-
-    table: dict[State, dict[int, float]] = {}
-    for state in counts:
-        key = multiset_of[state]
-        weights: dict[int, float] = {}
-        for i in range(k):
-            mult = sum(1 for t in state if t.id == state[i].id)
-            weights[i] = y[var_index[(key, state[i].id)]] / mult
-        table[state] = _normalized_row(weights)
-    scheme = TabularScheme(table=table, fallback_slots=tuple(range(k)))
+    dists = {
+        state: _normalized_row({i: y[var] / mult for i, (var, mult) in enumerate(slots[state])})
+        for state in counts
+    }
 
     u_sender = 0.0
     u_receiver = 0.0
@@ -453,13 +452,12 @@ def bicriteria_scheme(
     deviation = [[0.0] * k for _ in range(k)]  # E[x_i * (rho_j - rho_i)]
     for state, count in counts.items():
         w = count / samples
-        dist = table[state]
-        for i, p in dist.items():
-            u_sender += w * p * float(state[i].xi)
-            u_receiver += w * p * float(state[i].rho)
+        for i, p in dists[state].items():
+            u_sender += w * p * xi[state[i]]
+            u_receiver += w * p * rho[state[i]]
             signal_mass[i] += w * p
             for j in range(k):
-                deviation[i][j] += w * p * float(state[j].rho - state[i].rho)
+                deviation[i][j] += w * p * ((rho_num[state[j]] - rho_num[state[i]]) / scale)
     max_regret = 0.0
     for i in range(k):
         if signal_mass[i] <= ZERO_TOL:
@@ -467,6 +465,11 @@ def bicriteria_scheme(
         for j in range(k):
             max_regret = max(max_regret, deviation[i][j] / signal_mass[i])
 
+    types = table.types
+    scheme = TabularScheme(
+        table={tuple(map(types.__getitem__, state)): dist for state, dist in dists.items()},
+        fallback_slots=tuple(range(k)),
+    )
     return BicriteriaResult(
         scheme=scheme,
         u_sender=u_sender,

@@ -21,7 +21,9 @@ from persuade.cli import _round12
 from persuade.exact_oracle import optimal_scheme_bruteforce
 from persuade.geometry import NEG_INF
 from persuade.lp_core import GAIN_TOL, solve_slope_lp
-from persuade.model import ActionType, ProphetSecretaryInstance, best_fixed_action_value, n_slots
+from persuade.model import (
+    ActionType, IIDInstance, ProphetSecretaryInstance, _prior_table, best_fixed_action_value, n_slots,
+)
 from persuade.prob_oracle import candidate_slopes, segment_probabilities, unique_probabilities
 from persuade.symmetric_schemes import SlopeScheme, slope_algorithm, slope_scheme_to_dict
 from corpus import perfbench, shared_type_priors, symmetric_corpus
@@ -113,6 +115,30 @@ def test_unique_table_works_in_blocks_within_its_cell_budget():
         tracemalloc.stop()
     assert peak < 2 * budget
     assert scheme == per_slope_scheme(inst, k)
+
+
+def test_iid_unique_table_counts_its_allowed_masks_in_the_budget():
+    # Each slope holds a T x T allowed mask beside its 2T float masses; with
+    # 400 types an IID block sized by the floats alone peaks past 100 MiB.
+    count, k = 400, 10
+    rng = np.random.default_rng(3)
+    grid = rng.choice(1001 * 1001, size=count, replace=False)
+    palette = tuple(
+        (ActionType(f"t{j}", Fraction(int(g) // 1001, 1000), Fraction(int(g) % 1001, 1000)),
+         Fraction(1, count))
+        for j, g in enumerate(grid)
+    )
+    table = _prior_table(IIDInstance(palette=palette, n=40))
+    slopes = [NEG_INF, *(Fraction(-j, 25) for j in range(1, count))]
+    tracemalloc.start()
+    try:
+        rows = prob_oracle._unique_table(table, k, slopes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    for i in (0, 1, 200, count - 1):  # each row is the slope's own table
+        assert rows[i] == prob_oracle._unique_table(table, k, [slopes[i]])[0]
 
 
 def duality_bound(inst, k: int) -> float:

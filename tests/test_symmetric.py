@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ import pytest
 import persuade as P
 from persuade.exact_oracle import enumerate_prior
 from persuade.geometry import NEG_INF, UniqueVertex, pareto_frontier, point_for_slope
-from persuade.model import ActionType, IIDInstance, all_types, n_slots, sample_state
+from persuade.model import (
+    ActionType, IIDInstance, all_types, instance_from_dict, load_fixture, n_slots, sample_state,
+)
 from persuade.symmetric_schemes import (
     ImitationExecutor,
     SlopeScheme,
@@ -208,6 +212,36 @@ def test_bicriteria_is_deterministic_per_seed(tug):
     b = bicriteria_scheme(tug, 2, epsilon=0.1, samples=500, rng=7)
     assert a.u_sender == b.u_sender
     assert a.max_regret == b.max_regret
+
+
+BICRITERIA_GOLDEN = json.loads((Path(__file__).parent / "golden" / "bicriteria.json").read_text())
+
+
+def bicriteria_record(res) -> dict:
+    """A bicriteria result in exact hex floats: its metrics, and its table row
+    by row in table order, as (the state's type ids, slot -> weight)."""
+    return {
+        "u_sender": res.u_sender.hex(),
+        "u_receiver": res.u_receiver.hex(),
+        "max_regret": res.max_regret.hex(),
+        "table": [
+            [[t.id for t in state], {str(i): w.hex() for i, w in dist.items()}]
+            for state, dist in res.scheme.table.items()
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", sorted({case["instance"] for case in BICRITERIA_GOLDEN["cases"]}))
+def test_bicriteria_outputs_are_pinned_across_releases(name):
+    # Every symmetric fixture and a prophet-secretary prior, at k = 2 and 3,
+    # two seeds and epsilon 0.1 and 0, compared bit for bit with the
+    # results of earlier releases.
+    doc = BICRITERIA_GOLDEN["documents"].get(name)
+    inst = load_fixture(name) if doc is None else instance_from_dict(doc)
+    for case in BICRITERIA_GOLDEN["cases"]:
+        if case["instance"] == name:
+            res = bicriteria_scheme(inst, case["k"], case["epsilon"], case["samples"], case["seed"])
+            assert bicriteria_record(res) == case["result"], case
 
 
 def test_bicriteria_validation(tug):
