@@ -562,11 +562,21 @@ class ExPostScheme:
         return out
 
     def recommend(self, state: State, rng: np.random.Generator) -> int:
-        for i in self.order:
-            p = self.accept[i].get(state[i].id, 0.0)
+        return self._coins([self.accept[i].get(state[i].id, 0.0) for i in self.order], rng)
+
+    def _coins(self, accept: list[float], rng: np.random.Generator) -> int:
+        """Flip each inspected action's coin, ``accept`` in `order`."""
+        for i, p in zip(self.order, accept):
             if p > 0.0 and rng.random() < p:
                 return i
         return self.fallback
+
+    def _bind(self, table):
+        """``rec(columns, rng)`` on whole states of the prior table's
+        columns, with each action's acceptance probabilities by column."""
+        by_col = {i: [a.get(t.id, 0.0) for t in table.types] for i, a in self.accept.items()}
+        order = self.order
+        return None, lambda cols, rng: self._coins([by_col[i][cols[i]] for i in order], rng)
 
 
 def expost_scheme(

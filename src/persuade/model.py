@@ -8,7 +8,9 @@ Each instance's prior is read through one private table (`_prior_table`),
 built on first use and kept on the instance: the oracle's exact ranks and
 per-type weights, and the float CDFs from which `_state_sampler` draws a
 whole state with a few numpy calls, consuming the generator exactly as one
-`rng.choice` per slot would, so a seed always gives the same states.
+`rng.choice` per slot would, so a seed always gives the same states.  A
+sampled state is a row of the table's columns; `sample_state` maps it to
+the `ActionType`s those columns stand for.
 
 Instance fields never change after construction.  The table is not a field
 (==, hash and repr ignore it); all of it is safe for concurrent reads.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -320,8 +323,10 @@ class _PriorTable:
     denominator ``scale``, so exact keys are integers.  ``cdfs`` has one CDF row per
     listed distribution (d-random-order: one, over the vectors), formed as
     `Generator.choice` forms it from ``p`` and padded with 2.0, above every
-    uniform draw; row i's outcomes start at ``outcomes[offsets[i]]``.  The
-    arrays are read-only, because every caller shares them.
+    uniform draw; row i's outcomes, as columns, start at
+    ``outcomes[offsets[i]]`` (d-random-order: row v of ``outcomes`` holds
+    vector v's columns).  The arrays are read-only, because every caller
+    shares them.
     """
 
     types: tuple[ActionType, ...]
@@ -333,7 +338,7 @@ class _PriorTable:
     weights: np.ndarray
     positive: np.ndarray
     vector_probs: tuple[Fraction, ...]  # d-random-order only, else empty
-    outcomes: tuple
+    outcomes: np.ndarray
     offsets: np.ndarray
     cdfs: np.ndarray
 
@@ -354,15 +359,13 @@ class _PriorTable:
         types = tuple({t.id: t for t in listed}.values())
         col = {t.id: j for j, t in enumerate(types)}
         if dro:
+            outcomes = np.array([[col[t.id] for t in vec] for vec in prior.vectors])
             weights = np.zeros((len(prior.vectors), len(types)), dtype=np.int64)
-            for v, vec in enumerate(prior.vectors):
-                np.add.at(weights[v], [col[t.id] for t in vec], 1)
+            np.add.at(weights, (np.arange(len(outcomes))[:, None], outcomes), 1)
             positive = weights > 0
         else:
-            cell = (
-                [i for i, d in enumerate(dists) for _ in d],
-                [col[t.id] for d in dists for t, _ in d],
-            )
+            outcomes = np.array([col[t.id] for d in dists for t, _ in d])
+            cell = ([i for i, d in enumerate(dists) for _ in d], outcomes)
             qs = [q for d in dists for _, q in d]
             weights = np.zeros((len(dists), len(types)))
             np.add.at(weights, cell, [q.numerator / q.denominator for q in qs])
@@ -390,11 +393,11 @@ class _PriorTable:
             weights,
             positive,
             prior.vector_probs if dro else (),
-            tuple(x for d in dists for x, _ in d),
+            outcomes,
             np.cumsum([0] + sizes[:-1]),
             cdfs,
         )
-        for array in (table.point_rank, table.id_rank, weights, positive, table.offsets, cdfs):
+        for array in (table.point_rank, table.id_rank, weights, positive, outcomes, table.offsets, cdfs):
             array.flags.writeable = False
         return table
 
@@ -415,16 +418,23 @@ SAMPLER_MAX_SAMPLES = 10**8
 
 
 def _state_sampler(
-    instance: Instance, slots: int | None = None
-) -> Callable[[np.random.Generator], State]:
+    instance: Instance, slots: int | None = None, *, whole_stream: bool = False
+) -> Callable[[np.random.Generator], list[int]]:
     """Return a function drawing one state from a generator, off the
-    instance's prior table.  Two threads making an instance's first call at
-    once may both build the table: harmless, since the tables are equal.
+    instance's prior table, as the list of its slots' table columns
+    (``_prior_table(instance).types[c]`` is the type in a slot holding
+    column c).  Two threads making an instance's first call at once may
+    both build the table: harmless, since the tables are equal.
 
-    Each state holds the first ``slots`` slots (all n by default).  IID
-    slots are independent, so only those are drawn; a permutation prior
-    draws its whole random order and keeps the first ``slots`` slots, which
-    leaves each kept slot's marginal law that of the full instance.
+    Each state holds the first ``slots`` slots (all n by default).  A
+    permutation prior draws its whole random order and keeps the first
+    ``slots`` slots, which leaves each kept slot's marginal law that of the
+    full instance; an independent prior draws every slot and keeps the
+    first ``slots``.  So these states are the first ``slots`` columns of the
+    full draw, and the generator ends where the full draw leaves it.  IID
+    slots are independent, so only the kept ones are drawn, unless
+    ``whole_stream`` asks for all n slots' uniforms as the full draw takes
+    them.
 
     The stream contract: each draw consumes the generator exactly as one
     `rng.choice(len(d), p=d)` per drawn slot in slot order would.
@@ -435,7 +445,9 @@ def _state_sampler(
     """
     n = n_slots(instance)
     slots = n if slots is None else slots
-    drawn = slots if isinstance(instance, IIDInstance) else n
+    if slots > n:
+        raise ValueError(f"state has {n} slots, scheme needs {slots}")
+    drawn = slots if isinstance(instance, IIDInstance) and not whole_stream else n
     if drawn > SAMPLER_MAX_SLOTS:
         raise ValueError(
             f"cannot sample states of {drawn} slots, more than the "
@@ -444,10 +456,16 @@ def _state_sampler(
     table = _prior_table(instance)
     outcomes, offsets, cdfs = table.outcomes, table.offsets, table.cdfs
     if isinstance(instance, DRandomOrderInstance):
+        # bisect_right is searchsorted(u, "right") on the CDF row, and
+        # shuffling a copy of the vector's columns makes the swaps of
+        # permutation(n)'s shuffle, so it equals the vector read in that order.
+        cdf, vectors = cdfs[0].tolist(), outcomes.tolist()
 
-        def draw(rng: np.random.Generator) -> State:
-            vec = outcomes[cdfs[0].searchsorted(rng.random(), side="right")]
-            return tuple(map(vec.__getitem__, rng.permutation(n)[:slots].tolist()))
+        def draw(rng: np.random.Generator) -> list[int]:
+            state = vectors[bisect_right(cdf, rng.random())].copy()
+            rng.shuffle(state)
+            del state[slots:]
+            return state
 
         return draw
     # slot_rows[j] is the distribution of slot j; prophet-secretary permutes them per draw.
@@ -458,11 +476,10 @@ def _state_sampler(
     else:
         slot_rows = np.arange(slots)
 
-    def draw(rng: np.random.Generator) -> State:
+    def draw(rng: np.random.Generator) -> list[int]:
         rows = rng.permutation(n)[:slots] if slot_rows is None else slot_rows
         u = rng.random(drawn)[:slots]  # a row's entries <= u count as its searchsorted(u, "right")
-        idx = offsets[rows] + (cdfs[rows] <= u[:, None]).sum(axis=1)
-        return tuple(map(outcomes.__getitem__, idx.tolist()))
+        return outcomes[offsets[rows] + (cdfs[rows] <= u[:, None]).sum(axis=1)].tolist()
 
     return draw
 
@@ -471,11 +488,14 @@ def sample_state(instance: Instance, rng: np.random.Generator) -> State:
     """Draw one state from the instance's prior using the supplied generator.
 
     Sampling converts exact probabilities to floats; exact computations should
-    use `persuade.exact_oracle.enumerate_prior` instead.  Loops over many
-    states should build the sampler once (`_state_sampler`), as `estimate`
-    does; the states drawn are the same.
+    use `persuade.exact_oracle.enumerate_prior` instead.  The sampler draws a
+    row of prior-table columns, mapped here to their types; loops over many
+    states should build the sampler once (`_state_sampler`) and keep the
+    columns, as `estimate` does.  The stream, and so the states drawn, is
+    the same.
     """
-    return _state_sampler(instance)(rng)
+    types = _prior_table(instance).types
+    return tuple(map(types.__getitem__, _state_sampler(instance)(rng)))
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,14 @@ report bit for bit.  `estimate` builds the instance's state sampler once
 per call (float CDFs kept on the instance, a few numpy calls per state);
 each state consumes its chunk's stream exactly as one `rng.choice` per slot
 did, so reports are also unchanged from versions that sampled slot by slot.
+
+A sampled state is a row of the instance's prior-table columns, from the
+sampler to the sums: the slope executor and the ex-post scheme bind to the
+table once per call (their private ``_bind``), and a slot's utilities are
+the table's integers over their common denominator, the same correctly
+rounded floats as the exact rationals.  Any other scheme's
+``recommend(state, rng)`` gets the columns mapped to their `ActionType`s.
+The stream contract is unchanged, so the reports are too.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import SAMPLER_MAX_SAMPLES, Instance, _state_sampler
+from .model import SAMPLER_MAX_SAMPLES, Instance, _prior_table, _state_sampler
 
 __all__ = ["SignalStats", "SimReport", "estimate"]
 
@@ -72,19 +80,19 @@ class _Sums:
             mine[2] += s2
 
 
-def _run_chunk(scheme, draw, seed: int, chunk_index: int, count: int) -> _Sums:
+def _run_chunk(rec, draw, types, xis, rhos, seed: int, chunk_index: int, count: int) -> _Sums:
     key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     sums = _Sums()
     for _ in range(count):
-        state = draw(rng)
+        cols = draw(rng)
         try:
-            slot = scheme.recommend(state, rng)
+            slot = rec(cols, rng)
         except Exception as exc:
-            ids = tuple(t.id for t in state)
+            ids = tuple(types[c].id for c in cols)
             raise RuntimeError(f"scheme failed on state {ids}") from exc
-        xi = float(state[slot].xi)
-        rho = float(state[slot].rho)
+        xi = xis[cols[slot]]
+        rho = rhos[cols[slot]]
         sums.n += 1
         sums.xi += xi
         sums.xi2 += xi * xi
@@ -95,6 +103,17 @@ def _run_chunk(scheme, draw, seed: int, chunk_index: int, count: int) -> _Sums:
         per[1] += rho
         per[2] += rho * rho
     return sums
+
+
+def _bind(scheme, table):
+    """(slots, rec): how many leading columns the scheme reads (None: all)
+    and ``rec(columns, rng)``, its recommendation on a row of the table's
+    columns."""
+    bind = getattr(scheme, "_bind", None)
+    if bind is not None:
+        return bind(table)
+    types = table.types
+    return None, lambda cols, rng: scheme.recommend(tuple(map(types.__getitem__, cols)), rng)
 
 
 def _mean_stderr(n: int, s1: float, s2: float) -> tuple[float, float]:
@@ -116,17 +135,24 @@ def estimate(
     """Estimate scheme utilities by simulation.
 
     The scheme only needs a ``recommend(state, rng)`` method.  Given the
-    same seed the report is identical bit for bit.
+    same seed the report is identical bit for bit.  A scheme that reads only
+    the first k slots is given only those, drawn from the full state's
+    stream (IID priors: all n slots' uniforms), so its report does not
+    depend on what it leaves unread.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > SAMPLER_MAX_SAMPLES:
         raise ValueError(f"samples must be at most {SAMPLER_MAX_SAMPLES}, got {samples}")
-    draw = _state_sampler(instance)
+    table = _prior_table(instance)
+    slots, rec = _bind(scheme, table)
+    draw = _state_sampler(instance, slots, whole_stream=True)
+    scale = table.scale  # int / int is the correctly rounded float of the exact ratio
+    xis, rhos = [x / scale for x in table.xi_num], [r / scale for r in table.rho_num]
     total = _Sums()
     for index, start in enumerate(range(0, samples, _CHUNK)):
         count = min(_CHUNK, samples - start)
-        total.merge(_run_chunk(scheme, draw, seed, index, count))
+        total.merge(_run_chunk(rec, draw, table.types, xis, rhos, seed, index, count))
 
     sender_mean, sender_stderr = _mean_stderr(total.n, total.xi, total.xi2)
     receiver_mean, receiver_stderr = _mean_stderr(total.n, total.rho, total.rho2)

@@ -36,12 +36,14 @@ from .model import (
     format_rational,
     is_symmetric,
     parse_rational,
+    _PriorTable,
     _check_k,
+    _dense_rank,
     _prior_table,
     _state_sampler,
 )
 from .prob_oracle import (
-    SegmentProb, _candidates_around, _slope_ranks, _unique_table, segment_probabilities,
+    SegmentProb, _candidates_around, _ranks, _slope_ranks, _unique_table, segment_probabilities,
 )
 
 __all__ = [
@@ -124,6 +126,58 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     return SlopeScheme(s_star=best_s, alpha=alpha, u_sender=best.u_sender, u_receiver=best.u_receiver)
 
 
+class _Tangency:
+    """A slope scheme's recommendation rule on states given as lists of
+    columns of one type list (``ids[c]`` is column c's type id).
+
+    ``low[c]`` ranks column c first by its exact slope-s* key ``rank[c]``,
+    then by the lowest point (rho, xi) ``point[c]``, then by the lowest id
+    ``ident[c]``; ``high[c]`` by the key, the highest point, the lowest id.
+    Over a state's columns the maximum ``low`` is the low-rho endpoint of
+    the realized tangent and the maximum ``high`` its high-rho endpoint:
+    among coincident points the lowest id stands for them, as in
+    `pareto_frontier`, and on a line of finite slope the (rho, xi) order of
+    points is their rho order.
+    """
+
+    __slots__ = ("scheme", "low", "high", "ids")
+
+    def __init__(self, scheme: SlopeScheme, rank: np.ndarray, point: np.ndarray,
+                 ident: np.ndarray, ids: list[str]) -> None:
+        points, names = int(point.max()) + 1, int(ident.max()) + 1
+        keys = list(zip(rank.tolist(), point.tolist(), ident.tolist()))
+        self.scheme = scheme
+        self.low = [(r * points + points - 1 - p) * names + names - 1 - i for r, p, i in keys]
+        self.high = [(r * points + p) * names + names - 1 - i for r, p, i in keys]
+        self.ids = ids
+
+    def points(self, head: list[int]) -> list[tuple[int, float]]:
+        """The recommended columns of a state's first k columns, with weights."""
+        left = max(head, key=self.low.__getitem__)
+        right = max(head, key=self.high.__getitem__)
+        if left == right:
+            return [(left, 1.0)]
+        key = (self.ids[left], self.ids[right])
+        alpha = self.scheme.alpha.get(key)
+        if alpha is None:
+            raise RuntimeError(
+                f"realized segment {key} at slope {self.scheme.s_star} is missing "
+                "from the scheme; the probability oracle and the frontier disagree"
+            )
+        return [(left, alpha), (right, 1.0 - alpha)]
+
+    def distribution(self, head: list[int]) -> dict[int, float]:
+        """Each recommended column's weight split evenly over the slots holding it."""
+        out: dict[int, float] = {}
+        for point, w in self.points(head):
+            if w <= 0.0:
+                continue
+            slots = [i for i, c in enumerate(head) if c == point]
+            for slot in slots:
+                out[slot] = w / len(slots)
+        return out
+
+
 @dataclass(frozen=True)
 class SlopeSchemeExecutor:
     """Runs a SlopeScheme on realized states.
@@ -132,66 +186,65 @@ class SlopeSchemeExecutor:
     frontier tangent at the scheme's slope s* without building the
     frontier: it maximises the exact slope-s* key of each type, ranked by
     the oracle's own rule (`prob_oracle._slope_ranks`: xi - s*·rho for
-    finite s* < 0, (xi, rho) at s* = 0, (rho, xi) at s* = -inf).  Dense
-    ranks are cached per type id and recomputed over every type seen so far
-    when a state brings a new one, so a state costs integer comparisons
-    only.  Two or more distinct maximising points form the tangent
-    segment, which recommends its low-rho endpoint with the stored alpha
-    weight and its high-rho endpoint otherwise; a single maximising point
-    is recommended outright.  Among coincident points the lowest id stands
-    for them, as in `pareto_frontier`.  When several of the first k slots
-    hold the recommended type, the slot is drawn uniformly among them,
-    which keeps the scheme symmetric.
+    finite s* < 0, (xi, rho) at s* = 0, (rho, xi) at s* = -inf).  Two or
+    more distinct maximising points form the tangent segment, which
+    recommends its low-rho endpoint with the stored alpha weight and its
+    high-rho endpoint otherwise; a single maximising point is recommended
+    outright.  Among coincident points the lowest id stands for them, as in
+    `pareto_frontier`.  When several of the first k slots hold the
+    recommended type, the slot is drawn uniformly among them, which keeps
+    the scheme symmetric.
+
+    A sampled state is a row of prior-table columns, and the rule
+    (`_Tangency`) runs on such rows with one integer key per column and
+    endpoint, so a state costs two `max` calls over k ints.  `estimate`
+    binds the executor to the instance's table once (`_bind`, ranked by
+    `prob_oracle._ranks`) and draws only the first k columns of each state.
+    `recommend` and `recommendation_distribution` take `ActionType` states:
+    they map each type to a column among the types seen so far, ranked
+    again when a state brings a new one, and run the same rule.
     """
 
     scheme: SlopeScheme
     k: int
     _seen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ranked: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def _rank(self, head: State) -> list[int]:
-        ranks = self._ranks
-        try:
-            return [ranks[t.id] for t in head]
-        except KeyError:  # a type not seen yet: rank every type seen so far again
-            pass
-        seen = self._seen
-        seen.update((t.id, t) for t in head)
-        types = seen.values()
-        dense = _slope_ranks([t.rho for t in types], [t.xi for t in types], self.scheme.s_star)
-        ranks.update(zip(seen, dense.tolist()))
-        return [ranks[t.id] for t in head]
-
-    def recommendation_distribution(self, state: State) -> dict[int, float]:
+    def _columns(self, state: State) -> tuple[list[int], _Tangency]:
+        """The columns of the state's first k types among the types seen so
+        far, and the rule over those types."""
         if len(state) < self.k:
             raise ValueError(f"state has {len(state)} slots, scheme needs {self.k}")
-        head = state[: self.k]
-        ranks = self._rank(head)
-        top = max(ranks)
-        best = sorted((t for t, r in zip(head, ranks) if r == top), key=lambda t: (t.rho, t.id))
-        left, right = best[0], max(best, key=lambda t: t.rho)  # lowest id of each end
-        if right is left:
-            weights = [(left, 1.0)]
-        else:
-            key = (left.id, right.id)
-            alpha = self.scheme.alpha.get(key)
-            if alpha is None:
-                raise RuntimeError(
-                    f"realized segment {key} at slope {self.scheme.s_star} is missing "
-                    "from the scheme; the probability oracle and the frontier disagree"
-                )
-            weights = [(left, alpha), (right, 1.0 - alpha)]
-        out: dict[int, float] = {}
-        for point, w in weights:
-            if w <= 0.0:
-                continue
-            slots = [i for i, t in enumerate(head) if t.id == point.id]
-            for slot in slots:
-                out[slot] = w / len(slots)
-        return out
+        head, ranked = state[: self.k], self._ranked
+        if ranked:
+            try:
+                return [ranked[0][t.id] for t in head], ranked[1]
+            except KeyError:  # a type not seen yet: rank every type seen so far again
+                pass
+        seen = self._seen
+        seen.update((t.id, t) for t in head)
+        rho, xi, ids = [t.rho for t in seen.values()], [t.xi for t in seen.values()], list(seen)
+        rule = _Tangency(self.scheme, _slope_ranks(rho, xi, self.scheme.s_star),
+                         _dense_rank(list(zip(rho, xi))), _dense_rank(ids), ids)
+        ranked[:] = [{tid: c for c, tid in enumerate(ids)}, rule]
+        return [ranked[0][t.id] for t in head], rule
+
+    def recommendation_distribution(self, state: State) -> dict[int, float]:
+        head, rule = self._columns(state)
+        return rule.distribution(head)
 
     def recommend(self, state: State, rng: np.random.Generator) -> int:
         return _sample_slot(self.recommendation_distribution(state), rng)
+
+    def _table_rule(self, table: _PriorTable) -> _Tangency:
+        """The rule over the prior table's columns."""
+        return _Tangency(self.scheme, _ranks(table, self.scheme.s_star), table.point_rank,
+                         table.id_rank, [t.id for t in table.types])
+
+    def _bind(self, table: _PriorTable):
+        """The first-k column count and ``rec(columns, rng)`` on the table."""
+        distribution = self._table_rule(table).distribution
+        return self.k, lambda head, rng: _sample_slot(distribution(head), rng)
 
 
 def _sample_slot(dist: Mapping[int, float], rng: np.random.Generator) -> int:
@@ -351,11 +404,11 @@ def bicriteria_scheme(
     modulo 2^64, as `estimate` takes every seed.
 
     The sample is counted in the prior table's representation: a state is
-    the tuple of its slots' table columns, and a multiset is those columns
-    sorted by id.  Utilities and their differences are read off the table's
-    integers over their common denominator, which gives the same correctly
-    rounded floats as the exact rationals; `State` tuples are formed only
-    for the returned table's keys.
+    the tuple of its slots' table columns, as the sampler draws it, and a
+    multiset is those columns sorted by id.  Utilities and their
+    differences are read off the table's integers over their common
+    denominator, which gives the same correctly rounded floats as the exact
+    rationals; `State` tuples are formed only for the returned table's keys.
     """
     if not is_symmetric(instance):
         raise TypeError("bicriteria_scheme requires a symmetric instance")
@@ -379,11 +432,10 @@ def bicriteria_scheme(
         rng %= 2**64
     rng = np.random.default_rng(rng)
 
-    col = {t.id: j for j, t in enumerate(table.types)}
     draw = _state_sampler(instance, k)
     counts: dict[tuple[int, ...], int] = {}  # states as prior-table columns
     for _ in range(samples):
-        state = tuple(col[t.id] for t in draw(rng))
+        state = tuple(draw(rng))
         counts[state] = counts.get(state, 0) + 1
 
     rho_num, scale = table.rho_num, table.scale

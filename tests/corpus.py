@@ -177,3 +177,37 @@ def perfbench(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# No bundled fixture is a prophet-secretary prior, so the golden tests use this one.
+PROPHET_SECRETARY_DOC = {"kind": "prophet_secretary", "dists": [
+    [{"id": "a", "rho": "1/2", "xi": 1, "q": "1/2"}, {"id": "b", "rho": 1, "xi": 0, "q": "1/2"}],
+    [{"id": "c", "rho": "3/4", "xi": "1/2", "q": "1/3"}, {"id": "d", "rho": 0, "xi": 1, "q": "2/3"}],
+    [{"id": "e", "rho": "1/4", "xi": "3/4", "q": 1}],
+    [{"id": "f", "rho": 1, "xi": "1/4", "q": "1/4"}, {"id": "g", "rho": "1/3", "xi": "1/3", "q": "3/4"}],
+]}
+
+
+def big_prophet_secretary(seed: int = 20240819) -> ProphetSecretaryInstance:
+    """Eight two-type distributions: too many states to enumerate exactly."""
+    rng = np.random.default_rng(seed)
+    tid = 0
+    dists = []
+    for _ in range(8):
+        raws = [int(x) for x in rng.integers(1, 5, size=2)]
+        qs = [Fraction(x, sum(raws)) for x in raws]
+        dists.append(
+            tuple(
+                (
+                    ActionType(
+                        f"t{tid + j}",
+                        Fraction(int(rng.integers(0, 13)), 12),
+                        Fraction(int(rng.integers(0, 13)), 12),
+                    ),
+                    qs[j],
+                )
+                for j in range(2)
+            )
+        )
+        tid += 2
+    return ProphetSecretaryInstance(dists=tuple(dists))

@@ -20,10 +20,11 @@ from click.testing import CliRunner
 import persuade as P
 from persuade.cli import main as cli_main
 from persuade.exact_oracle import enumerate_count
-from persuade.model import ActionType, ProphetSecretaryInstance, _state_sampler, n_slots
+from persuade.model import ActionType, ProphetSecretaryInstance, _prior_table, _state_sampler, n_slots
 from persuade.prob_oracle import unique_probabilities
 from persuade.symmetric_schemes import SlopeSchemeExecutor
 from corpus import (
+    big_prophet_secretary,
     independent_corpus,
     probe_slopes,
     random_best_fixed_deterministic,
@@ -189,46 +190,26 @@ def test_08_imitation_and_limit_ratios():
         print(f"{name}: imitation >= (k/n) OPT_n for all k in [2, {n}]")
 
 
-def _big_prophet_secretary(seed: int = 20240819) -> ProphetSecretaryInstance:
-    """Eight two-type distributions: too many states to enumerate exactly."""
-    rng = np.random.default_rng(seed)
-    tid = 0
-    dists = []
-    for _ in range(8):
-        raws = [int(x) for x in rng.integers(1, 5, size=2)]
-        qs = [Fraction(x, sum(raws)) for x in raws]
-        dists.append(
-            tuple(
-                (
-                    ActionType(
-                        f"t{tid + j}",
-                        Fraction(int(rng.integers(0, 13)), 12),
-                        Fraction(int(rng.integers(0, 13)), 12),
-                    ),
-                    qs[j],
-                )
-                for j in range(2)
-            )
-        )
-        tid += 2
-    return ProphetSecretaryInstance(dists=tuple(dists))
-
-
 def _exact_persuasive(scheme, inst) -> bool:
     report = P.persuasiveness_check(scheme, inst)
     return all(c.value >= c.best_deviation - 1e-8 for c in report.signals.values())
 
 
 def _mc_persuasive(executor, inst, rng, samples: int = 2500) -> bool:
-    """Per-signal, per-deviation 3-sigma check on sampled states."""
+    """Per-signal, per-deviation 3-sigma check on sampled states, read as
+    rows of prior-table columns: the executor's distribution comes from its
+    rule over the table's columns, the receiver utilities from the table."""
     n = n_slots(inst)
     sums: dict[tuple[int, int], float] = {}
     sqs: dict[tuple[int, int], float] = {}
     draw = _state_sampler(inst)  # built once; draws the same states as sample_state
+    table = _prior_table(inst)
+    rho = [r / table.scale for r in table.rho_num]  # each the float of the exact rho
+    rule = executor._table_rule(table)
     for _ in range(samples):
-        state = draw(rng)
-        rhos = [float(state[j].rho) for j in range(n)]
-        for i, p in executor.recommendation_distribution(state).items():
+        cols = draw(rng)
+        rhos = [rho[c] for c in cols]
+        for i, p in rule.distribution(cols[: executor.k]).items():
             for j in range(n):
                 y = p * (rhos[i] - rhos[j])
                 sums[i, j] = sums.get((i, j), 0.0) + y
@@ -242,7 +223,7 @@ def _mc_persuasive(executor, inst, rng, samples: int = 2500) -> bool:
 
 
 def test_09_persuasiveness_hundred_seeds():
-    big = _big_prophet_secretary()
+    big = big_prophet_secretary()
     assert enumerate_count(big) > 10**6
     big_executor = SlopeSchemeExecutor(P.slope_algorithm(big, 3), 3)
     passes = 0

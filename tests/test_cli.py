@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import persuade as P
 from persuade.cli import main
+from corpus import PROPHET_SECRETARY_DOC
 
 
 @pytest.fixture(scope="module")
@@ -232,15 +233,6 @@ def test_simulate_command_schema_and_determinism(fixture_dir):
 
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# No bundled fixture is a prophet-secretary prior, so the golden test writes one.
-PROPHET_SECRETARY_DOC = {"kind": "prophet_secretary", "dists": [
-    [{"id": "a", "rho": "1/2", "xi": 1, "q": "1/2"}, {"id": "b", "rho": 1, "xi": 0, "q": "1/2"}],
-    [{"id": "c", "rho": "3/4", "xi": "1/2", "q": "1/3"}, {"id": "d", "rho": 0, "xi": 1, "q": "2/3"}],
-    [{"id": "e", "rho": "1/4", "xi": "3/4", "q": 1}],
-    [{"id": "f", "rho": 1, "xi": "1/4", "q": "1/4"}, {"id": "g", "rho": "1/3", "xi": "1/3", "q": "3/4"}],
-]}
-
 
 @pytest.mark.parametrize("name, args", [
     ("ratio_iid", ["--k", "2"]),

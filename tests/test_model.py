@@ -24,7 +24,7 @@ from persuade.model import (
     parse_rational,
     sample_state,
 )
-from persuade.model import _state_sampler
+from persuade.model import _prior_table, _state_sampler
 from corpus import independent_corpus, random_symmetric, shared_type_priors, symmetric_corpus
 
 
@@ -185,10 +185,31 @@ def test_sampler_keeps_the_per_slot_choice_stream(make_rng):
     for seed, (inst, slots) in enumerate(_stream_pin_cases()):
         ours, ref = make_rng(seed), make_rng(seed)
         draw = _state_sampler(inst, slots)  # built once, as estimate and bicriteria_scheme do
+        types = _prior_table(inst).types
         for _ in range(15):
-            assert draw(ours) == _choice_per_slot(inst, ref, slots)
+            assert tuple(types[c] for c in draw(ours)) == _choice_per_slot(inst, ref, slots)
         assert sample_state(inst, ours) == _choice_per_slot(inst, ref)
         assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda seed: np.random.Generator(np.random.Philox(key=[seed, 3])),
+    np.random.default_rng,
+], ids=["philox", "pcg64"])
+def test_leading_slots_are_the_full_draw_cropped(make_rng):
+    # Prophet-secretary, d-random-order and independent priors draw the
+    # whole state for any slot count, and IID priors do with whole_stream:
+    # the first k columns of the full draw, with the generator left where
+    # the full draw leaves it.
+    whole = [inst for inst, slots in _stream_pin_cases() if slots is None]
+    for seed, inst in enumerate(whole):
+        full = _state_sampler(inst)
+        for slots in range(1, n_slots(inst)):
+            ours, ref = make_rng(seed), make_rng(seed)
+            draw = _state_sampler(inst, slots, whole_stream=isinstance(inst, IIDInstance))
+            for _ in range(5):
+                assert draw(ours) == full(ref)[:slots]
+            assert ours.random() == ref.random()
 
 
 
