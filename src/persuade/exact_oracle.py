@@ -10,6 +10,14 @@ realized frontier depends only on the set of the first k types, so
 ``enumerate_oracle`` sums the prior's mass per such set and asks
 ``geometry.point_for_slope`` once per set and query slope.
 
+On symmetric instances the brute-force LP is solved over the orbits of
+G = S_k x S_{n-k} on states (permuting the first k slots, and the other
+n - k among themselves): one variable per (orbit, distinct type among the
+first k slots) and two obedience rows.  Its optimum is the state-level
+LP's, and its scheme, expanded to every state, sends each of the k signals
+with probability 1/k.  Independent instances keep the state-level LP over
+every k-subset of actions.
+
 Each instance's prior is enumerated once, in integers over one common
 denominator, and kept on the instance (`_exact_prior`) for every later
 call and every k; each call checks its own guard first.
@@ -18,15 +26,18 @@ call and every k; each call checks its own guard first.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .geometry import SegmentTangent, Slope, pareto_frontier, point_for_slope
-from .lp_core import CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ZERO_TOL, LinearProgram, solve_lp
+from .lp_core import (
+    CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ZERO_TOL, LinearProgram, RowCoeffs, solve_lp,
+)
 from .model import (
     ActionType,
     DRandomOrderInstance,
@@ -272,22 +283,45 @@ def expected_utilities(
 def optimal_scheme_bruteforce(
     instance: Instance, k: int, state_bound: int = 10**5
 ) -> tuple[TabularScheme, float]:
-    """Exactly optimal persuasive k-signal scheme by direct LP over all states.
+    """Exactly optimal persuasive k-signal scheme by direct LP over the prior.
 
-    Signals recommend slots.  On symmetric instances only the first k slots
-    need ever be recommended; on independent instances every k-subset of
-    actions is tried and the best kept.  Per subset the LP maximizes
-    expected sender utility over per-state recommendation rows, subject to
-    obedience: conditioned on any signal, the recommended slot's receiver
-    utility beats every alternative slot in expectation.
+    Signals recommend slots.  The LP maximizes expected sender utility
+    subject to obedience: conditioned on any signal, the recommended slot's
+    receiver utility beats every alternative slot in expectation.  The
+    scheme has a recommendation row for every state of the prior.
 
-    States are ordered by their type ids.  Each coefficient, a state's
-    exact probability times a utility or a utility difference, is formed
-    as one ratio of integers over the common denominators of the prior and
-    of the prior table's utilities, so it is the correctly rounded float of
-    the exact product.
+    On independent instances every k-subset of actions is tried and the best
+    kept; per subset the LP has one variable per (state, signal) and one
+    obedience row per (signal, other slot).
+
+    On symmetric instances only the first k slots need ever be recommended,
+    and the LP is solved over the orbits of G = S_k x S_{n-k}, which permutes
+    the first k slots and the other n - k among themselves.  The prior is
+    G-invariant, so averaging an optimal solution over G keeps it feasible
+    and optimal: some optimal scheme gives each state's slots weights that
+    depend only on the state's orbit and the slot's type.  The LP has one
+    variable per (orbit, distinct type among its first k slots) and two
+    obedience rows, against another signalled slot and against an unseen
+    one (only the first when k = n); the optimum is the state-level LP's.
+    Each of the k signals then has probability 1/k.
+
+    Each coefficient, an exact probability times a utility or a utility
+    difference, is formed as one ratio of integers over the common
+    denominators of the prior and of the prior table's utilities, so it is
+    the correctly rounded float of the exact product.
     """
     n = _check_k(instance, k)
+    if isinstance(instance, IndependentInstance):
+        return _state_lp(instance, combinations(range(n), k), state_bound)
+    return _orbit_lp(instance, k, state_bound)
+
+
+def _state_lp(
+    instance: Instance, subsets: Iterable[tuple[int, ...]], state_bound: int
+) -> tuple[TabularScheme, float]:
+    """The best of the state-level LPs that recommend only the slots of one
+    subset, over the given subsets.  States are ordered by their type ids."""
+    n = n_slots(instance)
     prior = _exact_prior(instance, state_bound)
     table = _prior_table(instance)
     order = np.lexsort(table.id_rank[prior.cols].T[::-1])
@@ -297,11 +331,6 @@ def optimal_scheme_bruteforce(
     rho = [[table.rho_num[c] for c in row] for row in rows]
     xi = [[table.xi_num[c] for c in row] for row in rows]
     den = prior.den * table.scale
-
-    if isinstance(instance, IndependentInstance):
-        subsets = list(combinations(range(n), k))
-    else:
-        subsets = [tuple(range(k))]
 
     best: tuple[float, dict[State, dict[int, float]]] | None = None
     for signals in subsets:
@@ -345,6 +374,78 @@ def optimal_scheme_bruteforce(
             "receiver-best slot is always obedient, so this cannot happen"
         )
     return TabularScheme(table=best[1]), best[0]
+
+
+def _orbit_lp(instance: Instance, k: int, state_bound: int) -> tuple[TabularScheme, float]:
+    """The symmetric LP over G-orbits, expanded to a row for every state.
+
+    An orbit is the multiset M of a state's first k prior-table columns and
+    the multiset R of the others; orbits are ordered by the id ranks of
+    their columns, and within an orbit the variables follow M's distinct
+    columns by id rank.  Variable x_{O,t} is the weight of all slots of M
+    holding t, so in a state of orbit O a slot holding t gets x_{O,t}/m_t,
+    where m_t is t's multiplicity in M.
+    """
+    n = n_slots(instance)
+    prior = _exact_prior(instance, state_bound)
+    table = _prior_table(instance)
+    ranks = table.id_rank[prior.cols]
+    halves = (np.sort(ranks[:, :k], axis=1), np.sort(ranks[:, k:], axis=1))
+    keys, orbit_of = np.unique(np.concatenate(halves, axis=1), axis=0, return_inverse=True)
+    orbit_of = orbit_of.ravel().tolist()
+    mass = [0] * len(keys)
+    for o, x in zip(orbit_of, prior.num):
+        mass[o] += x
+    rho, xi = table.rho_num, table.xi_num
+    den = prior.den * table.scale
+
+    # Per orbit, its distinct first-k columns with their multiplicities.
+    orbits: list[Counter[int]] = []
+    objective: list[float] = []
+    signalled: list[float] = []
+    unseen: list[float] = []
+    lp_rows: list[tuple[RowCoeffs, str, float]] = []
+    for row, x in zip(np.argsort(table.id_rank)[keys].tolist(), mass):
+        seen, rest = row[:k], row[k:]
+        s_m = sum(rho[c] for c in seen)
+        s_r = sum(rho[c] for c in rest)
+        counts = Counter(seen)
+        orbits.append(counts)
+        cells = range(len(objective), len(objective) + len(counts))
+        lp_rows.append((dict.fromkeys(cells, 1.0), "=", 1.0))
+        for c in counts:
+            objective.append(x * xi[c] / den)
+            signalled.append(x * (k * rho[c] - s_m) / (den * (k - 1)))
+            if rest:
+                unseen.append(x * ((n - k) * rho[c] - s_r) / (den * (n - k)))
+    lp_rows.append((signalled, ">=", 0.0))
+    if unseen:
+        lp_rows.append((unseen, ">=", 0.0))
+
+    solution = solve_lp(
+        LinearProgram(
+            objective=tuple(objective),
+            rows=tuple(lp_rows),
+            bounds=((0.0, 1.0),) * len(objective),
+        )
+    )
+    if solution.status != "optimal":
+        raise RuntimeError(
+            "the orbit LP came back infeasible; recommending the "
+            "receiver-best slot is always obedient, so this cannot happen"
+        )
+    # Per orbit, the weight of one slot holding each column kept.
+    weights: list[dict[int, float]] = []
+    values = iter(solution.values)
+    for counts in orbits:
+        per_slot = {c: next(values) / m for c, m in counts.items()}
+        total = sum(m * max(per_slot[c], 0.0) for c, m in counts.items())
+        weights.append({c: p / total for c, p in per_slot.items() if p > ZERO_TOL})
+    scheme = {
+        state: {i: w[c] for i, c in enumerate(row[:k]) if c in w}
+        for (state, row, _), w in zip(prior.states(), map(weights.__getitem__, orbit_of))
+    }
+    return TabularScheme(table=scheme), solution.objective
 
 
 # --------------------------------------------------------------------------

@@ -273,8 +273,13 @@ def best_fixed_action_value(instance: Instance) -> Fraction:
     For symmetric instances every slot has the same marginal law, so this is
     the per-slot expectation; for independent instances it is the maximum over
     actions. A receiver who ignores all signals can always secure this value,
-    which is why persuasive schemes must match it.
+    which is why persuasive schemes must match it.  Computed on first use
+    and then kept on the instance.
     """
+    return _cached(instance, "_best_fixed_action_value", _best_fixed_value)
+
+
+def _best_fixed_value(instance: Instance) -> Fraction:
     if isinstance(instance, IIDInstance):
         return sum((q * t.rho for t, q in instance.palette), Fraction(0))
     if isinstance(instance, ProphetSecretaryInstance):

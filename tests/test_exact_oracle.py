@@ -336,6 +336,20 @@ WIDE_REFEREE = {
 }
 
 
+# The orbit LP's optimum on `_wide_fraction_prior`, per k.
+WIDE_ORBIT_OPTIMUM = {2: "0x1.15551f55cfe08p-1", 3: "0x1.1555229d927f8p-1"}
+
+
+def _orbits(prior: dict, k: int) -> list:
+    """[((first k types, other types), exact mass), ...]: the prior's mass per
+    G-orbit, each half sorted by id, orbits in order of their ids."""
+    mass: dict = {}
+    for state, p in prior.items():
+        key = tuple(tuple(sorted(half, key=lambda t: t.id)) for half in (state[:k], state[k:]))
+        mass[key] = mass.get(key, 0) + p
+    return sorted(mass.items(), key=lambda item: [[t.id for t in half] for half in item[0]])
+
+
 def _table_text(table) -> str:
     return repr(sorted(
         (tuple(t.id for t in state), tuple((i, p.hex()) for i, p in row.items()))
@@ -359,7 +373,8 @@ def test_referee_coefficients_are_exact_products_rounded_once(monkeypatch):
     monkeypatch.setattr(exact_oracle, "solve_lp", lambda lp: lps.append(lp) or solve_lp(lp))
     states = sorted(prior, key=lambda s: tuple(t.id for t in s))
     for k, (opt, split, digest) in WIDE_REFEREE.items():
-        scheme, value = optimal_scheme_bruteforce(inst, k)
+        # The state-level LP, which independent subsets and the cross-checks use.
+        scheme, value = exact_oracle._state_lp(inst, [tuple(range(k))], 10**5)
         # Column si * k + i is the weight of slot i in the si-th state by ids.
         assert lps[-1].objective == tuple(
             float(prior[s] * s[i].xi) for s in states for i in range(k)
@@ -376,6 +391,18 @@ def test_referee_coefficients_are_exact_products_rounded_once(monkeypatch):
         got = {ids: {i: p.hex() for i, p in row.items()} for ids, row in rows.items() if len(row) > 1}
         assert got == split
         assert hashlib.sha256(_table_text(scheme.table).encode()).hexdigest() == digest
+
+        # The orbit LP the referee solves: one column per (orbit, distinct
+        # type among its first k slots), in the order of `_orbits`.
+        value = optimal_scheme_bruteforce(inst, k)[1]
+        cells = [(seen, rest, p, t) for (seen, rest), p in _orbits(prior, k) for t in dict.fromkeys(seen)]
+        assert lps[-1].objective == tuple(float(p * t.xi) for _, _, p, t in cells)
+        assert [list(c) for c, relation, _ in lps[-1].rows if relation == ">="] == [
+            [float(p * (k * t.rho - sum(u.rho for u in seen)) / (k - 1)) for seen, _, p, t in cells],
+            *([[float(p * ((3 - k) * t.rho - sum(u.rho for u in rest)) / (3 - k))
+                for _, rest, p, t in cells]] if k < 3 else []),
+        ]
+        assert value.hex() == WIDE_ORBIT_OPTIMUM[k]
 
 
 def test_enumerate_oracle_partitions_probability_at_every_slope():
@@ -394,3 +421,43 @@ def test_enumerate_oracle_partitions_probability_at_every_slope():
                     if slope_between(types[a], types[b]) == s
                 )
                 assert total == Fraction(1), (k, s)
+
+
+def test_orbit_referee_optimum_equals_the_state_level_lp():
+    for i, inst in enumerate(symmetric_corpus()):
+        for k in range(2, n_slots(inst) + 1):
+            _, value = optimal_scheme_bruteforce(inst, k)
+            _, state_level = exact_oracle._state_lp(inst, [tuple(range(k))], 10**5)
+            assert abs(value - state_level) < 1e-9, (i, k)
+
+
+def _moved(state, row, perm):
+    """The state with slot j holding state[perm[j]], and its row moved along."""
+    back = {old: new for new, old in enumerate(perm)}
+    return tuple(state[j] for j in perm), {back[i]: p for i, p in row.items()}
+
+
+def test_orbit_referee_scheme_is_persuasive_symmetric_and_attains_its_value():
+    for i, inst in enumerate(symmetric_corpus()[:60]):
+        n = n_slots(inst)
+        for k in range(2, n + 1):
+            scheme, value = optimal_scheme_bruteforce(inst, k)
+            report = persuasiveness_check(scheme, inst)
+            assert report.persuasive, (i, k)
+            assert abs(expected_utilities(scheme, inst)[0] - value) < 1e-9, (i, k)
+            assert sorted(report.signals) == list(range(k)), (i, k)
+            for check in report.signals.values():
+                assert abs(check.probability - 1 / k) < 1e-12, (i, k)
+            # A swap and a rotation of the first k slots generate S_k, and of
+            # the other n - k slots S_{n-k}.
+            ident = list(range(n))
+            perms = [
+                [1, 0, *ident[2:]],
+                [*ident[1:k], 0, *ident[k:]],
+                *([[*ident[:k], k + 1, k, *ident[k + 2:]], [*ident[:k], *ident[k + 1:], k]]
+                  if n - k >= 2 else []),
+            ]
+            for state, row in scheme.table.items():
+                for perm in perms:
+                    moved, moved_row = _moved(state, row, perm)
+                    assert scheme.table[moved] == moved_row, (i, k, perm)

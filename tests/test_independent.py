@@ -394,3 +394,20 @@ def test_value_curves_built_once_per_instance(monkeypatch):
     fptas_select(inst, 3, 0.2)
     independent_scheme(inst, 3, "greedy", force=True)
     assert calls == list(inst.actions)
+
+
+def test_best_fixed_action_value_computed_once_per_instance(monkeypatch):
+    # The receiver threshold is kept on the instance: the fallback check,
+    # the relaxation and the value curves of every method read the one the
+    # first of them computed.
+    from persuade import model
+
+    compute = model._best_fixed_value
+    computed = []
+    monkeypatch.setattr(model, "_best_fixed_value", lambda inst: computed.append(inst) or compute(inst))
+    inst, other = P.load_fixture("coins_k3"), P.load_fixture("coins_k5")
+    for method in ("greedy", "reduce", "fptas"):
+        independent_scheme(inst, 2, method, epsilon=0.2, force=True)
+        independent_scheme(other, 3, method, epsilon=0.2, force=True)
+    assert computed == [inst, other]
+    assert P.best_fixed_action_value(inst) == compute(inst)
