@@ -1,8 +1,9 @@
 """Small linear programs shared by the scheme modules.
 
-Two entry points live here.  ``solve_lp`` is a thin, deterministic wrapper
-around scipy's HiGHS backend for the handful of generic LPs in the package
-(the brute-force scheme oracle, the relaxation LPs, the bicriteria LP).
+Two entry points live here.  ``solve_lp`` solves the handful of generic LPs
+in the package (the brute-force scheme oracle, the relaxation LPs, the
+bicriteria LP) deterministically with HiGHS, calling the bindings scipy
+ships (``scipy.optimize._highspy``) directly.
 ``solve_slope_lp`` solves the per-slope scheme LP in closed form: when every
 segment shares one slope, trading receiver value for sender value happens at
 a single fixed exchange rate, so the optimum is a one-dimensional shift from
@@ -11,6 +12,15 @@ the sender-optimal corner.  The closed form itself is ``_slope_lp``;
 that serves its whole sweep, and ``solve_slope_lp`` with the event lists it
 is given.
 
+These LPs are tiny (an independent benchmark round solves 183 of them, 4 238
+columns in all), so a solve is mostly fixed overhead, and ``linprog``'s
+wrapper cost more than HiGHS's own run: one round's LPs took 0.69-0.83 s
+through ``linprog(method="highs")`` and 0.2 s through the bindings (2 CPUs,
+Python 3.11, scipy 1.17).  ``solve_lp`` passes HiGHS what that call passed
+with its defaults (the same column-wise matrix, "<=" rows before "=" rows;
+presolve on, dual simplex, no debugging, no output) and keeps its status
+mapping and post-solve feasibility check, so it returns the same bits.
+
 HiGHS (scipy) is imported on the first ``solve_lp`` call, not with the
 package: importing scipy is most of a CLI call's start-up, and a command
 that never solves a generic LP (a slope ``solve``, ``simulate``) skips it.
@@ -18,10 +28,13 @@ that never solves a generic LP (a slope ``solve``, ``simulate``) skips it.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -42,6 +55,8 @@ BICRITERIA_MARGIN = 1e-5
 ZERO_TOL = 1e-12
 # At or below this counts as zero: a budget, a checked signal mass, a normalised weight.
 NEGLIGIBLE_TOL = 1e-15
+# linprog's post-solve check: an optimal LP answer may leave a bound or a row by this.
+SOLUTION_TOL = math.sqrt(1e-9) * 10
 
 RowCoeffs = Union[Sequence[float], Mapping[int, float]]
 
@@ -69,44 +84,47 @@ class LpSolution:
     objective: float | None
 
 
-# relation -> (block, sign): a ">=" row enters the "<=" block negated.
-_RELATIONS = {"<=": ("ub", 1.0), ">=": ("ub", -1.0), "=": ("eq", 1.0)}
+# relation -> (equality row, sign): a ">=" row enters as a "<=" row negated.
+_RELATIONS = {"<=": (False, 1.0), ">=": (False, -1.0), "=": (True, 1.0)}
 
 
-def _blocks(rows, n_vars: int):
-    """{block: (matrix, right-hand sides)} for the "ub" and "eq" blocks, each
-    row times its relation's sign, zero coefficients left out; (None, None)
-    for a block without rows.
+def _columns(rows, n_vars: int):
+    """The rows as HiGHS's column-wise matrix with row bounds, as lists:
+    (start, index, value, lower, upper).
 
-    All coefficients are checked at once, but the error raised is the one a
-    row-by-row check would meet first, in `rows` order; row numbers count
-    within a block.
+    "<=" and ">=" rows come first, then "=" rows, each block in `rows` order;
+    a row enters times its relation's sign, so the first block is bounded
+    above only.  A column's entries are in row order, zero coefficients left
+    out.  All coefficients are checked at once, but the error raised is the
+    one a row-by-row check would meet first, in `rows` order; row numbers
+    count within a block.
     """
-    from scipy import sparse
-
-    keys, values, lengths, blocks, signs, numbers = [], [], [], [], [], []
-    rhs: dict[str, list[float]] = {"ub": [], "eq": []}
+    keys, values, lengths, equality, signs, numbers = [], [], [], [], [], []
+    rhs: dict[bool, list[float]] = {False: [], True: []}
     refused = None  # the first row refused before its coefficients are read
     for coeffs, relation, value in rows:
         value = float(value)
         if relation not in _RELATIONS:
             refused = f"unknown relation {relation!r}"
             break
-        block, sign = _RELATIONS[relation]
+        eq, sign = _RELATIONS[relation]
+        if not math.isfinite(value):
+            refused = f"row {len(rhs[eq])} has a non-finite right-hand side"
+            break
         if isinstance(coeffs, Mapping):
             keys.append(coeffs.keys())
             values.append(coeffs.values())
         elif len(coeffs) != n_vars:
-            refused = f"row {len(rhs[block])} has {len(coeffs)} coefficients, expected {n_vars}"
+            refused = f"row {len(rhs[eq])} has {len(coeffs)} coefficients, expected {n_vars}"
             break
         else:
             keys.append(range(n_vars))
             values.append(coeffs)
         lengths.append(len(coeffs))
-        blocks.append(block)
+        equality.append(eq)
         signs.append(sign)
-        numbers.append(len(rhs[block]))
-        rhs[block].append(sign * value)
+        numbers.append(len(rhs[eq]))
+        rhs[eq].append(sign * value)
 
     total = sum(lengths)
     cols = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=total)
@@ -123,57 +141,104 @@ def _blocks(rows, n_vars: int):
     if refused is not None:
         raise ValueError(refused)
 
+    n_ub = len(rhs[False])
+    position = np.asarray(numbers, dtype=np.int64) + n_ub * np.asarray(equality, dtype=bool)
     vals *= np.asarray(signs)[row_of]
-    entry_block = np.asarray(blocks)[row_of]
-    entry_row = np.asarray(numbers, dtype=np.int64)[row_of]
-    out = {}
-    for block in ("ub", "eq"):
-        if not rhs[block]:
-            out[block] = (None, None)
-            continue
-        kept = (entry_block == block) & (vals != 0.0)
-        matrix = sparse.csr_matrix(
-            (vals[kept], (entry_row[kept], cols[kept])), shape=(len(rhs[block]), n_vars)
-        )
-        out[block] = (matrix, np.asarray(rhs[block]))
-    return out
+    kept = vals != 0.0
+    cols, entry_row, vals = cols[kept], position[row_of[kept]], vals[kept]
+    order = np.lexsort((entry_row, cols))
+    start = np.zeros(n_vars + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_vars), out=start[1:])
+    upper = rhs[False] + rhs[True]
+    lower = [-math.inf] * n_ub + rhs[True]
+    return start.tolist(), entry_row[order].tolist(), vals[order].tolist(), lower, upper
+
+
+@cache
+def _highs():
+    """HiGHS's bindings and the options `linprog(method="highs")` passes by
+    default, made on the first solve."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise ImportError(
+            "solve_lp needs scipy>=1.15, whose HiGHS bindings are "
+            "scipy.optimize._highspy"
+        ) from exc
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
+    options.output_flag = False
+    options.log_to_console = False
+    return _core, options
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a small maximization LP deterministically.
 
     Returns an LpSolution whose status is "optimal", "infeasible", or
-    "unbounded".  Values and objective are None unless optimal.
+    "unbounded".  Values and objective are None unless optimal.  Any other
+    outcome raises RuntimeError, as does an "optimal" answer that leaves a
+    variable's bounds or a row by more than ``SOLUTION_TOL``.
     """
-    from scipy.optimize import linprog
-
     n_vars = len(lp.objective)
+    if n_vars == 0:
+        raise ValueError("the LP has no variables")
     objective = np.asarray(lp.objective, dtype=float)
     if not np.all(np.isfinite(objective)):
         raise ValueError("objective has a non-finite coefficient")
-    blocks = _blocks(lp.rows, n_vars)
+    start, index, value, row_lower, row_upper = _columns(lp.rows, n_vars)
 
     bounds = list(lp.bounds) if lp.bounds is not None else [(0.0, None)] * n_vars
     if len(bounds) != n_vars:
         raise ValueError(f"{len(bounds)} bounds given for {n_vars} variables")
+    # None, read as nan, is an open side.
+    col_lower, col_upper = np.array(bounds, dtype=float).T
+    col_lower = np.where(np.isnan(col_lower), -np.inf, col_lower)
+    col_upper = np.where(np.isnan(col_upper), np.inf, col_upper)
 
-    (a_ub, b_ub), (a_eq, b_eq) = blocks["ub"], blocks["eq"]
-    result = linprog(
-        -objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if result.status == 0:
-        return LpSolution("optimal", tuple(float(v) for v in result.x), -float(result.fun))
-    if result.status == 2:
+    core, options = _highs()
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n_vars
+    model.num_row_ = model.a_matrix_.num_row_ = len(row_upper)
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
+    model.col_cost_ = (-objective).tolist()
+    model.col_lower_ = col_lower.tolist()
+    model.col_upper_ = col_upper.tolist()
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
+    highs = core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        # With rows and objective checked, only an empty box (a lower bound
+        # of +inf, an upper one of -inf) is refused; linprog calls it infeasible.
         return LpSolution("infeasible", None, None)
-    if result.status == 3:
+    ran = highs.run()
+    status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kInfeasible:
+        return LpSolution("infeasible", None, None)
+    if status == core.HighsModelStatus.kUnbounded:
         return LpSolution("unbounded", None, None)
-    raise RuntimeError(f"LP solver failed: {result.message}")
+    if status != core.HighsModelStatus.kOptimal or ran == core.HighsStatus.kError:
+        raise RuntimeError(f"LP solver failed: {highs.modelStatusToString(status)}")
+
+    # linprog's post-solve check.  Per row, b - A x is a "<=" row's slack or
+    # an "=" row's residual; a nan anywhere fails.
+    solution = highs.getSolution()
+    fun = highs.getInfo().objective_function_value
+    x = np.array(solution.col_value)
+    slack = np.array(row_upper) - np.array(solution.row_value)
+    off = np.where(np.isfinite(row_lower), np.abs(slack), -slack)
+    inside = (x >= col_lower - SOLUTION_TOL) & (x <= col_upper + SOLUTION_TOL)
+    if math.isnan(fun) or not (inside.all() and (off <= SOLUTION_TOL).all()):
+        raise RuntimeError(
+            f"LP solver failed: the optimum leaves a bound or a row by more than {SOLUTION_TOL:.2e}"
+        )
+    return LpSolution("optimal", tuple(solution.col_value), -fun)
 
 
 @dataclass(frozen=True)

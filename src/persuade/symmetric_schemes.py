@@ -339,8 +339,11 @@ class TabularScheme:
 
     ``fallback_slots`` enables a deterministic symmetric fallback for states
     missing from the table (used by sampling-based schemes): recommend
-    uniformly among the listed slots holding the receiver-best type.  With
-    fallback disabled, unknown states are an error.
+    uniformly among the listed slots holding the receiver-best type.  Such a
+    scheme, fitted on the first k = len(fallback_slots) slots, may be keyed
+    by k-slot states: a state missing from the table is looked up by its
+    first k slots before it falls back.  With fallback disabled, unknown
+    states are an error.
     """
 
     table: Mapping[State, Mapping[int, float]]
@@ -348,6 +351,8 @@ class TabularScheme:
 
     def recommendation_distribution(self, state: State) -> dict[int, float]:
         dist = self.table.get(state)
+        if dist is None and self.fallback_slots is not None:
+            dist = self.table.get(state[: len(self.fallback_slots)])
         if dist is not None:
             return dict(dist)
         if self.fallback_slots is None:

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import persuade as P
-from persuade.lp_core import CONSTRAINT_TOL, LinearProgram, solve_lp, solve_slope_lp
-from persuade.model import ActionType, IIDInstance, all_types
+from persuade import exact_oracle, independent_schemes, lp_core, symmetric_schemes
+from persuade.lp_core import (
+    CONSTRAINT_TOL,
+    LinearProgram,
+    LpSolution,
+    solve_lp,
+    solve_slope_lp,
+)
+from persuade.model import ActionType, IIDInstance, all_types, n_slots
 from persuade.prob_oracle import (
     SegmentProb,
     UniquePointProb,
@@ -17,6 +27,7 @@ from persuade.prob_oracle import (
     segment_probabilities,
     unique_probabilities,
 )
+from corpus import independent_corpus, symmetric_corpus
 
 
 def test_solve_lp_simple_maximum():
@@ -68,6 +79,7 @@ def test_solve_lp_two_variable_vertex():
         ((({0: 1.0}, "<=", 1.0), ((1.0, float("nan")), "<=", 1.0)), "row 1 has a non-finite coefficient"),
         ((({0: 1.0}, "=", 1.0), ((1.0,), "=", 1.0)), "row 1 has 1 coefficients, expected 2"),
         ((({0: 1.0}, "<", 1.0),), "unknown relation '<'"),
+        ((({0: 1.0}, "<=", 1.0), ({1: 1.0}, ">=", float("nan"))), "row 1 has a non-finite right-hand side"),
     ],
 )
 def test_solve_lp_refuses_a_malformed_row(rows, message):
@@ -98,6 +110,117 @@ def test_solve_lp_reports_the_first_malformed_row_in_row_order(rows, bounds, mes
     with pytest.raises(ValueError) as refused:
         solve_lp(LinearProgram(objective=(1.0, 1.0), rows=rows, bounds=bounds))
     assert str(refused.value) == message
+
+
+def test_solve_lp_refuses_an_lp_without_variables():
+    with pytest.raises(ValueError, match="no variables"):
+        solve_lp(LinearProgram(objective=(), rows=(), bounds=None))
+
+
+def linprog_answer(lp: LinearProgram) -> LpSolution:
+    """What scipy's public `linprog(method="highs")` answers for `lp`, with
+    dense matrices: ">=" rows negated into the "<=" block."""
+    from scipy.optimize import linprog
+
+    n = len(lp.objective)
+    blocks = {"ub": ([], []), "eq": ([], [])}
+    for coeffs, relation, value in lp.rows:
+        dense = np.zeros(n)
+        if isinstance(coeffs, Mapping):
+            dense[list(coeffs)] = list(coeffs.values())
+        else:
+            dense[:] = coeffs
+        sign = -1.0 if relation == ">=" else 1.0
+        matrix, rhs = blocks["eq" if relation == "=" else "ub"]
+        matrix.append(sign * dense)
+        rhs.append(sign * value)
+    (a_ub, b_ub), (a_eq, b_eq) = blocks["ub"], blocks["eq"]
+    result = linprog(
+        -np.asarray(lp.objective, dtype=float),
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=b_ub or None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=b_eq or None,
+        bounds=lp.bounds if lp.bounds is not None else (0, None),
+        method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[result.status]
+    if status != "optimal":
+        return LpSolution(status, None, None)
+    return LpSolution(status, tuple(float(v) for v in result.x), -float(result.fun))
+
+
+def caller_lps(monkeypatch) -> list[LinearProgram]:
+    """Every LP the package's callers of `solve_lp` build: the orbit referee
+    on symmetric priors, the state-level referee on an independent prior
+    with infeasible subsets, the relaxation (reduce's full set included) and
+    a bicriteria fit."""
+    lps: list[LinearProgram] = []
+
+    def record(lp):
+        lps.append(lp)
+        return solve_lp(lp)
+
+    for module in (exact_oracle, independent_schemes, symmetric_schemes):
+        monkeypatch.setattr(module, "solve_lp", record)
+    for inst in symmetric_corpus(count=6):
+        for k in range(2, n_slots(inst) + 1):
+            exact_oracle._orbit_lp(inst, k, 10**5)
+    independent = independent_corpus(count=2)[1]
+    n = n_slots(independent)
+    exact_oracle._state_lp(independent, combinations(range(n), 2), 10**5)
+    for inst in (independent, P.load_fixture("coins_k5")):
+        everything = range(len(inst.actions))
+        for S in ((), *combinations(everything, 1), everything):
+            independent_schemes.f_of_S(inst, S)
+        independent_schemes.actions_reduce(inst, 2)
+    symmetric_schemes.bicriteria_scheme(P.load_fixture("tug_of_war"), 2, 0.1, 300, 1)
+    return lps
+
+
+def test_solve_lp_returns_linprogs_bits_on_every_caller_lp(monkeypatch):
+    # solve_lp calls HiGHS's bindings, which scipy keeps private; this pins
+    # it to the public linprog: the same status, values and objective, bit
+    # for bit.
+    lps = caller_lps(monkeypatch)
+    statuses = [solve_lp(lp).status for lp in lps]
+    assert statuses.count("infeasible") >= 3 and len(lps) >= 30
+    for lp in lps:
+        assert solve_lp(lp) == linprog_answer(lp)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LinearProgram(objective=(1.0, -1.0), rows=(), bounds=((0.0, 2.0), (0.0, None))),
+        LinearProgram(objective=(1.0, 0.5), rows=(((1.0, -1.0), ">=", -1.0),), bounds=None),
+        LinearProgram(
+            objective=(1.0, 2.0, 0.5),
+            rows=(({0: 1.0, 1: 1.0}, "=", 1.0), ({0: 1.0, 1: -0.0, 2: 0.0}, "=", 0.25)),
+            bounds=((0.0, 1.0), (0.0, 1.0), (None, 3.0)),
+        ),
+        LinearProgram(
+            objective=(1.0, 2.0, 0.5, -1.0),
+            rows=(({0: 1.0, 2: 2.0}, "<=", 1.0), ((0.0, 1.0, 0.0, 0.0), ">=", 0.5)),
+            bounds=((0.0, 1.0),) * 4,
+        ),
+        LinearProgram(objective=(1.0,), rows=(((1.0,), "<=", 1.0),), bounds=((2.0, 3.0),)),
+        LinearProgram(objective=(1.0,), rows=(), bounds=((float("inf"), None),)),
+    ],
+    ids=["no-rows", "unbounded", "equality-only", "column-in-no-row", "empty-box", "infinite-lower"],
+)
+def test_solve_lp_returns_linprogs_bits_on_edge_cases(lp):
+    assert solve_lp(lp) == linprog_answer(lp)
+
+
+def test_solve_lp_names_the_scipy_it_needs(monkeypatch):
+    lp_core._highs.cache_clear()
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    try:
+        with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+            solve_lp(LinearProgram(objective=(1.0,), rows=(), bounds=((0.0, 1.0),)))
+    finally:
+        lp_core._highs.cache_clear()
 
 
 def tug_inputs(k: int, s):

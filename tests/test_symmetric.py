@@ -207,6 +207,21 @@ def test_bicriteria_running_example(tug):
     assert res.scheme.fallback_slots == (0, 1, 2)
 
 
+def test_bicriteria_scheme_is_evaluated_on_its_first_k_slots(tug):
+    # The table is keyed by the k slots the fit saw; whole n-slot states are
+    # looked up by those, not all sent to the receiver-best fallback.  On
+    # tug_of_war (n = 3) at k = 2 the fitted scheme is worth twice the
+    # fallback; ratio_iid cannot show this, as both parties rank its two
+    # types alike and the fitted table is the fallback's.
+    res = bicriteria_scheme(tug, 2, epsilon=0.1, samples=2000, rng=0)
+    fallback = TabularScheme(table={}, fallback_slots=(0, 1))
+    fitted_value = P.expected_utilities(res.scheme, tug)[0]
+    assert fitted_value != P.expected_utilities(fallback, tug)[0]
+    assert fitted_value == pytest.approx(2 / 3)
+    for state in enumerate_prior(tug):
+        assert res.scheme.recommendation_distribution(state) == res.scheme.table[state[:2]]
+
+
 def test_bicriteria_is_deterministic_per_seed(tug):
     a = bicriteria_scheme(tug, 2, epsilon=0.1, samples=500, rng=7)
     b = bicriteria_scheme(tug, 2, epsilon=0.1, samples=500, rng=7)
