@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import SegmentTangent, Slope, pareto_frontier, point_for_slope
+from .geometry import SegmentTangent, Slope, _check_slope, pareto_frontier, point_for_slope
 from .lp_core import (
     CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ZERO_TOL, LinearProgram, RowCoeffs, solve_lp,
 )
@@ -52,7 +52,7 @@ from .model import (
     _prior_table,
     n_slots,
 )
-from .prob_oracle import _check_query, _check_slope
+from .prob_oracle import _check_query
 from .symmetric_schemes import TabularScheme
 
 __all__ = [

@@ -4,11 +4,15 @@ A realized set of types is summarized by its Pareto frontier in the
 (receiver utility, sender utility) plane. Signaling schemes for symmetric
 instances recommend points on this frontier, indexed by the slope of the
 tangent line: slope 0 touches the sender-optimal end, steeper (more negative)
-slopes move toward the receiver-optimal end.
+slopes move toward the receiver-optimal end. The vertical slope is
+``NEG_INF``, the float ``-math.inf``: `Fraction` orders, compares and hashes
+against it, so it sorts below every rational slope, and any float -inf is
+the same slope.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -29,51 +33,11 @@ __all__ = [
 ]
 
 
-class _NegInfSlope:
-    """Slope of a vertical line; compares below every finite rational slope."""
+# The slope of a vertical line: a float that compares below every rational.
+NEG_INF = -math.inf
 
-    __slots__ = ()
-    _singleton: "_NegInfSlope | None" = None
-
-    def __new__(cls) -> "_NegInfSlope":
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
-
-    def __repr__(self) -> str:
-        return "-inf"
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("slope:-inf")
-
-    def __lt__(self, other: object) -> bool:
-        if other is self:
-            return False
-        if isinstance(other, (Fraction, int)):
-            return True
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return self.__lt__(other)
-
-    def __gt__(self, other: object) -> bool:
-        if other is self or isinstance(other, (Fraction, int)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        return other is self
-
-
-NEG_INF = _NegInfSlope()
-
-# A slope is either an exact non-positive rational or the vertical sentinel.
-Slope = Union[Fraction, _NegInfSlope]
+# A slope is an exact non-positive rational or NEG_INF.
+Slope = Union[Fraction, float]
 
 
 def slope_between(a: ActionType, b: ActionType) -> Slope | None:
@@ -90,7 +54,7 @@ def line_side(anchor: ActionType, s: Slope, point: ActionType) -> int:
     vertical line (s = NEG_INF) "above" means strictly larger receiver utility,
     matching the limit of steep negative slopes.
     """
-    if s is NEG_INF:
+    if s == NEG_INF:
         if point.rho != anchor.rho:
             return 1 if point.rho > anchor.rho else -1
         return 0
@@ -195,6 +159,16 @@ def pareto_frontier(points: Iterable[ActionType]) -> ParetoFrontier:
     return ParetoFrontier(vertices=tuple(hull), segments=tuple(segments))
 
 
+def _check_slope(s: Slope | int) -> Slope:
+    """``s`` as a slope, an int as its `Fraction`; ValueError unless it is a
+    rational <= 0 or -inf."""
+    if isinstance(s, int):
+        s = Fraction(s)
+    if s != NEG_INF and (not isinstance(s, Fraction) or s > 0):
+        raise ValueError(f"slope must be <= 0 or NEG_INF, got {s!r}")
+    return s
+
+
 def point_for_slope(frontier: ParetoFrontier, s: Slope | int) -> SlopeCorrespondence:
     """The frontier vertex or maximal segment tangent to slope `s` (s <= 0 or NEG_INF).
 
@@ -202,12 +176,9 @@ def point_for_slope(frontier: ParetoFrontier, s: Slope | int) -> SlopeCorrespond
     the sender-optimal vertex, NEG_INF the receiver-optimal vertex, and as s
     decreases the returned point moves weakly rightward.
     """
-    if isinstance(s, int):
-        s = Fraction(s)
-    if s is NEG_INF:
+    s = _check_slope(s)
+    if s == NEG_INF:
         return UniqueVertex(frontier.vertices[-1])
-    if not isinstance(s, Fraction) or s > 0:
-        raise ValueError(f"point_for_slope: slope must be <= 0 or NEG_INF, got {s!r}")
     for seg in frontier.segments:
         if seg.slope == s:
             return SegmentTangent(seg.left, seg.right)

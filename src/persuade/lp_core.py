@@ -193,10 +193,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     bounds = list(lp.bounds) if lp.bounds is not None else [(0.0, None)] * n_vars
     if len(bounds) != n_vars:
         raise ValueError(f"{len(bounds)} bounds given for {n_vars} variables")
-    # None, read as nan, is an open side.
-    col_lower, col_upper = np.array(bounds, dtype=float).T
-    col_lower = np.where(np.isnan(col_lower), -np.inf, col_lower)
-    col_upper = np.where(np.isnan(col_upper), np.inf, col_upper)
+    # None, read as nan, is an open side; a nan given as a bound is refused.
+    box = np.array(bounds, dtype=float)
+    open_side = np.isnan(box)
+    for i, side in zip(*np.nonzero(open_side)):
+        if bounds[i][side] is not None:
+            raise ValueError(f"variable {i} has a nan {('lower', 'upper')[side]} bound")
+    col_lower, col_upper = np.where(open_side, [-np.inf, np.inf], box).T
 
     core, options = _highs()
     model = core.HighsLp()

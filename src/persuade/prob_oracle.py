@@ -29,7 +29,8 @@ for the unique points ``_unique_table``, which takes every slope of a solve
 at once. ``slope_algorithm`` reads its whole sweep off one unique table, at
 -inf and the segment slopes (``candidate_slopes`` says why no other slope
 does better); ``unique_probabilities`` reads one row, at any slope <= 0.
-Both tables read nothing but the instance's prior table
+The slope -inf is ``NEG_INF``, the float ``-math.inf``; any float -inf is
+accepted for it.  Both tables read nothing but the instance's prior table
 (``model._prior_table``), built once per instance and shared with the
 sampler: the distinct types with their utilities as integers over one
 common denominator, exact dense ranks of their points and of their ids,
@@ -38,9 +39,10 @@ n x T float mass matrix for prophet-secretary ones, a V x T integer
 entry-count matrix for d-random-order ones. The segment pairs and their
 slopes come from the integer utilities. At a slope every type gets one
 exact key (``xi - s*rho`` over the common denominator; ``(rho, xi)`` at
--inf and ``(xi, rho)`` at 0), and a query's allowed set is a boolean mask
-read off the keys' dense ranks: lower rank, or the same point with a larger
-id, or for a pair the interior of the open segment.
+-inf and ``(xi, rho)`` at 0), ranked by ``_slope_ranks``, and a query's
+allowed set is a boolean mask read off the keys' dense ranks: lower rank,
+or the same point with a larger id, or for a pair the interior of the open
+segment.
 
 The exact reference these oracles are tested against,
 ``exact_oracle.enumerate_oracle``, lives with the other referees and shares
@@ -49,12 +51,13 @@ no code with this module.
 The probability is an inclusion-exclusion over the subsets of the required
 types, all queries of a call at once: one prophet-secretary recursion, or
 one exact integer pass for d-random-order, serves every slope of a unique
-table.  The table goes through in blocks of whole slopes, each within
-``_BLOCK_CELLS`` cells of working set, counted as float64: per slope, the
-T x T allowed mask and 2T query columns of n distribution masses and 2k + 2
-recursion rows (one mass for IID).  So a block's working set stays within
-8 MiB however many slopes there are, for every prior family, whenever a
-single slope fits in it (up to about 1 000 types for IID).  Every slope's
+table.  The table is computed and yielded in blocks of whole slopes, each
+within ``_BLOCK_CELLS`` cells of working set, counted as float64: per slope,
+the T x T allowed mask and 2T query columns of n distribution masses and
+2k + 2 recursion rows (one mass for IID).  So a block's working set stays
+within 8 MiB however many slopes there are, for every prior family,
+whenever a single slope fits in it (up to about 1 000 types for IID), and a
+caller that reads the rows in turn holds one block of them.  Every slope's
 masses come from a matrix product of their own, so a slope's probabilities
 are bit-identical to its lone query's.  Prophet-secretary: the expected
 product of the allowed masses of a uniform k-subset of the distributions,
@@ -72,11 +75,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import NEG_INF, Slope
+from .geometry import NEG_INF, Slope, _check_slope
 from .model import (
     ActionType,
     SymmetricInstance,
@@ -139,7 +142,7 @@ def _slope_ranks(rho: Sequence, xi: Sequence, s: Slope) -> np.ndarray:
     at -inf, (xi, rho) at 0), for utilities given as `Fraction`s or as
     integers over one common denominator: a lower rank lies strictly below
     the slope-s line through a higher-ranked point."""
-    if s is NEG_INF:
+    if s == NEG_INF:
         return _dense_rank(list(zip(rho, xi)))
     if s == 0:
         return _dense_rank(list(zip(xi, rho)))
@@ -147,15 +150,11 @@ def _slope_ranks(rho: Sequence, xi: Sequence, s: Slope) -> np.ndarray:
     return _dense_rank([x * q - p * r for r, x in zip(rho, xi)])
 
 
-def _ranks(table: _PriorTable, s: Slope) -> np.ndarray:
-    """`_slope_ranks` of the table's types; at -inf their point ranks."""
-    return table.point_rank if s is NEG_INF else _slope_ranks(table.rho_num, table.xi_num, s)
-
-
 def _unique_allowed(table: _PriorTable, s: Slope, c: np.ndarray) -> np.ndarray:
     """allowed[q, t]: may type t be realized alongside "c[q] alone is the
     slope-s tangency point"?"""
-    rank, point, ids, c = _ranks(table, s), table.point_rank, table.id_rank, c[:, None]
+    rank, c = _slope_ranks(table.rho_num, table.xi_num, s), c[:, None]
+    point, ids = table.point_rank, table.id_rank
     return (rank < rank[c]) | (point == point[c]) & (ids > ids[c])
 
 
@@ -164,7 +163,8 @@ def _pair_allowed(table: _PriorTable, s: Fraction, a: np.ndarray, b: np.ndarray)
     maximal slope-s segment"? Each a[q] has the lower receiver utility.
     On a line of finite slope the (rho, xi) order of points is their rho
     order, so the open segment is the point ranks strictly between a and b."""
-    rank, point, ids = _ranks(table, s), table.point_rank, table.id_rank
+    rank = _slope_ranks(table.rho_num, table.xi_num, s)
+    point, ids = table.point_rank, table.id_rank
     a, b = a[:, None], b[:, None]
     on_line = (
         (point == point[a]) & (ids > ids[a])
@@ -264,14 +264,6 @@ def _check_query(instance: SymmetricInstance, k: int) -> _PriorTable:
     return _prior_table(instance)
 
 
-def _check_slope(s: Slope | int) -> Slope:
-    if isinstance(s, int):
-        s = Fraction(s)
-    if s is not NEG_INF and (not isinstance(s, Fraction) or s > 0):
-        raise ValueError(f"slope must be <= 0 or NEG_INF, got {s!r}")
-    return s
-
-
 def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentProb]:
     """All canonical type pairs whose maximal-segment event can happen.
 
@@ -319,9 +311,10 @@ def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[
 _BLOCK_CELLS = 1 << 20
 
 
-def _unique_table(table: _PriorTable, k: int, slopes: Sequence[Slope]) -> list[list[float | None]]:
+def _unique_table(table: _PriorTable, k: int, slopes: Sequence[Slope]) -> Iterator[list[float | None]]:
     """Row i, column t: the probability that type t alone is the tangency point
-    of ``slopes[i]``, None when that cannot happen.
+    of ``slopes[i]``, None when that cannot happen; the rows are yielded
+    block by block, so a caller that reads them in turn holds one block.
 
     The slopes' queries go through `_event_probs` together, in blocks of whole
     slopes holding at most ``_BLOCK_CELLS`` cells of working set (at least one
@@ -334,13 +327,11 @@ def _unique_table(table: _PriorTable, k: int, slopes: Sequence[Slope]) -> list[l
     w = table.weights
     height = 1 if w.ndim == 1 else len(w) + 2 * k + 2
     per_call = max(1, _BLOCK_CELLS // (len(c) * (2 * height + len(c))))
-    rows: list[list[float | None]] = []
     for start in range(0, len(slopes), per_call):
         block = slopes[start : start + per_call]
         allowed = np.stack([_unique_allowed(table, s, c) for s in block])
         probs = _event_probs(table, k, np.tile(c, len(block))[:, None], allowed)
-        rows.extend(probs[i : i + len(c)] for i in range(0, len(probs), len(c)))
-    return rows
+        yield from (probs[i : i + len(c)] for i in range(0, len(probs), len(c)))
 
 
 def candidate_slopes(instance: SymmetricInstance, k: int) -> list[Slope]:
@@ -354,9 +345,4 @@ def candidate_slopes(instance: SymmetricInstance, k: int) -> list[Slope]:
     no segment each realized frontier is one point, recommended at 0 and
     -inf alike.  So no other slope offers a better scheme.
     """
-    return _candidates_around(seg.slope for seg in segment_probabilities(instance, k))
-
-
-def _candidates_around(segment_slopes: Iterable[Fraction]) -> list[Slope]:
-    """The candidate slopes of ``candidate_slopes`` for known segment slopes."""
-    return [NEG_INF, *sorted(set(segment_slopes))]
+    return [NEG_INF, *sorted({seg.slope for seg in segment_probabilities(instance, k)})]

@@ -42,9 +42,7 @@ from .model import (
     _prior_table,
     _state_sampler,
 )
-from .prob_oracle import (
-    SegmentProb, _candidates_around, _ranks, _slope_ranks, _unique_table, segment_probabilities,
-)
+from .prob_oracle import SegmentProb, _slope_ranks, _unique_table, segment_probabilities
 
 __all__ = [
     "BicriteriaResult",
@@ -104,7 +102,7 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     table = _prior_table(instance)
     xi = [float(t.xi) for t in table.types]
     rho = [float(t.rho) for t in table.types]
-    slopes = _candidates_around(by_slope)
+    slopes = [NEG_INF, *sorted(by_slope)]
     best_s: Slope | None = None
     best = None
     for s, probs in zip(slopes, _unique_table(table, k, slopes)):
@@ -128,11 +126,13 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
 
 class _Tangency:
     """A slope scheme's recommendation rule on states given as lists of
-    columns of one type list (``ids[c]`` is column c's type id).
+    columns of one type list: column c's type has utilities ``rho[c]`` and
+    ``xi[c]`` (`Fraction`s, or integers over one common denominator) and
+    id ``ids[c]``.
 
-    ``low[c]`` ranks column c first by its exact slope-s* key ``rank[c]``,
-    then by the lowest point (rho, xi) ``point[c]``, then by the lowest id
-    ``ident[c]``; ``high[c]`` by the key, the highest point, the lowest id.
+    ``low[c]`` ranks column c first by its exact slope-s* key (its
+    `_slope_ranks` rank), then by the lowest point (rho, xi), then by the
+    lowest id; ``high[c]`` by the key, the highest point, the lowest id.
     Over a state's columns the maximum ``low`` is the low-rho endpoint of
     the realized tangent and the maximum ``high`` its high-rho endpoint:
     among coincident points the lowest id stands for them, as in
@@ -142,8 +142,9 @@ class _Tangency:
 
     __slots__ = ("scheme", "low", "high", "ids")
 
-    def __init__(self, scheme: SlopeScheme, rank: np.ndarray, point: np.ndarray,
-                 ident: np.ndarray, ids: list[str]) -> None:
+    def __init__(self, scheme: SlopeScheme, rho: list, xi: list, ids: list[str]) -> None:
+        rank = _slope_ranks(rho, xi, scheme.s_star)
+        point, ident = _dense_rank(list(zip(rho, xi))), _dense_rank(ids)
         points, names = int(point.max()) + 1, int(ident.max()) + 1
         keys = list(zip(rank.tolist(), point.tolist(), ident.tolist()))
         self.scheme = scheme
@@ -198,8 +199,9 @@ class SlopeSchemeExecutor:
     A sampled state is a row of prior-table columns, and the rule
     (`_Tangency`) runs on such rows with one integer key per column and
     endpoint, so a state costs two `max` calls over k ints.  `estimate`
-    binds the executor to the instance's table once (`_bind`, ranked by
-    `prob_oracle._ranks`) and draws only the first k columns of each state.
+    binds the executor to the instance's table once (`_bind`, ranked on the
+    table's integer utilities) and draws only the first k columns of each
+    state.
     `recommend` and `recommendation_distribution` take `ActionType` states:
     they map each type to a column among the types seen so far, ranked
     again when a state brings a new one, and run the same rule.
@@ -224,8 +226,7 @@ class SlopeSchemeExecutor:
         seen = self._seen
         seen.update((t.id, t) for t in head)
         rho, xi, ids = [t.rho for t in seen.values()], [t.xi for t in seen.values()], list(seen)
-        rule = _Tangency(self.scheme, _slope_ranks(rho, xi, self.scheme.s_star),
-                         _dense_rank(list(zip(rho, xi))), _dense_rank(ids), ids)
+        rule = _Tangency(self.scheme, rho, xi, ids)
         ranked[:] = [{tid: c for c, tid in enumerate(ids)}, rule]
         return [ranked[0][t.id] for t in head], rule
 
@@ -236,14 +237,10 @@ class SlopeSchemeExecutor:
     def recommend(self, state: State, rng: np.random.Generator) -> int:
         return _sample_slot(self.recommendation_distribution(state), rng)
 
-    def _table_rule(self, table: _PriorTable) -> _Tangency:
-        """The rule over the prior table's columns."""
-        return _Tangency(self.scheme, _ranks(table, self.scheme.s_star), table.point_rank,
-                         table.id_rank, [t.id for t in table.types])
-
     def _bind(self, table: _PriorTable):
         """The first-k column count and ``rec(columns, rng)`` on the table."""
-        distribution = self._table_rule(table).distribution
+        ids = [t.id for t in table.types]
+        distribution = _Tangency(self.scheme, table.rho_num, table.xi_num, ids).distribution
         return self.k, lambda head, rng: _sample_slot(distribution(head), rng)
 
 
@@ -263,7 +260,7 @@ def slope_scheme_to_dict(scheme: SlopeScheme) -> dict:
         {"a": a, "b": b, "alpha": alpha}
         for (a, b), alpha in sorted(scheme.alpha.items())
     ]
-    s_star = "-inf" if scheme.s_star is NEG_INF else format_rational(scheme.s_star)
+    s_star = "-inf" if scheme.s_star == NEG_INF else format_rational(scheme.s_star)
     return {
         "method": "slope",
         "s_star": s_star,

@@ -22,7 +22,7 @@ from persuade.cli import main as cli_main
 from persuade.exact_oracle import enumerate_count
 from persuade.model import ActionType, ProphetSecretaryInstance, _prior_table, _state_sampler, n_slots
 from persuade.prob_oracle import unique_probabilities
-from persuade.symmetric_schemes import SlopeSchemeExecutor
+from persuade.symmetric_schemes import SlopeSchemeExecutor, _Tangency
 from corpus import (
     big_prophet_secretary,
     independent_corpus,
@@ -205,7 +205,7 @@ def _mc_persuasive(executor, inst, rng, samples: int = 2500) -> bool:
     draw = _state_sampler(inst)  # built once; draws the same states as sample_state
     table = _prior_table(inst)
     rho = [r / table.scale for r in table.rho_num]  # each the float of the exact rho
-    rule = executor._table_rule(table)
+    rule = _Tangency(executor.scheme, table.rho_num, table.xi_num, [t.id for t in table.types])
     for _ in range(samples):
         cols = draw(rng)
         rhos = [rho[c] for c in cols]

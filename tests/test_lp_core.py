@@ -112,6 +112,21 @@ def test_solve_lp_reports_the_first_malformed_row_in_row_order(rows, bounds, mes
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (((0.0, 1.0), (float("nan"), float("nan"))), "variable 1 has a nan lower bound"),
+        (((None, float("nan")), (0.0, None)), "variable 0 has a nan upper bound"),
+    ],
+)
+def test_solve_lp_refuses_a_nan_bound(bounds, message):
+    # None is an open side; a nan is a malformed bound, not a free variable.
+    lp = LinearProgram(objective=(1.0, 1.0), rows=(((1.0, 1.0), "<=", 3.0),), bounds=bounds)
+    with pytest.raises(ValueError) as refused:
+        solve_lp(lp)
+    assert str(refused.value) == message
+
+
 def test_solve_lp_refuses_an_lp_without_variables():
     with pytest.raises(ValueError, match="no variables"):
         solve_lp(LinearProgram(objective=(), rows=(), bounds=None))

@@ -117,28 +117,49 @@ def test_unique_table_works_in_blocks_within_its_cell_budget():
     assert scheme == per_slope_scheme(inst, k)
 
 
-def test_iid_unique_table_counts_its_allowed_masks_in_the_budget():
-    # Each slope holds a T x T allowed mask beside its 2T float masses; with
-    # 400 types an IID block sized by the floats alone peaks past 100 MiB.
-    count, k = 400, 10
-    rng = np.random.default_rng(3)
+def uniform_grid_iid(count: int, n: int = 40, seed: int = 3) -> IIDInstance:
+    """An IID prior over ``count`` distinct points of the 0.001 grid on the
+    unit square, each with mass 1/count."""
+    rng = np.random.default_rng(seed)
     grid = rng.choice(1001 * 1001, size=count, replace=False)
     palette = tuple(
         (ActionType(f"t{j}", Fraction(int(g) // 1001, 1000), Fraction(int(g) % 1001, 1000)),
          Fraction(1, count))
         for j, g in enumerate(grid)
     )
-    table = _prior_table(IIDInstance(palette=palette, n=40))
+    return IIDInstance(palette=palette, n=n)
+
+
+def test_iid_unique_table_counts_its_allowed_masks_in_the_budget():
+    # Each slope holds a T x T allowed mask beside its 2T float masses; with
+    # 400 types an IID block sized by the floats alone peaks past 100 MiB.
+    count, k = 400, 10
+    table = _prior_table(uniform_grid_iid(count))
     slopes = [NEG_INF, *(Fraction(-j, 25) for j in range(1, count))]
     tracemalloc.start()
     try:
-        rows = prob_oracle._unique_table(table, k, slopes)
+        rows = list(prob_oracle._unique_table(table, k, slopes))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
     for i in (0, 1, 200, count - 1):  # each row is the slope's own table
-        assert rows[i] == prob_oracle._unique_table(table, k, [slopes[i]])[0]
+        assert rows[i] == next(prob_oracle._unique_table(table, k, [slopes[i]]))
+
+
+def test_slope_solve_holds_one_block_of_the_unique_table():
+    # 100 IID types have about T^2/4 = 2 500 candidate slopes; holding every
+    # slope's row of T floats at once peaks near 12 MiB, one block's working
+    # set stays within the block budget.
+    inst, k = uniform_grid_iid(100), 10
+    tracemalloc.start()
+    try:
+        slope_algorithm(inst, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(candidate_slopes(inst, k)) > 2000
+    assert peak < prob_oracle._BLOCK_CELLS * 8
 
 
 def duality_bound(inst, k: int) -> float:

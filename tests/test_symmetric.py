@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,11 +13,12 @@ import numpy as np
 import pytest
 
 import persuade as P
-from persuade.exact_oracle import enumerate_prior
+from persuade.exact_oracle import enumerate_oracle, enumerate_prior
 from persuade.geometry import NEG_INF, UniqueVertex, pareto_frontier, point_for_slope
 from persuade.model import (
     ActionType, IIDInstance, all_types, instance_from_dict, load_fixture, n_slots, sample_state,
 )
+from persuade.prob_oracle import unique_probabilities
 from persuade.symmetric_schemes import (
     ImitationExecutor,
     SlopeScheme,
@@ -166,6 +170,40 @@ def test_scheme_serialization_round_trip(tug):
     again = slope_scheme_from_dict(slope_scheme_to_dict(vertical))
     assert again.s_star is NEG_INF
     assert again == vertical
+
+
+def test_a_vertical_scheme_survives_pickle_and_deepcopy():
+    # -inf is a float: a copy of it is equal to NEG_INF, not the same object.
+    inst = load_fixture("ratio_iid")
+    scheme = slope_algorithm(inst, 2)
+    assert scheme.s_star == NEG_INF
+    states = list(enumerate_prior(inst))[:8]
+    expected = [SlopeSchemeExecutor(scheme, 2).recommendation_distribution(s) for s in states]
+    for again in (pickle.loads(pickle.dumps(scheme)), copy.deepcopy(scheme)):
+        assert slope_scheme_to_dict(again) == slope_scheme_to_dict(scheme)
+        ex = SlopeSchemeExecutor(again, 2)
+        assert [ex.recommendation_distribution(s) for s in states] == expected
+
+
+def test_any_float_minus_inf_is_the_vertical_slope(tug):
+    minus_inf = float("-inf")
+    assert unique_probabilities(tug, 2, minus_inf) == unique_probabilities(tug, 2, NEG_INF)
+    assert enumerate_oracle(tug, 2, [minus_inf]) == enumerate_oracle(tug, 2, [NEG_INF])
+    frontier = pareto_frontier(all_types(tug))
+    assert point_for_slope(frontier, minus_inf) == point_for_slope(frontier, NEG_INF)
+
+
+def test_no_source_tests_a_slope_by_identity():
+    # A float -inf that went through pickle, or that a caller built, is not
+    # the NEG_INF object; slopes are compared with ==.
+    src = Path(P.__file__).parent
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bis\s+(not\s+)?NEG_INF\b", line)
+    ]
+    assert found == []
 
 
 def test_imitation_distribution_spreads_tail(tug):
