@@ -12,14 +12,26 @@ the sender-optimal corner.  The closed form itself is ``_slope_lp``;
 that serves its whole sweep, and ``solve_slope_lp`` with the event lists it
 is given.
 
-These LPs are tiny (an independent benchmark round solves 183 of them, 4 238
-columns in all), so a solve is mostly fixed overhead, and ``linprog``'s
+These LPs are tiny (one seed-1 benchmark round hands ``solve_lp`` 183 LPs
+with 18 204 row entries on the independent workload, and 65 with 10 942 on
+symmetric-corpus), so a solve is mostly fixed overhead, and ``linprog``'s
 wrapper cost more than HiGHS's own run: one round's LPs took 0.69-0.83 s
 through ``linprog(method="highs")`` and 0.2 s through the bindings (2 CPUs,
 Python 3.11, scipy 1.17).  ``solve_lp`` passes HiGHS what that call passed
 with its defaults (the same column-wise matrix, "<=" rows before "=" rows;
 presolve on, dual simplex, no debugging, no output) and keeps its status
 mapping and post-solve feasibility check, so it returns the same bits.
+
+The matrix is assembled row by row in plain Python: each row is checked in
+turn and its nonzero entries appended to per-column lists, which are
+HiGHS's column starts, row indices and values as they stand.  At these
+sizes vectorised assembly buys nothing: replaying every LP of those two
+rounds through ``solve_lp`` took 0.082-0.090 s on independent and
+0.043-0.070 s on symmetric-corpus, against 0.102-0.113 s and 0.049-0.078 s
+with numpy (medians of 15 replays in each of 3 processes; 2 CPUs), with
+the same status, values and objective bit for bit.  So
+``lp_core`` imports nothing else from the package and no numpy: the
+standard library at import, scipy's HiGHS bindings at the first solve.
 
 HiGHS (scipy) is imported on the first ``solve_lp`` call, not with the
 package: importing scipy is most of a CLI call's start-up, and a command
@@ -29,16 +41,15 @@ that never solves a generic LP (a slope ``solve``, ``simulate``) skips it.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
-
-from .prob_oracle import SegmentProb, UniquePointProb
+if TYPE_CHECKING:
+    from .prob_oracle import SegmentProb, UniquePointProb
 
 # The package's float tolerances, one per role.
 # Slack on a persuasiveness, receiver-threshold or budget check.
@@ -95,63 +106,52 @@ def _columns(rows, n_vars: int):
     "<=" and ">=" rows come first, then "=" rows, each block in `rows` order;
     a row enters times its relation's sign, so the first block is bounded
     above only.  A column's entries are in row order, zero coefficients left
-    out.  All coefficients are checked at once, but the error raised is the
-    one a row-by-row check would meet first, in `rows` order; row numbers
-    count within a block.
+    out.  Each row is checked in turn (its relation, right-hand side and
+    length, then each entry's index and value), so the error raised is the
+    first malformed row's; row numbers count within a block.
     """
-    keys, values, lengths, equality, signs, numbers = [], [], [], [], [], []
+    # Per block (False: "<=" and ">=" rows, True: "=" rows): each column's
+    # row numbers and values, and the rows' right-hand sides.
+    index = {eq: [[] for _ in range(n_vars)] for eq in (False, True)}
+    value = {eq: [[] for _ in range(n_vars)] for eq in (False, True)}
     rhs: dict[bool, list[float]] = {False: [], True: []}
-    refused = None  # the first row refused before its coefficients are read
-    for coeffs, relation, value in rows:
-        value = float(value)
+    for coeffs, relation, b in rows:
         if relation not in _RELATIONS:
-            refused = f"unknown relation {relation!r}"
-            break
+            raise ValueError(f"unknown relation {relation!r}")
         eq, sign = _RELATIONS[relation]
-        if not math.isfinite(value):
-            refused = f"row {len(rhs[eq])} has a non-finite right-hand side"
-            break
+        r, b = len(rhs[eq]), float(b)
+        if not math.isfinite(b):
+            raise ValueError(f"row {r} has a non-finite right-hand side")
         if isinstance(coeffs, Mapping):
-            keys.append(coeffs.keys())
-            values.append(coeffs.values())
-        elif len(coeffs) != n_vars:
-            refused = f"row {len(rhs[eq])} has {len(coeffs)} coefficients, expected {n_vars}"
-            break
+            entries = coeffs.items()
+        elif len(coeffs) == n_vars:
+            entries = enumerate(coeffs)
         else:
-            keys.append(range(n_vars))
-            values.append(coeffs)
-        lengths.append(len(coeffs))
-        equality.append(eq)
-        signs.append(sign)
-        numbers.append(len(rhs[eq]))
-        rhs[eq].append(sign * value)
-
-    total = sum(lengths)
-    cols = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=total)
-    vals = np.fromiter(chain.from_iterable(values), dtype=float, count=total)
-    row_of = np.repeat(np.arange(len(lengths)), lengths)
-    outside = (cols < 0) | (cols >= n_vars)
-    bad = outside | ~np.isfinite(vals)
-    if bad.any():
-        e = int(bad.argmax())
-        r = numbers[row_of[e]]
-        if outside[e]:
-            raise ValueError(f"row {r} references variable {cols[e]} out of range")
-        raise ValueError(f"row {r} has a non-finite coefficient")
-    if refused is not None:
-        raise ValueError(refused)
+            raise ValueError(f"row {r} has {len(coeffs)} coefficients, expected {n_vars}")
+        for key, a in entries:
+            try:
+                j = operator.index(key)
+            except TypeError:
+                j = None
+            if j is None or isinstance(key, bool):
+                raise ValueError(f"row {r} references variable {key!r}, not an integer index")
+            if not 0 <= j < n_vars:
+                raise ValueError(f"row {r} references variable {j} out of range")
+            a = float(a)
+            if not math.isfinite(a):
+                raise ValueError(f"row {r} has a non-finite coefficient")
+            if a != 0.0:
+                index[eq][j].append(r)
+                value[eq][j].append(sign * a)
+        rhs[eq].append(sign * b)
 
     n_ub = len(rhs[False])
-    position = np.asarray(numbers, dtype=np.int64) + n_ub * np.asarray(equality, dtype=bool)
-    vals *= np.asarray(signs)[row_of]
-    kept = vals != 0.0
-    cols, entry_row, vals = cols[kept], position[row_of[kept]], vals[kept]
-    order = np.lexsort((entry_row, cols))
-    start = np.zeros(n_vars + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n_vars), out=start[1:])
-    upper = rhs[False] + rhs[True]
-    lower = [-math.inf] * n_ub + rhs[True]
-    return start.tolist(), entry_row[order].tolist(), vals[order].tolist(), lower, upper
+    start, flat_index, flat_value = [0], [], []
+    for j in range(n_vars):
+        flat_index += index[False][j] + [n_ub + r for r in index[True][j]]
+        flat_value += value[False][j] + value[True][j]
+        start.append(len(flat_index))
+    return start, flat_index, flat_value, [-math.inf] * n_ub + rhs[True], rhs[False] + rhs[True]
 
 
 @cache
@@ -185,21 +185,21 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     n_vars = len(lp.objective)
     if n_vars == 0:
         raise ValueError("the LP has no variables")
-    objective = np.asarray(lp.objective, dtype=float)
-    if not np.all(np.isfinite(objective)):
+    cost = [-float(c) for c in lp.objective]
+    if not all(map(math.isfinite, cost)):
         raise ValueError("objective has a non-finite coefficient")
     start, index, value, row_lower, row_upper = _columns(lp.rows, n_vars)
 
     bounds = list(lp.bounds) if lp.bounds is not None else [(0.0, None)] * n_vars
     if len(bounds) != n_vars:
         raise ValueError(f"{len(bounds)} bounds given for {n_vars} variables")
-    # None, read as nan, is an open side; a nan given as a bound is refused.
-    box = np.array(bounds, dtype=float)
-    open_side = np.isnan(box)
-    for i, side in zip(*np.nonzero(open_side)):
-        if bounds[i][side] is not None:
-            raise ValueError(f"variable {i} has a nan {('lower', 'upper')[side]} bound")
-    col_lower, col_upper = np.where(open_side, [-np.inf, np.inf], box).T
+    # None is an open side; a nan given as a bound is refused.
+    col_lower = [-math.inf if low is None else float(low) for low, _ in bounds]
+    col_upper = [math.inf if high is None else float(high) for _, high in bounds]
+    for i, (low, high) in enumerate(zip(col_lower, col_upper)):
+        if math.isnan(low) or math.isnan(high):
+            side = "lower" if math.isnan(low) else "upper"
+            raise ValueError(f"variable {i} has a nan {side} bound")
 
     core, options = _highs()
     model = core.HighsLp()
@@ -209,9 +209,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     model.a_matrix_.start_ = start
     model.a_matrix_.index_ = index
     model.a_matrix_.value_ = value
-    model.col_cost_ = (-objective).tolist()
-    model.col_lower_ = col_lower.tolist()
-    model.col_upper_ = col_upper.tolist()
+    model.col_cost_ = cost
+    model.col_lower_ = col_lower
+    model.col_upper_ = col_upper
     model.row_lower_ = row_lower
     model.row_upper_ = row_upper
     highs = core._Highs()
@@ -229,15 +229,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if status != core.HighsModelStatus.kOptimal or ran == core.HighsStatus.kError:
         raise RuntimeError(f"LP solver failed: {highs.modelStatusToString(status)}")
 
-    # linprog's post-solve check.  Per row, b - A x is a "<=" row's slack or
-    # an "=" row's residual; a nan anywhere fails.
+    # linprog's post-solve check: each variable within its bounds, and per
+    # row, b - A x (a "<=" row's slack, an "=" row's residual) within the
+    # tolerance; a nan anywhere fails.
     solution = highs.getSolution()
     fun = highs.getInfo().objective_function_value
-    x = np.array(solution.col_value)
-    slack = np.array(row_upper) - np.array(solution.row_value)
-    off = np.where(np.isfinite(row_lower), np.abs(slack), -slack)
-    inside = (x >= col_lower - SOLUTION_TOL) & (x <= col_upper + SOLUTION_TOL)
-    if math.isnan(fun) or not (inside.all() and (off <= SOLUTION_TOL).all()):
+    inside = all(
+        low - SOLUTION_TOL <= v <= high + SOLUTION_TOL
+        for v, low, high in zip(solution.col_value, col_lower, col_upper)
+    ) and all(
+        (abs(high - v) if math.isfinite(low) else v - high) <= SOLUTION_TOL
+        for v, low, high in zip(solution.row_value, row_lower, row_upper)
+    )
+    if math.isnan(fun) or not inside:
         raise RuntimeError(
             f"LP solver failed: the optimum leaves a bound or a row by more than {SOLUTION_TOL:.2e}"
         )

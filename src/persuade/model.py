@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -251,7 +252,11 @@ def n_slots(instance: Instance) -> int:
 
 
 def _check_k(instance: Instance, k: int) -> int:
-    """n, after checking that k signals fit: 2 <= k <= n."""
+    """n, after checking that k is an integer and k signals fit: 2 <= k <= n."""
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     n = n_slots(instance)
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")

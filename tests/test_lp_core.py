@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,9 @@ def test_solve_lp_two_variable_vertex():
         ((({0: 1.0}, "=", 1.0), ((1.0,), "=", 1.0)), "row 1 has 1 coefficients, expected 2"),
         ((({0: 1.0}, "<", 1.0),), "unknown relation '<'"),
         ((({0: 1.0}, "<=", 1.0), ({1: 1.0}, ">=", float("nan"))), "row 1 has a non-finite right-hand side"),
+        ((({0: 1.0, 1.5: 1.0}, "<=", 1.0),), "row 0 references variable 1.5, not an integer index"),
+        ((({0: 1.0}, "=", 1.0), ({"1": 1.0}, "=", 1.0)), "row 1 references variable '1', not an integer index"),
+        ((({True: 1.0}, ">=", 0.0),), "row 0 references variable True, not an integer index"),
     ],
 )
 def test_solve_lp_refuses_a_malformed_row(rows, message):
@@ -102,6 +107,11 @@ def test_solve_lp_refuses_a_malformed_row(rows, message):
         ((((1.0,), "=", 1.0), ({0: 1.0}, "<", 1.0)), None, "row 0 has 1 coefficients, expected 2"),
         ((({0: 1.0}, "<", 1.0), ({5: 1.0}, "=", 1.0)), None, "unknown relation '<'"),
         ((({3: 1.0}, "=", 1.0),), ((0.0, 1.0),), "row 0 references variable 3 out of range"),
+        (
+            (({0: 1.0}, "<=", 1.0), ({0: 1.0, 1.0: 1.0}, "<=", 1.0), ({5: 1.0}, "=", 1.0)),
+            None,
+            "row 1 references variable 1.0, not an integer index",
+        ),
     ],
 )
 def test_solve_lp_reports_the_first_malformed_row_in_row_order(rows, bounds, message):
@@ -221,8 +231,16 @@ def test_solve_lp_returns_linprogs_bits_on_every_caller_lp(monkeypatch):
         ),
         LinearProgram(objective=(1.0,), rows=(((1.0,), "<=", 1.0),), bounds=((2.0, 3.0),)),
         LinearProgram(objective=(1.0,), rows=(), bounds=((float("inf"), None),)),
+        LinearProgram(
+            objective=(1.0, 2.0),
+            rows=(({np.int64(0): 1.0, np.int32(1): 1.0}, "<=", 1.0),),
+            bounds=((0.0, 1.0), (0.0, 1.0)),
+        ),
     ],
-    ids=["no-rows", "unbounded", "equality-only", "column-in-no-row", "empty-box", "infinite-lower"],
+    ids=[
+        "no-rows", "unbounded", "equality-only", "column-in-no-row", "empty-box", "infinite-lower",
+        "numpy-integer-indices",
+    ],
 )
 def test_solve_lp_returns_linprogs_bits_on_edge_cases(lp):
     assert solve_lp(lp) == linprog_answer(lp)
@@ -236,6 +254,37 @@ def test_solve_lp_names_the_scipy_it_needs(monkeypatch):
             solve_lp(LinearProgram(objective=(1.0,), rows=(), bounds=((0.0, 1.0),)))
     finally:
         lp_core._highs.cache_clear()
+
+
+def module_level_imports(body):
+    """The modules a module body imports as it runs, `if TYPE_CHECKING:`
+    blocks left out."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        elif isinstance(node, ast.If) and ast.unparse(node.test) != "TYPE_CHECKING":
+            yield from module_level_imports(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            handlers = [line for handler in node.handlers for line in handler.body]
+            yield from module_level_imports(node.body + handlers + node.orelse + node.finalbody)
+
+
+def test_lp_core_imports_no_numpy_and_no_other_package_module():
+    # lp_core is a leaf: the standard library at import, scipy's HiGHS
+    # bindings at the first solve, package types in annotations only.
+    tree = ast.parse(Path(lp_core.__file__).read_text())
+    imported = list(module_level_imports(tree.body))
+    assert "math" in imported
+    assert [m for m in imported if m.startswith((".", "persuade"))] == []
+    everywhere = [
+        alias.name if isinstance(node, ast.Import) else node.module or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [m for m in everywhere if m.split(".")[0] == "numpy"] == []
 
 
 def tug_inputs(k: int, s):

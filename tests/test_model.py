@@ -278,3 +278,35 @@ def test_every_entry_point_refuses_k_outside_2_to_n_in_the_same_words(entry, pas
     with pytest.raises(ValueError) as refused:
         call(inst, k)
     assert str(refused.value) == f"k={k} outside [2, {n}]"
+
+
+K_INTEGER_ENTRY_POINTS = {
+    "slope_algorithm": ("ratio_iid", P.slope_algorithm),
+    "imitation_scheme": ("tug_of_war", P.imitation_scheme),
+    "bicriteria_scheme": ("tug_of_war", lambda inst, k: P.bicriteria_scheme(inst, k, 0.1, 10, 0)),
+    "segment_probabilities": ("tug_of_war", P.segment_probabilities),
+    "independent_scheme-greedy": (
+        "coins_k3", lambda inst, k: P.independent_scheme(inst, k, "greedy", force=True)
+    ),
+    "independent_scheme-reduce": (
+        "coins_k3", lambda inst, k: P.independent_scheme(inst, k, "reduce", force=True)
+    ),
+    "independent_scheme-fptas": (
+        "coins_k3", lambda inst, k: P.independent_scheme(inst, k, "fptas", 0.5, force=True)
+    ),
+    "optimal_scheme_bruteforce": ("tug_of_war", P.optimal_scheme_bruteforce),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(K_INTEGER_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_non_integer_k(entry):
+    # Unchecked, a float k runs on: the IID closed form at a fractional
+    # power, a 3-action independent scheme for k = 2.5, or an unrelated
+    # TypeError.
+    fixture, call = K_INTEGER_ENTRY_POINTS[entry]
+    inst = P.load_fixture(fixture)
+    for k in (2.5, 2.0):
+        with pytest.raises(ValueError) as refused:
+            call(inst, k)
+        assert str(refused.value) == f"k must be an integer, got {k}"
+    call(inst, np.int64(2))
