@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
 
@@ -25,7 +28,7 @@ from persuade.independent_schemes import (
 )
 from persuade.lp_core import LinearProgram, solve_lp
 from persuade.model import ActionType, IndependentInstance
-from corpus import independent_corpus, random_best_fixed_deterministic
+from corpus import independent_corpus, perfbench, random_best_fixed_deterministic
 
 
 def mk_action(*types):
@@ -142,6 +145,31 @@ def test_f_of_s_counterexample_fixture(trap):
     assert f_of_S(trap, [0]).objective == 0.0
     with pytest.raises(ValueError):
         f_of_S(trap, [5])
+
+
+class _IndexRaises:
+    """An object whose __index__ itself raises TypeError."""
+
+    def __index__(self):
+        raise TypeError("no index")
+
+    def __repr__(self):
+        return "_IndexRaises()"
+
+
+@pytest.mark.parametrize("index", [True, 1.0, 1.5, "1", _IndexRaises()], ids=repr)
+def test_f_of_s_refuses_a_non_integer_action_index(coins3, index):
+    # True once solved action 1 and reported it as (0, True); the others
+    # failed inside tuple indexing or a sort with a TypeError.
+    with pytest.raises(ValueError, match=re.escape(f"action index {index!r} is not an integer")):
+        f_of_S(coins3, [index])
+
+
+def test_f_of_s_stores_a_numpy_index_as_an_int(coins3):
+    sol = f_of_S(coins3, [np.int64(1)])
+    assert sol.actions == (0, 1)
+    assert all(type(a) is int for a in sol.actions)
+    assert sol.objective == f_of_S(coins3, [1]).objective
 
 
 def test_f_of_s_full_budget(coins3):
@@ -299,6 +327,126 @@ def test_fptas_select_near_optimal():
         best = exhaustive_best(inst, k)
         got = f_of_S(inst, sel).objective
         assert got >= (1 - eps) * best - 1e-9, (k, eps, got, best)
+
+
+# The knapsack fptas_select ran before its layered in-place DP: it copies the
+# whole state dict per action and drops nothing.  Kept as the reference.
+@dataclass(frozen=True)
+class _PackEntry:
+    action: int
+    cells: int  # grid cells whose marginal is strictly above the guess
+    p_r: int  # scaled curve value collected by those cells
+    p_o: int  # scaled value of the plateau of cells exactly at the guess
+
+
+def reference_guess_knapsack(
+    designated: _PackEntry,
+    others,
+    k: int,
+    levels: int,
+    m: int,
+    kappa: tuple[int, int],
+) -> tuple[int, ...]:
+    """Best at-most-(k-1) subset of `others` for one guessed cell marginal m.
+
+    Values are floored to multiples of kappa = kappa[0] / kappa[1] so the
+    state space stays polynomial; sizes stay exact cell counts.  Each packed
+    action commits its above-m cells outright, while plateau mass is
+    flexible and fills whatever of the `levels` cells remain at m per cell.
+    Returns the chosen action tuple.
+    """
+    kappa_num, kappa_den = kappa
+
+    def rounded(p: int) -> int:
+        return p * kappa_den // kappa_num
+
+    # state: (actions chosen, rounded above-m value, rounded plateau value)
+    # mapped to the fewest committed cells reaching it, plus the choice set.
+    start = (0, rounded(designated.p_r), rounded(designated.p_o))
+    states: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {
+        start: (designated.cells, ())
+    }
+    for entry in others:
+        pr_i, po_i = rounded(entry.p_r), rounded(entry.p_o)
+        merged = dict(states)
+        for (j, pr, po), (cells, chosen) in states.items():
+            if j >= k - 1:
+                continue
+            ncells = cells + entry.cells
+            if ncells > levels:
+                continue
+            nstate = (j + 1, pr + pr_i, po + po_i)
+            cand = (ncells, chosen + (entry.action,))
+            cur = merged.get(nstate)
+            if cur is None or cand < cur:
+                merged[nstate] = cand
+        states = merged
+
+    # Value kappa*pr + min(m * free cells, kappa*po), scaled by kappa_den.
+    best_value = None
+    best_chosen: tuple[int, ...] = ()
+    for (j, pr, po), (cells, chosen) in states.items():
+        value = kappa_num * pr + min(m * (levels - cells) * kappa_den, kappa_num * po)
+        if best_value is None or value > best_value or (value == best_value and chosen < best_chosen):
+            best_value, best_chosen = value, chosen
+    return best_chosen
+
+
+def knapsack_calls(monkeypatch, inst, k, eps):
+    """fptas_select's result and every (arguments, result) of its knapsacks."""
+    import persuade.independent_schemes as indep
+
+    calls = []
+    real = indep._guess_knapsack
+    monkeypatch.setattr(
+        indep, "_guess_knapsack", lambda *args: calls.append((args, real(*args))) or calls[-1][1]
+    )
+    return fptas_select(inst, k, eps), calls
+
+
+def assert_knapsacks_match_reference(calls):
+    for (designated, others, k, levels, m, kappa), got in calls:
+        want = reference_guess_knapsack(
+            _PackEntry(*designated), [_PackEntry(*e) for e in others], k, levels, m, kappa
+        )
+        assert got == want, (k, levels, m)
+
+
+def test_guess_knapsack_matches_the_dict_copy_reference(monkeypatch):
+    # The layered in-place DP with its dropped entries returns the same
+    # tuple as the dict-copy DP it replaced on every guess fptas_select makes.
+    cases = [(inst, k, 0.1) for inst in independent_corpus(100)
+             for k in (2, 3, 4) if k <= len(inst.actions)]
+    load = perfbench("instances").load
+    cases += [(load(c["doc"]), c["k"], 0.2) for c in perfbench("gen").independent(1)["large"]]
+    cases += [(fptas_fault_instance(), k, 0.1) for k in (4, 5)]
+    guesses = 0
+    for inst, k, eps in cases:
+        _, calls = knapsack_calls(monkeypatch, inst, k, eps)
+        assert_knapsacks_match_reference(calls)
+        guesses += len(calls)
+    assert guesses > 1000
+
+
+def test_fptas_select_keeps_the_lowest_index_duplicates(monkeypatch):
+    # Ten identical copies of a rare-type action (2..11) beside the anchor (1)
+    # and two distinct actions: the best 3-set is two copies and action 12,
+    # and the knapsack keeps only k-1 copies of each shared signature.
+    copy = mk_action(("h", 1, 1, "1/5"), ("l", 0, 0, "4/5"))
+    inst = IndependentInstance(actions=(
+        mk_action(("a1", 1, "1/2", "1/4"), ("a0", 0, 0, "3/4")),
+        mk_action(("e", "1/2", 0, 1)),
+        *[copy] * 10,
+        mk_action(("b1", "3/4", "3/4", "1/3"), ("b0", "1/4", "1/8", "2/3")),
+    ))
+    assert inst.designated == 1
+    got, calls = knapsack_calls(monkeypatch, inst, 4, 0.1)
+    assert got == (2, 3, 12)
+    assert_knapsacks_match_reference(calls)
+    assert any(
+        max(Counter(e[1:] for e in others if 2 <= e[0] <= 11).values()) > 3
+        for (_, others, *_), _ in calls
+    )
 
 
 def test_expost_scheme_structure_and_utilities():
