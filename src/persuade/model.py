@@ -7,10 +7,12 @@ Derived quantities (oracle probabilities, LP solutions) are floats.
 Each instance's prior is read through one private table (`_prior_table`),
 built on first use and kept on the instance: the oracle's exact ranks and
 per-type weights, and the float CDFs from which `_state_sampler` draws a
-whole state with a few numpy calls, consuming the generator exactly as one
-`rng.choice` per slot would, so a seed always gives the same states.  A
-sampled state is a row of the table's columns; `sample_state` maps it to
-the `ActionType`s those columns stand for.
+state by inverting each slot's CDF at one uniform: the generator calls the
+stream needs, then one lookup (a numpy `searchsorted` or count, or a Python
+`bisect_right` per kept slot on small prophet-secretary draws).  It consumes
+the generator exactly as one `rng.choice` per slot would, so a seed always
+gives the same states.  A sampled state is a row of the table's columns;
+`sample_state` maps it to the `ActionType`s those columns stand for.
 
 Instance fields never change after construction.  The table is not a field
 (==, hash and repr ignore it); all of it is safe for concurrent reads.
@@ -251,12 +253,21 @@ def n_slots(instance: Instance) -> int:
     raise TypeError(f"not an instance: {instance!r}")
 
 
+def _check_integer(value, name: str) -> int:
+    """``value`` as an int, after refusing a bool or a value that is not an
+    integer (a float, even an integral one); numpy integers are accepted."""
+    try:
+        result = operator.index(value)
+    except TypeError:
+        result = None
+    if result is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return result
+
+
 def _check_k(instance: Instance, k: int) -> int:
     """n, after checking that k is an integer and k signals fit: 2 <= k <= n."""
-    try:
-        operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
+    _check_integer(k, "k")
     n = n_slots(instance)
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
@@ -425,6 +436,15 @@ SAMPLER_MAX_SLOTS = 10**7
 # Most states one `estimate` or `bicriteria_scheme` call may draw, checked
 # before the first: at tens of thousands a second, 10^12 would take days.
 SAMPLER_MAX_SAMPLES = 10**8
+# Bounds of the prophet-secretary bisect draw: on a prior of at most
+# _BISECT_MAX_ROWS slots, a draw keeping at most _BISECT_MAX_SLOTS shuffles a
+# list of the rows and bisects each kept slot's CDF in Python.  Past either
+# bound numpy's count over the kept rows is cheaper, since the list shuffle
+# costs more per slot than `permutation(n)` and a bisect more per kept slot
+# than the vectorised count (measured crossovers: about n = 300 at k = 10,
+# and k = 40-48 at n = 200).
+_BISECT_MAX_ROWS = 256
+_BISECT_MAX_SLOTS = 32
 
 
 def _state_sampler(
@@ -452,6 +472,22 @@ def _state_sampler(
     IID and independent priors one uniform per slot, d-random-order one
     uniform for the vector and then the permutation.  So a seed gives the
     same states as a per-slot `choice` sampler.
+
+    Past those generator calls a draw pays for one lookup, and everything
+    it reads is fixed when the sampler is built.  A slot's column is the
+    count of its CDF's entries <= u, which is `choice`'s
+    ``searchsorted(u, "right")``:
+
+    * IID: one ``searchsorted`` of the kept uniforms on the palette's CDF;
+    * independent: one comparison of the kept uniforms with the first
+      ``slots`` CDF rows, a sum per row and a gather;
+    * prophet-secretary with n <= ``_BISECT_MAX_ROWS`` and ``slots <=
+      _BISECT_MAX_SLOTS``: `rng.shuffle` of a list of the instance's rows
+      (`_sampler_rows`), which makes the swaps of `permutation(n)`'s
+      shuffle, then one `bisect_right` per kept slot; past either bound the
+      permutation's rows are counted in numpy as independent rows are;
+    * d-random-order: `bisect_right` for the vector, then `rng.shuffle` of
+      a copy of its columns.
     """
     n = n_slots(instance)
     slots = n if slots is None else slots
@@ -478,20 +514,59 @@ def _state_sampler(
             return state
 
         return draw
-    # slot_rows[j] is the distribution of slot j; prophet-secretary permutes them per draw.
     if isinstance(instance, IIDInstance):
-        slot_rows = np.zeros(slots, dtype=np.intp)
-    elif isinstance(instance, ProphetSecretaryInstance):
-        slot_rows = None
-    else:
-        slot_rows = np.arange(slots)
+        cdf = cdfs[0]
+
+        def draw(rng: np.random.Generator) -> list[int]:
+            return outcomes[cdf.searchsorted(rng.random(drawn)[:slots], "right")].tolist()
+
+        return draw
+    if isinstance(instance, IndependentInstance):
+        kept_cdfs, kept_offsets = cdfs[:slots], offsets[:slots]
+
+        def draw(rng: np.random.Generator) -> list[int]:
+            u = rng.random(n)[:slots]  # a row's entries <= u count as its searchsorted(u, "right")
+            return outcomes[kept_offsets + (kept_cdfs <= u[:, None]).sum(axis=1)].tolist()
+
+        return draw
+    if n <= _BISECT_MAX_ROWS and slots <= _BISECT_MAX_SLOTS:
+        # Shuffling a list of the rows makes the swaps of permutation(n)'s
+        # shuffle, and bisect_right is searchsorted(u, "right") on a row's CDF.
+        rows = _sampler_rows(instance)
+
+        def draw(rng: np.random.Generator) -> list[int]:
+            order = list(rows)
+            rng.shuffle(order)
+            u = rng.random(n)[:slots].tolist()
+            return [cols[bisect_right(cdf, x)] for (cdf, cols), x in zip(order, u)]
+
+        return draw
 
     def draw(rng: np.random.Generator) -> list[int]:
-        rows = rng.permutation(n)[:slots] if slot_rows is None else slot_rows
-        u = rng.random(drawn)[:slots]  # a row's entries <= u count as its searchsorted(u, "right")
-        return outcomes[offsets[rows] + (cdfs[rows] <= u[:, None]).sum(axis=1)].tolist()
+        rows = rng.permutation(n)[:slots]
+        u = rng.random(n)[:slots]
+        # take() gathers the rows faster than cdfs[rows] does.
+        return outcomes[offsets[rows] + (cdfs.take(rows, axis=0) <= u[:, None]).sum(axis=1)].tolist()
 
     return draw
+
+
+def _sampler_rows(instance: Instance) -> tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]:
+    """Per listed distribution, its CDF and its outcomes' columns as tuples
+    sized to its support: the prior table's rows in the form a per-slot
+    `bisect_right` reads.  Built on first use and then kept on the instance,
+    so every sampler shares them."""
+
+    def build(instance: Instance) -> tuple:
+        table = _prior_table(instance)
+        columns = table.outcomes.tolist()
+        ends = table.offsets.tolist()[1:] + [len(columns)]
+        return tuple(
+            (tuple(cdf[: end - start]), tuple(columns[start:end]))
+            for cdf, start, end in zip(table.cdfs.tolist(), table.offsets.tolist(), ends)
+        )
+
+    return _cached(instance, "_sampler_rows", build)
 
 
 def sample_state(instance: Instance, rng: np.random.Generator) -> State:

@@ -5,9 +5,10 @@ index) as exact unsigned 64-bit integers, so each seed modulo 2^64 has its
 own streams: every chunk of samples owns an independent stream and the
 per-chunk sums are merged in chunk order, so the same seed gives the same
 report bit for bit.  `estimate` builds the instance's state sampler once
-per call (float CDFs kept on the instance, a few numpy calls per state);
-each state consumes its chunk's stream exactly as one `rng.choice` per slot
-did, so reports are also unchanged from versions that sampled slot by slot.
+per call (float CDFs kept on the instance; per state, the generator calls
+of the stream and one CDF lookup); each state consumes its chunk's stream
+exactly as one `rng.choice` per slot did, so reports are also unchanged
+from versions that sampled slot by slot.
 
 A sampled state is a row of the instance's prior-table columns, from the
 sampler to the sums: the slope executor and the ex-post scheme bind to the
@@ -26,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import SAMPLER_MAX_SAMPLES, Instance, _prior_table, _state_sampler
+from .model import SAMPLER_MAX_SAMPLES, Instance, _check_integer, _prior_table, _state_sampler
 
 __all__ = ["SignalStats", "SimReport", "estimate"]
 
@@ -138,8 +139,10 @@ def estimate(
     same seed the report is identical bit for bit.  A scheme that reads only
     the first k slots is given only those, drawn from the full state's
     stream (IID priors: all n slots' uniforms), so its report does not
-    depend on what it leaves unread.
+    depend on what it leaves unread.  ``samples`` and ``seed`` must be
+    integers; a bool or a float, even an integral one, is refused.
     """
+    samples, seed = _check_integer(samples, "samples"), _check_integer(seed, "seed")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > SAMPLER_MAX_SAMPLES:

@@ -37,6 +37,7 @@ from .model import (
     is_symmetric,
     parse_rational,
     _PriorTable,
+    _check_integer,
     _check_k,
     _dense_rank,
     _prior_table,
@@ -403,7 +404,9 @@ def bicriteria_scheme(
     multiset and split uniformly among slots holding the recommended type,
     so the scheme is symmetric by construction and permutation ties cost
     nothing.  An int ``rng`` seeds a generator; a negative one is taken
-    modulo 2^64, as `estimate` takes every seed.
+    modulo 2^64, as `estimate` takes every seed.  ``samples`` and an
+    ``rng`` that is not a generator must be integers; a bool or a float is
+    refused.
 
     The sample is counted in the prior table's representation: a state is
     the tuple of its slots' table columns, as the sampler draws it, and a
@@ -414,6 +417,11 @@ def bicriteria_scheme(
     """
     if not is_symmetric(instance):
         raise TypeError("bicriteria_scheme requires a symmetric instance")
+    samples = _check_integer(samples, "samples")
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        rng = _check_integer(rng, "rng")
+        if rng < 0:
+            rng %= 2**64
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > SAMPLER_MAX_SAMPLES:
@@ -430,8 +438,6 @@ def bicriteria_scheme(
                 "guarantee is stated for that scaling"
             )
     _check_k(instance, k)
-    if isinstance(rng, int) and rng < 0:
-        rng %= 2**64
     rng = np.random.default_rng(rng)
 
     draw = _state_sampler(instance, k)

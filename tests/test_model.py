@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -172,9 +173,33 @@ def _stream_pin_cases():
     )))
     out.append(IIDInstance(palette=((a, Fraction(1, 5)), (b, Fraction(0)), (c, Fraction(4, 5))), n=6))
     out.append(IndependentInstance(actions=(((a, Fraction(1)), (b, Fraction(0))), ((c, Fraction(1)),))))
-    return [(inst, None) for inst in out] + [
+    cases = [(inst, None) for inst in out] + [
         (inst, k) for inst in out if P.is_symmetric(inst) for k in range(1, n_slots(inst))
     ]
+    # Large priors, cropped to a few slot counts: prophet-secretary on both
+    # sides of the bisect draw's bounds (n = 64 at k = 2 and k = n; n = 300),
+    # IID with k << n and independent priors of unequal supports.
+    ps64 = ProphetSecretaryInstance(dists=_unequal_dists(64, 13))
+    ps300 = ProphetSecretaryInstance(dists=_unequal_dists(300, 14))
+    iid200 = IIDInstance(palette=_unequal_dists(5, 15)[4], n=200)
+    ind120 = IndependentInstance(actions=_unequal_dists(120, 16))
+    return cases + [
+        (ps64, 2), (ps64, None), (ps300, 2), (ps300, None), (iid200, 3), (iid200, None), (ind120, None)
+    ]
+
+
+def _unequal_dists(count: int, seed: int) -> tuple:
+    """``count`` distributions over six shared types, of supports 1 to 5 in
+    turn, with zero masses now and then."""
+    rng = np.random.default_rng(seed)
+    pool = [ActionType(f"u{j}", Fraction(j, 5), Fraction(5 - j, 5)) for j in range(6)]
+    dists = []
+    for i in range(count):
+        picks = rng.choice(6, size=1 + i % 5, replace=False)
+        raws = [int(x) for x in rng.integers(0, 4, size=len(picks))]
+        raws[0] += sum(raws) == 0
+        dists.append(tuple((pool[j], Fraction(x, sum(raws))) for j, x in zip(picks, raws)))
+    return tuple(dists)
 
 
 @pytest.mark.parametrize("make_rng", [
@@ -210,6 +235,57 @@ def test_leading_slots_are_the_full_draw_cropped(make_rng):
             for _ in range(5):
                 assert draw(ours) == full(ref)[:slots]
             assert ours.random() == ref.random()
+
+
+class _StepUniforms:
+    """A generator stand-in whose orders are the identity and whose uniforms
+    alternate 0.0 and 0.5: both sit on a CDF step of the prior below."""
+
+    def permutation(self, n):
+        return np.arange(n)
+
+    def shuffle(self, x):
+        pass
+
+    def random(self, size=None):
+        return np.resize([0.0, 0.5], size)
+
+
+def test_a_uniform_on_a_cdf_step_draws_the_next_outcome():
+    # As searchsorted(u, "right") in rng.choice: a zero mass is never drawn,
+    # even at u = 0.0, and u = 0.5 on the step between b and c draws c.
+    a, b, c = (ActionType(t, Fraction(0), Fraction(0)) for t in "abc")
+    dist = ((a, Fraction(0)), (b, Fraction(1, 2)), (c, Fraction(1, 2)))
+    for inst, slots in (
+        (ProphetSecretaryInstance(dists=(dist,) * 4), 2),  # the bisect draw
+        (ProphetSecretaryInstance(dists=(dist,) * 40), None),  # numpy's count
+        (IIDInstance(palette=dist, n=4), None),
+        (IndependentInstance(actions=(dist,) * 4), None),
+    ):
+        types = _prior_table(inst).types
+        state = [types[col].id for col in _state_sampler(inst, slots)(_StepUniforms())]
+        assert state == ["b", "c"] * (len(state) // 2)
+
+
+@pytest.mark.parametrize("n", [256, 3000])
+def test_sampler_set_up_is_built_once_per_instance(n):
+    # The per-row tuples the prophet-secretary bisect draw reads are built on
+    # an instance's first sampler and shared by every later one: a second
+    # copy of them takes about 300 B a slot, against under 40 B for a
+    # sampler build and a draw (permutation(n), random(n) and a list of rows)
+    # and under 150 B for sample_state's whole-state draw.
+    inst = ProphetSecretaryInstance(dists=_unequal_dists(n, 17))
+    rng = np.random.default_rng(0)
+    _state_sampler(inst, 2)(rng)
+    sample_state(inst, rng)
+    for call, bound in ((lambda: _state_sampler(inst, 2)(rng), 40), (lambda: sample_state(inst, rng), 150)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n
 
 
 

@@ -66,6 +66,22 @@ def test_sample_validation(tug_executor):
     ex, inst = tug_executor
     with pytest.raises(ValueError):
         estimate(ex, inst, samples=0, seed=1)
+    # Unchecked, True ran one sample, and 2.5 or "5" samples and a 1.5 seed
+    # failed with unrelated TypeErrors.
+    for samples, seed, refusal in (
+        (True, 0, "samples must be an integer, got True"),
+        (2.5, 0, "samples must be an integer, got 2.5"),
+        (5.0, 0, "samples must be an integer, got 5.0"),
+        ("5", 0, "samples must be an integer, got '5'"),
+        (5, 1.5, "seed must be an integer, got 1.5"),
+        (5, False, "seed must be an integer, got False"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            estimate(ex, inst, samples, seed)
+        assert str(refused.value) == refusal
+    report = estimate(ex, inst, np.int64(50), np.int64(-1))
+    assert type(report.samples) is int
+    assert report == estimate(ex, inst, 50, -1)
 
 
 class _Public:

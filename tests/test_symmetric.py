@@ -305,6 +305,20 @@ def test_bicriteria_validation(tug):
     big = IIDInstance(palette=((ActionType("big", Fraction(2), Fraction(0)), Fraction(1)),), n=3)
     with pytest.raises(ValueError, match="outside"):
         bicriteria_scheme(big, 2, epsilon=0.1, samples=10)
+    # Unchecked, samples=True came back as the result's sample count and a
+    # 2.5 sample count or seed failed with unrelated TypeErrors.
+    for samples, seed, refusal in (
+        (True, 0, "samples must be an integer, got True"),
+        (2.5, 0, "samples must be an integer, got 2.5"),
+        (10, 1.5, "rng must be an integer, got 1.5"),
+        (10, True, "rng must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            bicriteria_scheme(tug, 2, 0.1, samples, seed)
+        assert str(refused.value) == refusal
+    res = bicriteria_scheme(tug, 2, 0.1, np.int64(40), np.int64(-3))
+    assert type(res.samples) is int
+    assert bicriteria_record(res) == bicriteria_record(bicriteria_scheme(tug, 2, 0.1, 40, -3))
 
 
 def test_tabular_scheme_fallback(tug):
