@@ -265,8 +265,8 @@ def expected_utilities(
 ) -> tuple[float, float]:
     """Exact expected (sender, receiver) utilities of an executable scheme."""
     prior = _exact_prior(instance, state_bound)
-    xi = [float(t.xi) for t in prior.types]
-    rho = [float(t.rho) for t in prior.types]
+    table = _prior_table(instance)
+    xi, rho = table.xi, table.rho
     u_sender = 0.0
     u_receiver = 0.0
     for state, row, q in prior.states():
@@ -482,7 +482,7 @@ def persuasiveness_check(
     """
     n = n_slots(instance)
     prior = _exact_prior(instance, state_bound)
-    rho_of = [float(t.rho) for t in prior.types]
+    rho_of = _prior_table(instance).rho
     mass: dict[int, float] = {}
     obey: dict[int, float] = {}
     deviate: dict[int, list[float]] = {}

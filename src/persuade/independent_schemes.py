@@ -24,7 +24,6 @@ utility is deterministic; builders refuse other instances unless forced.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,9 @@ from .model import (
     IndependentInstance,
     State,
     TypeDist,
+    _as_integer,
     _cached,
+    _check_family,
     _check_k,
     _merged,
     best_fixed_action_value,
@@ -73,8 +74,7 @@ def certified_fallback(instance: IndependentInstance) -> int | None:
     conditioning can move its value, while every alternative's conditional
     value stays at or below the prior best.
     """
-    if not isinstance(instance, IndependentInstance):
-        raise TypeError("certified_fallback requires an independent instance")
+    _check_family(instance, False, "certified_fallback")
     rho_e = best_fixed_action_value(instance)
     for i, dist in enumerate(instance.actions):
         if all(t.rho == rho_e for t, q in dist if q > 0):
@@ -225,16 +225,12 @@ class RelaxationSolution:
 
 def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSolution:
     """Solve the shared-budget relaxation over S plus the designated action."""
-    if not isinstance(instance, IndependentInstance):
-        raise TypeError("f_of_S requires an independent instance")
+    _check_family(instance, False, "f_of_S")
     n = len(instance.actions)
     picked = {instance.designated}
     for i in S:
-        try:
-            j = operator.index(i)
-        except TypeError:
-            j = None
-        if j is None or isinstance(i, bool):
+        j = _as_integer(i)
+        if j is None:
             raise ValueError(f"action index {i!r} is not an integer")
         if not 0 <= j < n:
             raise ValueError(f"action index {j} out of range for {n} actions")
@@ -293,10 +289,11 @@ def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSo
 # Action selection
 # --------------------------------------------------------------------------
 
-def _validate_k(instance: IndependentInstance, k: int) -> list[int]:
-    n = len(instance.actions)  # first, so a symmetric prior fails here
-    _check_k(instance, k)
-    return [i for i in range(n) if i != instance.designated]
+def _validate_k(instance: IndependentInstance, k: int, name: str) -> list[int]:
+    """The non-designated actions, after checking the family and k for the
+    selector ``name``."""
+    _check_family(instance, False, name)
+    return [i for i in range(_check_k(instance, k)) if i != instance.designated]
 
 
 def _curves(instance: IndependentInstance) -> tuple[GiCurve, ...]:
@@ -345,7 +342,7 @@ def actions_greedy(instance: IndependentInstance, k: int) -> tuple[int, ...]:
     monotone and submodular in the action set, so the greedy set is within
     the classic 1 - (1 - 1/k)^(k-1) style factor of the best set of its size.
     """
-    others = _validate_k(instance, k)
+    others = _validate_k(instance, k, "actions_greedy")
     curves = _curves(instance)
     chosen: list[int] = []
     for _ in range(k - 1):
@@ -367,7 +364,7 @@ def actions_reduce(instance: IndependentInstance, k: int) -> tuple[int, ...]:
     the largest per-action contributions, ties to the lowest index.  Cheap,
     and still within a (k-1)/(n-1) factor of the full relaxation value.
     """
-    others = _validate_k(instance, k)
+    others = _validate_k(instance, k, "actions_reduce")
     relax = f_of_S(instance, others)
     ranked = sorted(others, key=lambda i: (-relax.per_action[i], i))
     return tuple(sorted(ranked[: k - 1]))
@@ -485,7 +482,7 @@ def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple
     earliest guess (the largest marginal), and padded with unused
     lowest-index actions up to exactly k-1.
     """
-    others = _validate_k(instance, k)
+    others = _validate_k(instance, k, "fptas_select")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     delta = Fraction(float(epsilon)) / 2
@@ -602,6 +599,8 @@ def expost_scheme(
     the fallback recommendation stays obedient.  Without a certificate the
     designated action stands in, and obedience is not guaranteed.
     """
+    _check_family(instance, False, "expost_scheme")
+
     def density(i: int) -> float:
         z = relaxation.z[i]
         return relaxation.per_action[i] / z if z > NEGLIGIBLE_TOL else 0.0
@@ -661,8 +660,7 @@ def independent_scheme(
     then break persuasiveness; forced schemes carry
     persuasiveness_guaranteed=False.
     """
-    if not isinstance(instance, IndependentInstance):
-        raise TypeError("independent_scheme requires an independent instance")
+    _check_family(instance, False, "independent_scheme")
     verified = certified_fallback(instance) is not None
     if not verified and not force:
         raise PreconditionError(

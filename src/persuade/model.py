@@ -6,16 +6,25 @@ Derived quantities (oracle probabilities, LP solutions) are floats.
 
 Each instance's prior is read through one private table (`_prior_table`),
 built on first use and kept on the instance: the oracle's exact ranks and
-per-type weights, and the float CDFs from which `_state_sampler` draws a
-state by inverting each slot's CDF at one uniform: the generator calls the
-stream needs, then one lookup (a numpy `searchsorted` or count, or a Python
-`bisect_right` per kept slot on small prophet-secretary draws).  It consumes
-the generator exactly as one `rng.choice` per slot would, so a seed always
-gives the same states.  A sampled state is a row of the table's columns;
-`sample_state` maps it to the `ActionType`s those columns stand for.
+per-type weights, each type's utilities as integers over one common
+denominator and as floats (the float view every float reader shares, equal
+to `float` of the exact rationals), and the float CDFs from which
+`_state_sampler` draws a state by inverting each slot's CDF at one uniform:
+the generator calls the stream needs, then one lookup (a numpy
+`searchsorted` or count, or a Python `bisect_right` per kept slot on small
+prophet-secretary draws).  It consumes the generator exactly as one
+`rng.choice` per slot would, so a seed always gives the same states.  A
+sampled state is a row of the table's columns; `sample_state` maps it to
+the `ActionType`s those columns stand for.
 
 Instance fields never change after construction.  The table is not a field
 (==, hash and repr ignore it); all of it is safe for concurrent reads.
+
+The per-instance rules every entry point shares live here too: the family
+check (`_check_family`: "<name> requires a symmetric instance" or "an
+independent instance", a `TypeError`), the integer rule (`_check_integer`),
+the signal count (`_check_k`) and a positive count such as a sample count
+(`_check_count`).
 """
 
 from __future__ import annotations
@@ -253,14 +262,30 @@ def n_slots(instance: Instance) -> int:
     raise TypeError(f"not an instance: {instance!r}")
 
 
-def _check_integer(value, name: str) -> int:
-    """``value`` as an int, after refusing a bool or a value that is not an
+def is_symmetric(instance: Instance) -> bool:
+    return not isinstance(instance, IndependentInstance)
+
+
+def _check_family(instance: Instance, symmetric: bool, name: str) -> None:
+    """Refuse an instance of the other family: ``name`` serves symmetric
+    instances when ``symmetric`` is true, independent ones otherwise."""
+    if is_symmetric(instance) != symmetric:
+        raise TypeError(f"{name} requires {'a symmetric' if symmetric else 'an independent'} instance")
+
+
+def _as_integer(value) -> int | None:
+    """``value`` as an int, or None for a bool or a value that is not an
     integer (a float, even an integral one); numpy integers are accepted."""
     try:
-        result = operator.index(value)
+        return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        result = None
-    if result is None or isinstance(value, bool):
+        return None
+
+
+def _check_integer(value, name: str) -> int:
+    """``value`` as an int, after refusing what `_as_integer` refuses."""
+    result = _as_integer(value)
+    if result is None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return result
 
@@ -341,11 +366,13 @@ class _PriorTable:
     (prophet-secretary, independent) or the V x T entry-count matrix
     (d-random-order); ``positive`` marks weights backed by a positive exact
     probability.  ``rho_num``/``xi_num`` are the utilities over their common
-    denominator ``scale``, so exact keys are integers.  ``cdfs`` has one CDF row per
-    listed distribution (d-random-order: one, over the vectors), formed as
-    `Generator.choice` forms it from ``p`` and padded with 2.0, above every
-    uniform draw; row i's outcomes, as columns, start at
-    ``outcomes[offsets[i]]`` (d-random-order: row v of ``outcomes`` holds
+    denominator ``scale``, so exact keys are integers; ``rho``/``xi`` are
+    the float view, ``rho_num[j] / scale``, the correctly rounded float of
+    the exact utility (equal to ``float(types[j].rho)``).  ``cdfs`` has one
+    CDF row per listed distribution (d-random-order: one, over the
+    vectors), formed as `Generator.choice` forms it from ``p`` and padded
+    with 2.0, above every uniform draw; row i's outcomes, as columns, start
+    at ``outcomes[offsets[i]]`` (d-random-order: row v of ``outcomes`` holds
     vector v's columns).  The arrays are read-only, because every caller
     shares them.
     """
@@ -354,6 +381,8 @@ class _PriorTable:
     rho_num: tuple[int, ...]
     xi_num: tuple[int, ...]
     scale: int
+    rho: tuple[float, ...]
+    xi: tuple[float, ...]
     point_rank: np.ndarray  # dense rank of (rho, xi): equal exactly for coincident types
     id_rank: np.ndarray  # rank of the id in string order
     weights: np.ndarray
@@ -409,6 +438,8 @@ class _PriorTable:
             rho_num,
             xi_num,
             scale,
+            tuple(r / scale for r in rho_num),  # int / int rounds the exact ratio once
+            tuple(x / scale for x in xi_num),
             _dense_rank(list(zip(rho_num, xi_num))),
             _dense_rank([t.id for t in types]),
             weights,
@@ -436,6 +467,20 @@ SAMPLER_MAX_SLOTS = 10**7
 # Most states one `estimate` or `bicriteria_scheme` call may draw, checked
 # before the first: at tens of thousands a second, 10^12 would take days.
 SAMPLER_MAX_SAMPLES = 10**8
+
+
+def _check_count(value, name: str, most: int | None = None) -> int:
+    """``value`` as an int, after checking that it is an integer of at least
+    1 and at most ``most``, if given: a sample count is checked with
+    ``most=SAMPLER_MAX_SAMPLES``."""
+    value = _check_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
+
+
 # Bounds of the prophet-secretary bisect draw: on a prior of at most
 # _BISECT_MAX_ROWS slots, a draw keeping at most _BISECT_MAX_SLOTS shuffles a
 # list of the rows and bisects each kept slot's CDF in Python.  Past either
@@ -487,7 +532,7 @@ def _state_sampler(
       shuffle, then one `bisect_right` per kept slot; past either bound the
       permutation's rows are counted in numpy as independent rows are;
     * d-random-order: `bisect_right` for the vector, then `rng.shuffle` of
-      a copy of its columns.
+      a copy of its columns, both read off `_sampler_rows`.
     """
     n = n_slots(instance)
     slots = n if slots is None else slots
@@ -505,7 +550,7 @@ def _state_sampler(
         # bisect_right is searchsorted(u, "right") on the CDF row, and
         # shuffling a copy of the vector's columns makes the swaps of
         # permutation(n)'s shuffle, so it equals the vector read in that order.
-        cdf, vectors = cdfs[0].tolist(), outcomes.tolist()
+        cdf, vectors = _sampler_rows(instance)[0]
 
         def draw(rng: np.random.Generator) -> list[int]:
             state = vectors[bisect_right(cdf, rng.random())].copy()
@@ -551,11 +596,13 @@ def _state_sampler(
     return draw
 
 
-def _sampler_rows(instance: Instance) -> tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]:
+def _sampler_rows(instance: Instance) -> tuple[tuple[tuple[float, ...], tuple], ...]:
     """Per listed distribution, its CDF and its outcomes' columns as tuples
     sized to its support: the prior table's rows in the form a per-slot
-    `bisect_right` reads.  Built on first use and then kept on the instance,
-    so every sampler shares them."""
+    `bisect_right` reads.  A d-random-order prior's one row is over its
+    vectors, each outcome the list of a vector's columns (the draw shuffles
+    a copy).  Built on first use and then kept on the instance, so every
+    sampler shares them."""
 
     def build(instance: Instance) -> tuple:
         table = _prior_table(instance)
@@ -692,10 +739,6 @@ def load_instance(source: str | Path | dict) -> Instance:
 
 def save_instance(instance: Instance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(instance), indent=2) + "\n")
-
-
-def is_symmetric(instance: Instance) -> bool:
-    return not isinstance(instance, IndependentInstance)
 
 
 def fixture_names() -> tuple[str, ...]:

@@ -13,10 +13,10 @@ from versions that sampled slot by slot.
 A sampled state is a row of the instance's prior-table columns, from the
 sampler to the sums: the slope executor and the ex-post scheme bind to the
 table once per call (their private ``_bind``), and a slot's utilities are
-the table's integers over their common denominator, the same correctly
-rounded floats as the exact rationals.  Any other scheme's
-``recommend(state, rng)`` gets the columns mapped to their `ActionType`s.
-The stream contract is unchanged, so the reports are too.
+the table's float view, the same correctly rounded floats as the exact
+rationals.  Any other scheme's ``recommend(state, rng)`` gets the columns
+mapped to their `ActionType`s.  The stream contract is unchanged, so the
+reports are too.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import SAMPLER_MAX_SAMPLES, Instance, _check_integer, _prior_table, _state_sampler
+from .model import SAMPLER_MAX_SAMPLES, Instance, _check_count, _check_integer, _prior_table, _state_sampler
 
 __all__ = ["SignalStats", "SimReport", "estimate"]
 
@@ -139,23 +139,18 @@ def estimate(
     same seed the report is identical bit for bit.  A scheme that reads only
     the first k slots is given only those, drawn from the full state's
     stream (IID priors: all n slots' uniforms), so its report does not
-    depend on what it leaves unread.  ``samples`` and ``seed`` must be
-    integers; a bool or a float, even an integral one, is refused.
+    depend on what it leaves unread.  ``samples`` must be an integer in
+    [1, ``SAMPLER_MAX_SAMPLES``], checked first, and ``seed`` an integer; a
+    bool or a float, even an integral one, is refused.
     """
-    samples, seed = _check_integer(samples, "samples"), _check_integer(seed, "seed")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if samples > SAMPLER_MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {SAMPLER_MAX_SAMPLES}, got {samples}")
+    samples, seed = _check_count(samples, "samples", SAMPLER_MAX_SAMPLES), _check_integer(seed, "seed")
     table = _prior_table(instance)
     slots, rec = _bind(scheme, table)
     draw = _state_sampler(instance, slots, whole_stream=True)
-    scale = table.scale  # int / int is the correctly rounded float of the exact ratio
-    xis, rhos = [x / scale for x in table.xi_num], [r / scale for r in table.rho_num]
     total = _Sums()
     for index, start in enumerate(range(0, samples, _CHUNK)):
         count = min(_CHUNK, samples - start)
-        total.merge(_run_chunk(rec, draw, table.types, xis, rhos, seed, index, count))
+        total.merge(_run_chunk(rec, draw, table.types, table.xi, table.rho, seed, index, count))
 
     sender_mean, sender_stderr = _mean_stderr(total.n, total.xi, total.xi2)
     receiver_mean, receiver_stderr = _mean_stderr(total.n, total.rho, total.rho2)

@@ -34,9 +34,10 @@ from .model import (
     SymmetricInstance,
     best_fixed_action_value,
     format_rational,
-    is_symmetric,
     parse_rational,
     _PriorTable,
+    _check_count,
+    _check_family,
     _check_integer,
     _check_k,
     _dense_rank,
@@ -93,21 +94,18 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     serve the whole sweep.  Each slope's LP is `solve_slope_lp`'s closed
     form on the same floats, bit-identical to calling it slope by slope.
     """
-    if not is_symmetric(instance):
-        raise TypeError("slope_algorithm requires a symmetric instance")
+    _check_family(instance, True, "slope_algorithm")
     by_slope: dict[Fraction, list[SegmentProb]] = {}
     for seg in segment_probabilities(instance, k):
         by_slope.setdefault(seg.slope, []).append(seg)
 
     rho_e = float(best_fixed_action_value(instance))
     table = _prior_table(instance)
-    xi = [float(t.xi) for t in table.types]
-    rho = [float(t.rho) for t in table.types]
     slopes = [NEG_INF, *sorted(by_slope)]
     best_s: Slope | None = None
     best = None
     for s, probs in zip(slopes, _unique_table(table, k, slopes)):
-        res = _slope_lp(by_slope.get(s, []), probs, xi, rho, rho_e, s)
+        res = _slope_lp(by_slope.get(s, []), probs, table.xi, table.rho, rho_e, s)
         if res is None:
             continue
         if best is None or res.u_sender > best.u_sender + GAIN_TOL:
@@ -206,12 +204,17 @@ class SlopeSchemeExecutor:
     `recommend` and `recommendation_distribution` take `ActionType` states:
     they map each type to a column among the types seen so far, ranked
     again when a state brings a new one, and run the same rule.
+    ``k`` must be an integer of at least 1; a numpy integer is stored as an
+    `int`.
     """
 
     scheme: SlopeScheme
     k: int
     _seen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ranked: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _check_count(self.k, "k"))
 
     def _columns(self, state: State) -> tuple[list[int], _Tangency]:
         """The columns of the state's first k types among the types seen so
@@ -404,28 +407,25 @@ def bicriteria_scheme(
     multiset and split uniformly among slots holding the recommended type,
     so the scheme is symmetric by construction and permutation ties cost
     nothing.  An int ``rng`` seeds a generator; a negative one is taken
-    modulo 2^64, as `estimate` takes every seed.  ``samples`` and an
-    ``rng`` that is not a generator must be integers; a bool or a float is
-    refused.
+    modulo 2^64, as `estimate` takes every seed.  ``samples`` must be an
+    integer in [1, ``SAMPLER_MAX_SAMPLES``], checked before ``rng``, and an
+    ``rng`` that is not a generator must be an integer; a bool or a float
+    is refused.
 
     The sample is counted in the prior table's representation: a state is
     the tuple of its slots' table columns, as the sampler draws it, and a
-    multiset is those columns sorted by id.  Utilities and their
-    differences are read off the table's integers over their common
-    denominator, which gives the same correctly rounded floats as the exact
-    rationals; `State` tuples are formed only for the returned table's keys.
+    multiset is those columns sorted by id.  Utilities are the table's
+    float view and their differences are read off its integers over their
+    common denominator, which gives the same correctly rounded floats as the
+    exact rationals; `State` tuples are formed only for the returned table's
+    keys.
     """
-    if not is_symmetric(instance):
-        raise TypeError("bicriteria_scheme requires a symmetric instance")
-    samples = _check_integer(samples, "samples")
+    _check_family(instance, True, "bicriteria_scheme")
+    samples = _check_count(samples, "samples", SAMPLER_MAX_SAMPLES)
     if rng is not None and not isinstance(rng, np.random.Generator):
         rng = _check_integer(rng, "rng")
         if rng < 0:
             rng %= 2**64
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if samples > SAMPLER_MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {SAMPLER_MAX_SAMPLES}, got {samples}")
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
@@ -446,9 +446,7 @@ def bicriteria_scheme(
         state = tuple(draw(rng))
         counts[state] = counts.get(state, 0) + 1
 
-    rho_num, scale = table.rho_num, table.scale
-    xi = [x / scale for x in table.xi_num]
-    rho = [r / scale for r in rho_num]
+    rho_num, scale, xi, rho = table.rho_num, table.scale, table.xi, table.rho
 
     # One recommendation variable per (type multiset, member type): the
     # multiset is the state's columns sorted by id, so its members come in

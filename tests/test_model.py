@@ -26,7 +26,9 @@ from persuade.model import (
     sample_state,
 )
 from persuade.model import _prior_table, _state_sampler
-from corpus import independent_corpus, random_symmetric, shared_type_priors, symmetric_corpus
+from persuade.independent_schemes import certified_fallback, expost_scheme
+from persuade.prob_oracle import unique_probabilities
+from corpus import independent_corpus, perfbench, random_symmetric, shared_type_priors, symmetric_corpus
 
 
 def test_parse_rational_accepts_ints_and_strings():
@@ -267,18 +269,16 @@ def test_a_uniform_on_a_cdf_step_draws_the_next_outcome():
         assert state == ["b", "c"] * (len(state) // 2)
 
 
-@pytest.mark.parametrize("n", [256, 3000])
-def test_sampler_set_up_is_built_once_per_instance(n):
-    # The per-row tuples the prophet-secretary bisect draw reads are built on
-    # an instance's first sampler and shared by every later one: a second
-    # copy of them takes about 300 B a slot, against under 40 B for a
-    # sampler build and a draw (permutation(n), random(n) and a list of rows)
-    # and under 150 B for sample_state's whole-state draw.
-    inst = ProphetSecretaryInstance(dists=_unequal_dists(n, 17))
+def _assert_set_up_is_shared(inst, n: int, draw_bound: int, state_bound: int) -> None:
+    """After a first sampler and sample_state call, a second sampler build
+    and draw peaks under ``draw_bound`` bytes a slot and a sample_state call
+    under ``state_bound`` (tracemalloc)."""
     rng = np.random.default_rng(0)
     _state_sampler(inst, 2)(rng)
     sample_state(inst, rng)
-    for call, bound in ((lambda: _state_sampler(inst, 2)(rng), 40), (lambda: sample_state(inst, rng), 150)):
+    for call, bound in (
+        (lambda: _state_sampler(inst, 2)(rng), draw_bound), (lambda: sample_state(inst, rng), state_bound)
+    ):
         tracemalloc.start()
         try:
             call()
@@ -286,6 +286,30 @@ def test_sampler_set_up_is_built_once_per_instance(n):
         finally:
             tracemalloc.stop()
         assert peak < bound * n
+
+
+@pytest.mark.parametrize("n", [256, 3000])
+def test_sampler_set_up_is_built_once_per_instance(n):
+    # The per-row tuples the prophet-secretary bisect draw reads are built on
+    # an instance's first sampler and shared by every later one: a second
+    # copy of them takes about 300 B a slot, against under 40 B for a
+    # sampler build and a draw (permutation(n), random(n) and a list of rows)
+    # and under 150 B for sample_state's whole-state draw.
+    _assert_set_up_is_shared(ProphetSecretaryInstance(dists=_unequal_dists(n, 17)), n, 40, 150)
+
+
+@pytest.mark.parametrize("n", [256, 3000])
+def test_d_random_order_sampler_set_up_is_built_once_per_instance(n):
+    # The CDF over the vectors and the vectors' column lists are built on
+    # an instance's first sampler and shared by every later one.  A draw
+    # copies and shuffles one vector's columns, about 17 B a slot with a
+    # sampler build, 18 B for sample_state; listing the four vectors again
+    # on every build adds about 32 B a slot.
+    rng = np.random.default_rng(17)
+    pool = [ActionType(f"u{j}", Fraction(j, 5), Fraction(5 - j, 5)) for j in range(6)]
+    vectors = tuple(tuple(pool[j] for j in rng.integers(0, 6, size=n)) for _ in range(4))
+    probs = (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10))
+    _assert_set_up_is_shared(DRandomOrderInstance(vectors=vectors, vector_probs=probs), n, 28, 28)
 
 
 
@@ -386,3 +410,67 @@ def test_every_entry_point_refuses_a_non_integer_k(entry):
             call(inst, k)
         assert str(refused.value) == f"k must be an integer, got {k}"
     call(inst, np.int64(2))
+
+
+FRONTIER_EVENTS = "frontier events are defined for symmetric instances only"
+SYMMETRIC_ONLY = "{} requires a symmetric instance"
+INDEPENDENT_ONLY = "{} requires an independent instance"
+
+# entry: (fixture of the other family, call with k = 2, refusal)
+FAMILY_ENTRY_POINTS = {
+    "slope_algorithm": ("coins_k3", P.slope_algorithm, SYMMETRIC_ONLY.format("slope_algorithm")),
+    # imitation_scheme checks k, then solves with slope_algorithm, which refuses.
+    "imitation_scheme": ("coins_k3", P.imitation_scheme, SYMMETRIC_ONLY.format("slope_algorithm")),
+    "bicriteria_scheme": (
+        "coins_k3", lambda inst, k: P.bicriteria_scheme(inst, k, 0.1, 10, 0),
+        SYMMETRIC_ONLY.format("bicriteria_scheme"),
+    ),
+    "segment_probabilities": ("coins_k3", P.segment_probabilities, FRONTIER_EVENTS),
+    "unique_probabilities": (
+        "coins_k3", lambda inst, k: unique_probabilities(inst, k, P.NEG_INF), FRONTIER_EVENTS
+    ),
+    "candidate_slopes": ("coins_k3", P.candidate_slopes, FRONTIER_EVENTS),
+    "enumerate_oracle": ("coins_k3", lambda inst, k: P.enumerate_oracle(inst, k, [P.NEG_INF]), FRONTIER_EVENTS),
+    "certified_fallback": (
+        "tug_of_war", lambda inst, k: certified_fallback(inst), INDEPENDENT_ONLY.format("certified_fallback")
+    ),
+    "f_of_S": ("tug_of_war", lambda inst, k: P.f_of_S(inst, [1]), INDEPENDENT_ONLY.format("f_of_S")),
+    "actions_greedy": ("tug_of_war", P.actions_greedy, INDEPENDENT_ONLY.format("actions_greedy")),
+    "actions_reduce": ("tug_of_war", P.actions_reduce, INDEPENDENT_ONLY.format("actions_reduce")),
+    "fptas_select": (
+        "tug_of_war", lambda inst, k: P.fptas_select(inst, k, 0.5), INDEPENDENT_ONLY.format("fptas_select")
+    ),
+    "expost_scheme": (
+        "tug_of_war", lambda inst, k: expost_scheme(inst, P.f_of_S(P.load_fixture("coins_k3")), True),
+        INDEPENDENT_ONLY.format("expost_scheme"),
+    ),
+    "independent_scheme": (
+        "tug_of_war", lambda inst, k: P.independent_scheme(inst, k, force=True),
+        INDEPENDENT_ONLY.format("independent_scheme"),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FAMILY_ENTRY_POINTS))
+def test_every_entry_point_refuses_the_other_family(entry):
+    # Unchecked, the three selectors and expost_scheme read a symmetric
+    # prior's missing `actions` and raised AttributeError.
+    fixture, call, refusal = FAMILY_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError) as refused:
+        call(P.load_fixture(fixture), 2)
+    assert str(refused.value) == refusal
+
+
+def test_the_float_view_is_float_of_the_exact_utilities():
+    # The table's int / scale is the correctly rounded float of each exact
+    # utility, as float(Fraction) is, bit for bit.
+    load, gen = perfbench("instances").load, perfbench("gen")
+    priors = symmetric_corpus() + independent_corpus(100)
+    priors += [load(case["doc"]) for seed in (1, 2, 3) for case in gen.symmetric_large(seed)]
+    checked = 0
+    for inst in priors:
+        table = _prior_table(inst)
+        assert table.rho == tuple(float(t.rho) for t in table.types)
+        assert table.xi == tuple(float(t.xi) for t in table.types)
+        checked += len(table.types)
+    assert checked > 2000

@@ -112,6 +112,23 @@ def test_an_executor_wider_than_the_state_is_refused(tug_executor):
         estimate(SlopeSchemeExecutor(ex.scheme, 4), inst, samples=10, seed=0)
 
 
+def test_an_executor_k_that_is_not_a_positive_integer_is_refused(tug_executor):
+    # Unchecked, k = 0 failed in estimate as "scheme failed on state ()" and
+    # k = 2.0 with a slicing TypeError.
+    ex, inst = tug_executor
+    for k, refusal in (
+        (0, "k must be at least 1"),
+        (2.0, "k must be an integer, got 2.0"),
+        (True, "k must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            SlopeSchemeExecutor(ex.scheme, k)
+        assert str(refused.value) == refusal
+    numpy_k = SlopeSchemeExecutor(ex.scheme, np.int64(2))
+    assert type(numpy_k.k) is int
+    assert estimate(numpy_k, inst, 200, 1) == estimate(ex, inst, 200, 1)
+
+
 class _Exploding:
     def recommend(self, state, rng):
         raise RuntimeError("boom")
