@@ -15,6 +15,13 @@ action index, fptas the set found first.  ``f_of_S`` solves the
 relaxation as an LP only for the chosen set (and, for reduce, the full
 set), because the scheme needs its per-type acceptance masses.
 
+The curves are kept on the instance both exact and as integer numerators
+over one common denominator (``_curves``), so greedy's merges, fptas's grid
+and its final scoring compare plain integers.  fptas's guesses descend, and
+an action's knapsack entry moves only where one of its runs of
+equal-marginal grid cells starts or ends, so each guess updates only
+those entries.
+
 The relaxation is tight only on instances where falling back to the
 a-priori receiver-best action can never hurt the receiver.  The sufficient
 condition checked here is a designated-quality action whose receiver
@@ -24,10 +31,9 @@ utility is deterministic; builders refuse other instances unless forced.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -296,64 +302,102 @@ def _validate_k(instance: IndependentInstance, k: int, name: str) -> list[int]:
     return [i for i in range(_check_k(instance, k)) if i != instance.designated]
 
 
-def _curves(instance: IndependentInstance) -> tuple[GiCurve, ...]:
-    """Every action's value curve against the instance's receiver threshold,
-    built on first use and then kept on the instance."""
+@dataclass(frozen=True)
+class _ValueCurves:
+    """Every action's value curve, exact and as integers over one denominator.
 
-    def build(inst: IndependentInstance) -> tuple[GiCurve, ...]:
+    ``exact[i]`` is action i's ``GiCurve``.  ``breakpoints[i]`` holds its
+    breakpoints (z, value, slope) as integer triples (Z, V, S) over the
+    instance's common ``denominator`` D: z = Z/D, value V/D, slope S/D.
+    ``pieces[i]`` holds the positive-slope pieces as (-S, Z' - Z), steepest
+    first, so a merge of several actions' pieces is one sort of integer
+    pairs.
+    """
+
+    exact: tuple[GiCurve, ...]
+    denominator: int
+    breakpoints: tuple[tuple[tuple[int, int, int], ...], ...]
+    pieces: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _curves(instance: IndependentInstance) -> _ValueCurves:
+    """Every action's value curve against the instance's receiver threshold,
+    with its integer form, built on first use and then kept on the instance."""
+
+    def build(inst: IndependentInstance) -> _ValueCurves:
         rho_e = best_fixed_action_value(inst)
-        return tuple(g_curve(dist, rho_e) for dist in inst.actions)
+        exact = tuple(g_curve(dist, rho_e) for dist in inst.actions)
+        unit = math.lcm(*(c.denominator for g in exact for point in g.breakpoints for c in point))
+        breakpoints = tuple(
+            tuple(tuple(c.numerator * (unit // c.denominator) for c in p) for p in g.breakpoints)
+            for g in exact
+        )
+        pieces = tuple(
+            tuple((-s, z1 - z0) for (z0, _, s), (z1, _, _) in zip(row, row[1:]) if s > 0)
+            for row in breakpoints
+        )
+        return _ValueCurves(exact, unit, breakpoints, pieces)
 
     return _cached(instance, "_curves", build)
 
 
+def _fill(pieces: Iterable[tuple[int, int]], budget: int) -> int:
+    """Value of filling ``budget`` units of mass with ``pieces``, (negated
+    slope, length) pairs in ascending order: the steepest first."""
+    value = 0
+    for neg_slope, length in pieces:
+        if length >= budget:
+            return value - neg_slope * budget
+        value -= neg_slope * length
+        budget -= length
+    return value
+
+
+def _relaxation_numerator(curves: _ValueCurves, actions: Iterable[int]) -> int:
+    """The relaxation's value over the distinct ``actions``, times D**2."""
+    pieces = sorted(piece for i in actions for piece in curves.pieces[i])
+    return _fill(pieces, curves.denominator)
+
+
 def _relaxation_value(
-    instance: IndependentInstance, curves: Sequence[GiCurve], S: Iterable[int]
+    instance: IndependentInstance, curves: _ValueCurves, S: Iterable[int]
 ) -> Fraction:
     """Exact value of the relaxation over S plus the designated action.
 
     The relaxation maximizes sum_i g_i(z_i) subject to sum_i z_i <= 1 over
     concave curves g_i with g_i(0) = 0, so filling the unit budget with the
     curves' positive-slope pieces in decreasing slope order is optimal.
+    Slopes and lengths are integers over D, so the value is an integer
+    over D**2.
     """
-    pieces = sorted(
-        (
-            (slope, z1 - z0)
-            for i in {*S, instance.designated}
-            for (z0, _, slope), (z1, _, _) in zip(curves[i].breakpoints, curves[i].breakpoints[1:])
-            if slope > 0
-        ),
-        reverse=True,
-    )
-    value, budget = Fraction(0), Fraction(1)
-    for slope, length in pieces:
-        if length >= budget:
-            return value + slope * budget
-        value += slope * length
-        budget -= length
-    return value
+    value = _relaxation_numerator(curves, {*S, instance.designated})
+    return Fraction(value, curves.denominator**2)
 
 
 def actions_greedy(instance: IndependentInstance, k: int) -> tuple[int, ...]:
     """Pick k-1 actions by greedy marginal gain of the relaxation value.
 
-    Candidates are compared by their exact rational relaxation value, so
-    exact ties go to the lowest action index.  The relaxation value is
-    monotone and submodular in the action set, so the greedy set is within
-    the classic 1 - (1 - 1/k)^(k-1) style factor of the best set of its size.
+    Candidates are compared by their exact relaxation value, an integer over
+    one denominator per instance: each round merges a candidate's curve
+    pieces into the already chosen set's sorted pieces.  Exact ties go to
+    the lowest action index.  The relaxation value is monotone and
+    submodular in the action set, so the greedy set is within the classic
+    1 - (1 - 1/k)^(k-1) style factor of the best set of its size.
     """
     others = _validate_k(instance, k, "actions_greedy")
     curves = _curves(instance)
     chosen: list[int] = []
+    merged = curves.pieces[instance.designated]
     for _ in range(k - 1):
         best_i = best_val = None
         for i in others:
             if i in chosen:
                 continue
-            val = _relaxation_value(instance, curves, chosen + [i])
+            val = _fill(sorted(merged + curves.pieces[i]), curves.denominator)
             if best_val is None or val > best_val:
                 best_i, best_val = i, val
         chosen.append(best_i)
+        merged = tuple(sorted(merged + curves.pieces[best_i]))
     return tuple(chosen)
 
 
@@ -446,27 +490,33 @@ def _guess_knapsack(
     return best_chosen
 
 
-def _grid_prefixes(curves: Sequence[GiCurve], levels: int) -> list[list[int]]:
-    """Each curve's values at z = ell/levels for ell = 0..levels, as integers
-    over one common denominator shared by all curves.
+def _grid_runs(curves: _ValueCurves, levels: int) -> list[list[tuple[int, int, int, int, int]]]:
+    """Each curve on the grid z = ell/levels, its cells grouped into runs of
+    equal marginal value.
 
-    On the piece starting at breakpoint (bz, bv, bs) the value is
-    (bv - bs*bz) + (bs/levels)*ell, so scaling both coefficients of every
-    piece to integers makes every grid value an integer.
+    On the piece from breakpoint (Z, V, S) the value at ell/levels, times
+    D**2 * levels, is (V*D - S*Z)*levels + S*D*ell, so every grid value is
+    an integer made with integer operations only.  One (marginal, first
+    cell, cells, value before the run, value after it) per run, marginals
+    strictly descending.
     """
-    lines = [
-        [(bz, bv - bs * bz, bs / levels) for bz, bv, bs in curve.breakpoints] for curve in curves
-    ]
-    scale = math.lcm(*(c.denominator for rows in lines for _, a, b in rows for c in (a, b)))
-    prefixes: list[list[int]] = []
-    for rows in lines:
-        pref: list[int] = []
-        for p, (_, a, b) in enumerate(rows):
-            stop = math.ceil(rows[p + 1][0] * levels) if p + 1 < len(rows) else levels + 1
-            a, b = int(a * scale), int(b * scale)
-            pref.extend(a + b * ell for ell in range(len(pref), stop))
-        prefixes.append(pref)
-    return prefixes
+    unit = curves.denominator
+    out = []
+    for rows in curves.breakpoints:
+        grid: list[int] = []
+        for p, (z, v, s) in enumerate(rows):
+            stop = -(-rows[p + 1][0] * levels // unit) if p + 1 < len(rows) else levels + 1
+            base, step = (v * unit - s * z) * levels, s * unit
+            grid.extend(base + step * ell for ell in range(len(grid), stop))
+        runs = []
+        start = 0
+        for marginal, cells in groupby(b - a for a, b in zip(grid, grid[1:])):
+            end = start + len(list(cells))
+            runs.append((marginal, start, end - start, grid[start], grid[end]))
+            start = end
+        assert all(a[0] > b[0] for a, b in zip(runs, runs[1:])), "value curve not concave"
+        out.append(runs)
+    return out
 
 
 def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple[int, ...]:
@@ -477,10 +527,14 @@ def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple
     packs, and for each guess solves a rounded knapsack over whole
     above-the-guess prefixes, all in exact integers: one DP layer per pick
     count, updated in place, over the actions a winning set can use (see
-    ``_guess_knapsack``).  Every guess's winning set is then scored by its
-    exact relaxation value; the best one is kept, exact ties going to the
-    earliest guess (the largest marginal), and padded with unused
-    lowest-index actions up to exactly k-1.
+    ``_guess_knapsack``).  The grid comes from the curves' integer form
+    (``_grid_runs``), and the guesses descend, so an action's knapsack entry
+    moves only at a guess where one of its runs of equal-marginal cells
+    starts and at the guess after it: each guess updates those entries
+    alone.  Every guess's winning set is then scored by its exact relaxation
+    value; the best one is kept, exact ties going to the earliest guess (the
+    largest marginal), and padded with unused lowest-index actions up to
+    exactly k-1.
     """
     others = _validate_k(instance, k, "fptas_select")
     if not 0 < epsilon < 1:
@@ -495,31 +549,45 @@ def fptas_select(instance: IndependentInstance, k: int, epsilon: float) -> tuple
 
     curves = _curves(instance)
     participants = others + [instance.designated]
-    prefix = _grid_prefixes(curves, levels)
-    # Negated per-cell marginals, non-decreasing on a concave curve, for bisection.
-    neg_marginals = [[pref[ell] - pref[ell + 1] for ell in range(levels)] for pref in prefix]
-    for neg in neg_marginals:
-        assert all(a <= b for a, b in zip(neg, neg[1:])), "value curve not concave"
-
-    guesses = sorted({-v for neg in neg_marginals for v in neg if v < 0}, reverse=True)
+    grid_runs = _grid_runs(curves, levels)
+    # The positive runs by marginal, each as (participant position, first
+    # cell, cells, value before it, value after it).
+    starts: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    for pos, i in enumerate(participants):
+        for marginal, *run in grid_runs[i]:
+            if marginal > 0:
+                starts.setdefault(marginal, []).append((pos, *run))
+    # Above every marginal an entry has no cell, and g_i(0) = 0.
+    entries: list[_Entry] = [(i, 0, 0, 0) for i in participants]
+    pr_max = 0
     cap = 2 * k * delta.denominator // delta.numerator
 
     candidates: list[tuple[int, ...]] = [()]
-    for m in guesses:
-        entries: list[_Entry] = []
-        for i in participants:
-            neg = neg_marginals[i]
-            above = bisect_left(neg, -m)
-            plateau = bisect_right(neg, -m, above) - above
-            entries.append((i, above, prefix[i][above], m * plateau))
-        p_max = max(max(p_r, p_o) for _, _, p_r, p_o in entries)
+    ending: list[tuple[int, int, int, int, int]] = []
+    for m in sorted(starts, reverse=True):
+        moved = []
+        for pos, start, cells, _, after in ending:
+            entries[pos] = (participants[pos], start + cells, after, 0)
+            moved.append(after)
+        ending = starts[m]
+        for pos, start, cells, before, _ in ending:
+            entries[pos] = (participants[pos], start, before, m * cells)
+            moved.append(before)
+        # p_r only grows as the guess falls; only the runs at m have a plateau.
+        pr_max = max(pr_max, *moved)
+        p_max = max(pr_max, m * max(cells for _, _, cells, _, _ in ending))
         kappa = (delta.numerator * p_max, 2 * k * delta.denominator)
-        assert all(p_r * kappa[1] // kappa[0] <= cap for _, _, p_r, _ in entries)
+        # Every p_r <= p_max rounds to at most cap.  An entry not moved here
+        # keeps a p_r already counted in pr_max, so only the moved need checking.
+        assert all(p_r * kappa[1] // kappa[0] <= cap for p_r in moved)
         chosen = _guess_knapsack(entries[-1], entries[:-1], k, levels, m, kappa)
         candidates.append(tuple(sorted(chosen)))
 
     # max keeps the first of exactly tied sets.
-    best_set = max(dict.fromkeys(candidates), key=lambda S: _relaxation_value(instance, curves, S))
+    designated = (instance.designated,)
+    best_set = max(
+        dict.fromkeys(candidates), key=lambda S: _relaxation_numerator(curves, S + designated)
+    )
     spare = [i for i in others if i not in best_set]
     return tuple(sorted([*best_set, *spare[: k - 1 - len(best_set)]]))
 

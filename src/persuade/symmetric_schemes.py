@@ -325,6 +325,7 @@ def imitation_scheme(instance: SymmetricInstance, k: int) -> ImitationExecutor:
     probability k/n the optimal recommendation already lies in the first k
     slots and is forwarded unchanged.
     """
+    _check_family(instance, True, "imitation_scheme")
     n = _check_k(instance, k)
     base = slope_algorithm(instance, n)
     return ImitationExecutor(base=SlopeSchemeExecutor(base, n), k=k)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -16,6 +18,7 @@ from persuade.independent_schemes import (
     ExPostScheme,
     PreconditionError,
     _curves,
+    _grid_runs,
     _relaxation_value,
     actions_greedy,
     actions_reduce,
@@ -426,6 +429,173 @@ def test_guess_knapsack_matches_the_dict_copy_reference(monkeypatch):
         assert_knapsacks_match_reference(calls)
         guesses += len(calls)
     assert guesses > 1000
+
+
+# fptas_select before the value curves' integer form: Fraction grid values
+# and every entry rebuilt with two bisects at every guess.  Kept as the
+# reference; it returns the final set and, per guess, the knapsack's
+# arguments and chosen tuple.
+def reference_grid_prefixes(curves, levels):
+    lines = [
+        [(bz, bv - bs * bz, bs / levels) for bz, bv, bs in curve.breakpoints] for curve in curves
+    ]
+    scale = math.lcm(*(c.denominator for rows in lines for _, a, b in rows for c in (a, b)))
+    prefixes = []
+    for rows in lines:
+        pref = []
+        for p, (_, a, b) in enumerate(rows):
+            stop = math.ceil(rows[p + 1][0] * levels) if p + 1 < len(rows) else levels + 1
+            a, b = int(a * scale), int(b * scale)
+            pref.extend(a + b * ell for ell in range(len(pref), stop))
+        prefixes.append(pref)
+    return prefixes
+
+
+def fraction_relaxation_value(curves, actions):
+    """The relaxation's value over the distinct ``actions``, merged in Fractions."""
+    pieces = sorted(
+        ((slope, z1 - z0)
+         for i in actions
+         for (z0, _, slope), (z1, _, _) in zip(curves[i].breakpoints, curves[i].breakpoints[1:])
+         if slope > 0),
+        reverse=True,
+    )
+    total, budget = Fraction(0), Fraction(1)
+    for slope, length in pieces:
+        if length >= budget:
+            return total + slope * budget
+        total += slope * length
+        budget -= length
+    return total
+
+
+def reference_fptas_select(inst, k, epsilon, knapsack):
+    designated = inst.designated
+    others = [i for i in range(len(inst.actions)) if i != designated]
+    delta = Fraction(float(epsilon)) / 2
+    levels = math.ceil(k / delta)
+    curves = [g_curve(dist, P.best_fixed_action_value(inst)) for dist in inst.actions]
+    participants = others + [designated]
+    prefix = reference_grid_prefixes(curves, levels)
+    neg_marginals = [[pref[ell] - pref[ell + 1] for ell in range(levels)] for pref in prefix]
+    guesses = sorted({-v for neg in neg_marginals for v in neg if v < 0}, reverse=True)
+    cap = 2 * k * delta.denominator // delta.numerator
+
+    candidates, calls = [()], []
+    for m in guesses:
+        entries = []
+        for i in participants:
+            neg = neg_marginals[i]
+            above = bisect_left(neg, -m)
+            plateau = bisect_right(neg, -m, above) - above
+            entries.append((i, above, prefix[i][above], m * plateau))
+        p_max = max(max(p_r, p_o) for _, _, p_r, p_o in entries)
+        kappa = (delta.numerator * p_max, 2 * k * delta.denominator)
+        assert all(p_r * kappa[1] // kappa[0] <= cap for _, _, p_r, _ in entries)
+        chosen = knapsack(entries[-1], entries[:-1], k, levels, m, kappa)
+        calls.append(((entries[-1], entries[:-1], k, levels, m, kappa), chosen))
+        candidates.append(tuple(sorted(chosen)))
+
+    best_set = max(
+        dict.fromkeys(candidates), key=lambda S: fraction_relaxation_value(curves, {*S, designated})
+    )
+    spare = [i for i in others if i not in best_set]
+    return tuple(sorted([*best_set, *spare[: k - 1 - len(best_set)]])), calls
+
+
+def integer_form_cases():
+    """(instance, k, epsilon) triples the integer form is checked on."""
+    cases = [(inst, k, eps) for inst in independent_corpus(100) for k in (2, 3, 4)
+             if k <= len(inst.actions) for eps in (0.1, 0.5)]
+    load = perfbench("instances").load
+    cases += [(load(c["doc"]), c["k"], 0.2) for c in perfbench("gen").independent(1)["large"]]
+    return cases + [(fptas_fault_instance(), k, 0.1) for k in (4, 5)]
+
+
+def knapsack_view(args):
+    """A knapsack's entries as (action, cells, plateau cells, rounded values),
+    which no common scale of the values changes."""
+    designated, others, _, _, m, (kappa_num, kappa_den) = args
+    return [(i, cells, p_o // m, p_r * kappa_den // kappa_num, p_o * kappa_den // kappa_num)
+            for i, cells, p_r, p_o in (designated, *others)]
+
+
+def test_fptas_select_matches_the_fraction_rebuild_reference(monkeypatch):
+    # The incremental entries over the integer grid give every guess the
+    # rebuilt entries (the same cells and plateau counts, the same rounded
+    # values under a common scale) and chosen tuple, and the same final set.
+    import persuade.independent_schemes as indep
+
+    knapsack = indep._guess_knapsack
+    guesses = 0
+    for inst, k, eps in integer_form_cases():
+        want, want_calls = reference_fptas_select(inst, k, eps, knapsack)
+        got, calls = knapsack_calls(monkeypatch, inst, k, eps)
+        monkeypatch.undo()
+        assert got == want, (k, eps)
+        assert len(calls) == len(want_calls)
+        for (args, chosen), (want_args, want_chosen) in zip(calls, want_calls):
+            assert chosen == want_chosen
+            # The guess and kappa share the scale: m / kappa_num is the same.
+            assert args[4] * want_args[5][0] == want_args[4] * args[5][0]
+            assert knapsack_view(args) == knapsack_view(want_args)
+        guesses += len(calls)
+    assert guesses > 2500
+
+
+def test_value_curves_integer_form_is_exact():
+    # Every integer breakpoint over the denominator is its Fraction, every
+    # grid value over its scale is the curve's value at the grid point, and
+    # the positive pieces are the curve's positive-slope pieces.
+    instances = list({id(inst): inst for inst, _, _ in integer_form_cases()}.values())
+    for inst in instances:
+        curves = _curves(inst)
+        unit = curves.denominator
+        for curve, points, pieces in zip(curves.exact, curves.breakpoints, curves.pieces):
+            assert [tuple(Fraction(c, unit) for c in point) for point in points] == list(
+                curve.breakpoints
+            )
+            assert [(Fraction(-s, unit), Fraction(length, unit)) for s, length in pieces] == [
+                (bs, z1 - z0)
+                for (z0, _, bs), (z1, _, _) in zip(curve.breakpoints, curve.breakpoints[1:])
+                if bs > 0
+            ]
+    for inst in instances:
+        curves = _curves(inst)
+        for k in (2, 3, 4, 5):
+            levels = math.ceil(k / (Fraction(0.2) / 2))
+            scale = curves.denominator**2 * levels
+            for curve, runs in zip(curves.exact, _grid_runs(curves, levels)):
+                grid = [runs[0][3]]
+                for marginal, start, cells, before, after in runs:
+                    assert grid[-1] == before and after == before + marginal * cells
+                    grid += [before + marginal * j for j in range(1, cells + 1)]
+                assert len(grid) == levels + 1
+                assert [Fraction(v, scale) for v in grid] == [
+                    curve.value(Fraction(ell, levels)) for ell in range(levels + 1)
+                ]
+
+
+def test_greedy_matches_the_fraction_merge_reference():
+    gen, load = perfbench("gen"), perfbench("instances").load
+    checked = 0
+    for seed in (1, 2, 3):
+        inputs = gen.independent(seed)
+        for case in inputs["large"] + inputs["small"]:
+            inst = load(case["doc"])
+            curves = _curves(inst).exact
+            others = [i for i in range(len(inst.actions)) if i != inst.designated]
+            for k in (case["k"], case["k"] + 1):
+                if k > len(inst.actions):
+                    continue
+                chosen = []
+                for _ in range(k - 1):
+                    rest = [i for i in others if i not in chosen]
+                    chosen.append(max(rest, key=lambda i: fraction_relaxation_value(
+                        curves, {*chosen, i, inst.designated})))
+                assert actions_greedy(inst, k) == tuple(chosen)
+                checked += 1
+    assert checked > 70
 
 
 def test_fptas_select_keeps_the_lowest_index_duplicates(monkeypatch):

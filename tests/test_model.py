@@ -419,8 +419,8 @@ INDEPENDENT_ONLY = "{} requires an independent instance"
 # entry: (fixture of the other family, call with k = 2, refusal)
 FAMILY_ENTRY_POINTS = {
     "slope_algorithm": ("coins_k3", P.slope_algorithm, SYMMETRIC_ONLY.format("slope_algorithm")),
-    # imitation_scheme checks k, then solves with slope_algorithm, which refuses.
-    "imitation_scheme": ("coins_k3", P.imitation_scheme, SYMMETRIC_ONLY.format("slope_algorithm")),
+    # imitation_scheme checks the family itself, before k and slope_algorithm.
+    "imitation_scheme": ("coins_k3", P.imitation_scheme, SYMMETRIC_ONLY.format("imitation_scheme")),
     "bicriteria_scheme": (
         "coins_k3", lambda inst, k: P.bicriteria_scheme(inst, k, 0.1, 10, 0),
         SYMMETRIC_ONLY.format("bicriteria_scheme"),
