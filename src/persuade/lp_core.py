@@ -1,9 +1,9 @@
 """Small linear programs shared by the scheme modules.
 
 Two entry points live here.  ``solve_lp`` solves the handful of generic LPs
-in the package (the brute-force scheme oracle, the relaxation LPs, the
-bicriteria LP) deterministically with HiGHS, calling the bindings scipy
-ships (``scipy.optimize._highspy``) directly.
+in the package (the brute-force scheme oracle and the relaxation LPs)
+deterministically with HiGHS, calling the bindings scipy ships
+(``scipy.optimize._highspy``) directly.
 ``solve_slope_lp`` solves the per-slope scheme LP in closed form: when every
 segment shares one slope, trading receiver value for sender value happens at
 a single fixed exchange rate, so the optimum is a one-dimensional shift from
@@ -13,14 +13,16 @@ that serves its whole sweep, and ``solve_slope_lp`` with the event lists it
 is given.
 
 These LPs are tiny (one seed-1 benchmark round hands ``solve_lp`` 183 LPs
-with 18 204 row entries on the independent workload, and 65 with 10 942 on
-symmetric-corpus), so a solve is mostly fixed overhead, and ``linprog``'s
-wrapper cost more than HiGHS's own run: one round's LPs took 0.69-0.83 s
-through ``linprog(method="highs")`` and 0.2 s through the bindings (2 CPUs,
-Python 3.11, scipy 1.17).  ``solve_lp`` passes HiGHS what that call passed
-with its defaults (the same column-wise matrix, "<=" rows before "=" rows;
-presolve on, dual simplex, no debugging, no output) and keeps its status
-mapping and post-solve feasibility check, so it returns the same bits.
+with 18 204 row entries on the independent workload, and 59 with 9 768 on
+symmetric-corpus; 65 with 10 942 while the bicriteria fit still built one
+per run, as in the timings below), so a solve is mostly fixed overhead,
+and ``linprog``'s wrapper cost more than HiGHS's own run: one round's LPs
+took 0.69-0.83 s through ``linprog(method="highs")`` and 0.2 s through the
+bindings (2 CPUs, Python 3.11, scipy 1.17).  ``solve_lp`` passes HiGHS what
+that call passed with its defaults (the same column-wise matrix, "<=" rows
+before "=" rows; presolve on, dual simplex, no debugging, no output) and
+keeps its status mapping and post-solve feasibility check, so it returns
+the same bits.
 
 The matrix is assembled row by row in plain Python: each row is checked in
 turn and its nonzero entries appended to per-column lists, which are
@@ -58,13 +60,13 @@ CONSTRAINT_TOL = 1e-8
 GAIN_TOL = 1e-12
 # Slack on `compare`'s check that a method's value is at least bound * optimum.
 GUARANTEE_TOL = 1e-6
-# A recommendation row's weights must sum to 1 within this.
-ROW_SUM_TOL = 1e-6
-# The bicriteria LP runs at epsilon minus this, so HiGHS's own slack stays inside it.
+# The bicriteria fit runs at epsilon minus this, so the closed form's
+# CONSTRAINT_TOL on the receiver deficit, at most k/(k-1)·CONSTRAINT_TOL of
+# regret, stays inside epsilon.
 BICRITERIA_MARGIN = 1e-5
-# At or below this counts as zero: an optimum, a row weight, a bicriteria signal mass.
+# At or below this counts as zero: an optimum, a row weight.
 ZERO_TOL = 1e-12
-# At or below this counts as zero: a budget, a checked signal mass, a normalised weight.
+# At or below this counts as zero: a budget, a checked signal mass.
 NEGLIGIBLE_TOL = 1e-15
 # linprog's post-solve check: an optimal LP answer may leave a bound or a row by this.
 SOLUTION_TOL = math.sqrt(1e-9) * 10

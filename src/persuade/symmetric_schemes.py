@@ -10,8 +10,11 @@ point, found per state from the oracle's exact slope keys, ranked once per
 type, so it runs on state spaces far too large to tabulate.
 
 Also here: the imitation wrapper that turns the optimal n-signal scheme
-into a persuasive k-signal scheme, and the sampling-based bicriteria LP
-that trades exact persuasiveness for epsilon slack.
+into a persuasive k-signal scheme, and the sampling-based bicriteria scheme
+that trades exact persuasiveness for epsilon slack.  Its sample, counted in
+every order of each state, is a d-random-order prior over the sampled type
+multisets, so the same sweep solves it at a lowered receiver threshold and
+no LP is built.
 """
 
 from __future__ import annotations
@@ -19,17 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .geometry import NEG_INF, Slope
-from .lp_core import (
-    BICRITERIA_MARGIN, CONSTRAINT_TOL, GAIN_TOL, NEGLIGIBLE_TOL, ROW_SUM_TOL, ZERO_TOL,
-    LinearProgram, _slope_lp, solve_lp,
-)
+from .lp_core import BICRITERIA_MARGIN, CONSTRAINT_TOL, GAIN_TOL, _slope_lp
 from .model import (
     SAMPLER_MAX_SAMPLES,
+    DRandomOrderInstance,
     State,
     SymmetricInstance,
     best_fixed_action_value,
@@ -95,11 +96,16 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     form on the same floats, bit-identical to calling it slope by slope.
     """
     _check_family(instance, True, "slope_algorithm")
+    return _slope_sweep(instance, k, float(best_fixed_action_value(instance)))
+
+
+def _slope_sweep(instance: SymmetricInstance, k: int, rho_e: float) -> SlopeScheme:
+    """`slope_algorithm`'s sweep with the receiver's threshold ``rho_e``
+    (there the best fixed action's value; `bicriteria_scheme` lowers it)."""
     by_slope: dict[Fraction, list[SegmentProb]] = {}
     for seg in segment_probabilities(instance, k):
         by_slope.setdefault(seg.slope, []).append(seg)
 
-    rho_e = float(best_fixed_action_value(instance))
     table = _prior_table(instance)
     slopes = [NEG_INF, *sorted(by_slope)]
     best_s: Slope | None = None
@@ -151,7 +157,7 @@ class _Tangency:
         self.high = [(r * points + p) * names + names - 1 - i for r, p, i in keys]
         self.ids = ids
 
-    def points(self, head: list[int]) -> list[tuple[int, float]]:
+    def points(self, head: Sequence[int]) -> list[tuple[int, float]]:
         """The recommended columns of a state's first k columns, with weights."""
         left = max(head, key=self.low.__getitem__)
         right = max(head, key=self.high.__getitem__)
@@ -166,7 +172,7 @@ class _Tangency:
             )
         return [(left, alpha), (right, 1.0 - alpha)]
 
-    def distribution(self, head: list[int]) -> dict[int, float]:
+    def distribution(self, head: Sequence[int]) -> dict[int, float]:
         """Each recommended column's weight split evenly over the slots holding it."""
         out: dict[int, float] = {}
         for point, w in self.points(head):
@@ -332,7 +338,7 @@ def imitation_scheme(instance: SymmetricInstance, k: int) -> ImitationExecutor:
 
 
 # --------------------------------------------------------------------------
-# Tabular schemes (brute-force output and the bicriteria LP)
+# Tabular schemes (brute-force output and the bicriteria scheme)
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -367,21 +373,14 @@ class TabularScheme:
         return _sample_slot(self.recommendation_distribution(state), rng)
 
 
-def _normalized_row(weights: dict[int, float]) -> dict[int, float]:
-    cleaned = {slot: max(0.0, w) for slot, w in weights.items()}
-    total = sum(cleaned.values())
-    if not 1 - ROW_SUM_TOL <= total <= 1 + ROW_SUM_TOL:
-        raise AssertionError(f"recommendation row sums to {total}")
-    return {slot: w / total for slot, w in cleaned.items() if w / total > NEGLIGIBLE_TOL}
-
-
 # --------------------------------------------------------------------------
-# Bicriteria LP on a sampled empirical distribution
+# Bicriteria scheme on a sampled empirical distribution
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BicriteriaResult:
-    """Scheme plus its metrics on the empirical sample it was optimized for."""
+    """Scheme plus its metrics on the symmetrized sample it was fitted to:
+    the sample with every state counted in each of its orders."""
 
     scheme: TabularScheme
     u_sender: float
@@ -400,26 +399,34 @@ def bicriteria_scheme(
 ) -> BicriteriaResult:
     """Epsilon-persuasive, approximately optimal scheme from sampled states.
 
-    Draws an empirical sample of the first k slots of each state and solves
-    an LP maximizing empirical sender utility subject to relaxed
-    persuasiveness: per recommended slot, the receiver's conditional regret
-    against any other of the k slots is at most epsilon.  The LP's
-    recommendation variables are shared across all states with the same type
-    multiset and split uniformly among slots holding the recommended type,
-    so the scheme is symmetric by construction and permutation ties cost
-    nothing.  An int ``rng`` seeds a generator; a negative one is taken
-    modulo 2^64, as `estimate` takes every seed.  ``samples`` must be an
-    integer in [1, ``SAMPLER_MAX_SAMPLES``], checked before ``rng``, and an
-    ``rng`` that is not a generator must be an integer; a bool or a float
-    is refused.
+    Draws an empirical sample of the first k slots of each state and
+    maximizes empirical sender utility subject to relaxed persuasiveness:
+    per recommended slot, the receiver's conditional regret against any
+    other of the k slots is at most epsilon.  The prior is symmetric, so
+    given a state's type multiset every order is equally likely, and the
+    sample is counted in every order of each state.  That symmetrized
+    sample is a d-random-order prior over the sampled multisets with
+    n = k, on which every slot pair's regret row is the same row: regret
+    k(rho_e - u_receiver)/(k - 1), with rho_e the sample's per-slot
+    receiver mean.  So the fit is the slope algorithm's closed form on that
+    prior at receiver threshold rho_e - (k - 1)·eps/k, with eps reduced by
+    ``BICRITERIA_MARGIN``.  The reported metrics are that solution's, on
+    the symmetrized sample.
+
+    The returned table is keyed by the sampled k-slot states, each row the
+    found slope scheme's recommendation on that state, split uniformly
+    among slots holding the recommended type, so the scheme is symmetric by
+    construction.  A state whose first k slots were not sampled in that
+    order takes the fallback: the receiver-best type.  An int ``rng`` seeds
+    a generator; a negative one is taken modulo 2^64, as `estimate` takes
+    every seed.  ``samples`` must be an integer in [1,
+    ``SAMPLER_MAX_SAMPLES``], checked before ``rng``, and an ``rng`` that
+    is not a generator must be an integer; a bool or a float is refused.
 
     The sample is counted in the prior table's representation: a state is
     the tuple of its slots' table columns, as the sampler draws it, and a
-    multiset is those columns sorted by id.  Utilities are the table's
-    float view and their differences are read off its integers over their
-    common denominator, which gives the same correctly rounded floats as the
-    exact rationals; `State` tuples are formed only for the returned table's
-    keys.
+    multiset is those columns sorted by id.  `State` tuples are formed only
+    for the returned table's keys.
     """
     _check_family(instance, True, "bicriteria_scheme")
     samples = _check_count(samples, "samples", SAMPLER_MAX_SAMPLES)
@@ -447,93 +454,30 @@ def bicriteria_scheme(
         state = tuple(draw(rng))
         counts[state] = counts.get(state, 0) + 1
 
-    rho_num, scale, xi, rho = table.rho_num, table.scale, table.xi, table.rho
-
-    # One recommendation variable per (type multiset, member type): the
-    # multiset is the state's columns sorted by id, so its members come in
-    # id order.  Per state and slot: the slot type's variable and how many
-    # of the state's slots hold that type.
-    variables: dict[tuple[int, ...], dict[int, int]] = {}
-    slots: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    objective: list[float] = []
+    # The symmetrized sample: a d-random-order prior over the sampled multisets.
+    types, id_rank = table.types, table.id_rank.tolist()
+    multisets: dict[tuple[int, ...], int] = {}
     for state, count in counts.items():
-        key = tuple(sorted(state, key=table.id_rank.__getitem__))
-        if key not in variables:
-            variables[key] = {c: len(objective) + m for m, c in enumerate(dict.fromkeys(key))}
-            objective.extend([0.0] * len(variables[key]))
-        members = variables[key]
-        w = count / samples
-        for c, var in members.items():
-            objective[var] += w * xi[c]
-        slots[state] = [(members[c], state.count(c)) for c in state]
-    rows: list[tuple[Mapping[int, float], str, float]] = [
-        (dict.fromkeys(members.values(), 1.0), "=", 1.0) for members in variables.values()
-    ]
-
-    # Relaxed persuasiveness: for signal slot i and deviation slot j,
-    # E[x_i * (rho_i - rho_j + eps)] >= 0 on the empirical distribution.
-    # The LP runs on a slightly tightened epsilon so the solver's own
-    # feasibility tolerance cannot push realized regret past the promise.
-    eps_lp = max(epsilon - BICRITERIA_MARGIN, 0.0)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            coeffs: dict[int, float] = {}
-            for state, count in counts.items():
-                w = count / samples
-                var, mult = slots[state][i]
-                gap = (rho_num[state[i]] - rho_num[state[j]]) / scale + eps_lp
-                coeffs[var] = coeffs.get(var, 0.0) + w * gap / mult
-            rows.append((coeffs, ">=", 0.0))
-
-    solution = solve_lp(
-        LinearProgram(
-            objective=tuple(objective),
-            rows=tuple(rows),
-            bounds=((0.0, 1.0),) * len(objective),
-        )
+        key = tuple(sorted(state, key=id_rank.__getitem__))
+        multisets[key] = multisets.get(key, 0) + count
+    sample = DRandomOrderInstance(
+        vectors=tuple(tuple(map(types.__getitem__, key)) for key in multisets),
+        vector_probs=tuple(Fraction(count, samples) for count in multisets.values()),
     )
-    if solution.status != "optimal":
-        raise RuntimeError(
-            f"bicriteria LP unexpectedly {solution.status}; the receiver-best "
-            "scheme is always feasible"
-        )
-    y = solution.values
-    dists = {
-        state: _normalized_row({i: y[var] / mult for i, (var, mult) in enumerate(slots[state])})
-        for state in counts
-    }
+    rho_e = float(best_fixed_action_value(sample))
+    eps_lp = max(epsilon - BICRITERIA_MARGIN, 0.0)
+    found = _slope_sweep(sample, k, rho_e - (k - 1) * eps_lp / k)
 
-    u_sender = 0.0
-    u_receiver = 0.0
-    signal_mass = [0.0] * k
-    deviation = [[0.0] * k for _ in range(k)]  # E[x_i * (rho_j - rho_i)]
-    for state, count in counts.items():
-        w = count / samples
-        for i, p in dists[state].items():
-            u_sender += w * p * xi[state[i]]
-            u_receiver += w * p * rho[state[i]]
-            signal_mass[i] += w * p
-            for j in range(k):
-                deviation[i][j] += w * p * ((rho_num[state[j]] - rho_num[state[i]]) / scale)
-    max_regret = 0.0
-    for i in range(k):
-        if signal_mass[i] <= ZERO_TOL:
-            continue  # never-sent signal, no constraint
-        for j in range(k):
-            max_regret = max(max_regret, deviation[i][j] / signal_mass[i])
-
-    types = table.types
+    rule = _Tangency(found, table.rho_num, table.xi_num, [t.id for t in types])
     scheme = TabularScheme(
-        table={tuple(map(types.__getitem__, state)): dist for state, dist in dists.items()},
+        table={tuple(map(types.__getitem__, state)): rule.distribution(state) for state in counts},
         fallback_slots=tuple(range(k)),
     )
     return BicriteriaResult(
         scheme=scheme,
-        u_sender=u_sender,
-        u_receiver=u_receiver,
-        max_regret=max_regret,
+        u_sender=found.u_sender,
+        u_receiver=found.u_receiver,
+        max_regret=max(0.0, k * (rho_e - found.u_receiver) / (k - 1)),
         samples=samples,
         epsilon=epsilon,
     )

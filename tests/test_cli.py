@@ -483,7 +483,9 @@ def test_slope_solve_and_simulate_load_no_scipy(fixture_dir):
     solve = ["solve", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2"]
     simulate = ["simulate", "--instance", str(fixture_dir / "ratio_iid.json"), "--k", "2",
                 "--samples", "200"]
-    assert not scipy_loaded_after(RUN_CLI.format(args=solve) + RUN_CLI.format(args=simulate))
+    bicriteria = ["--method", "bicriteria", "--epsilon", "0.1", "--samples", "200"]
+    runs = [solve, simulate, solve + bicriteria, simulate[:-2] + bicriteria]
+    assert not scipy_loaded_after("".join(RUN_CLI.format(args=args) for args in runs))
 
 
 def test_exact_loads_scipy_on_its_first_lp(fixture_dir):

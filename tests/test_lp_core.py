@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import persuade as P
-from persuade import exact_oracle, independent_schemes, lp_core, symmetric_schemes
+from persuade import exact_oracle, independent_schemes, lp_core
 from persuade.lp_core import (
     CONSTRAINT_TOL,
     LinearProgram,
@@ -178,15 +178,14 @@ def linprog_answer(lp: LinearProgram) -> LpSolution:
 def caller_lps(monkeypatch) -> list[LinearProgram]:
     """Every LP the package's callers of `solve_lp` build: the orbit referee
     on symmetric priors, the state-level referee on an independent prior
-    with infeasible subsets, the relaxation (reduce's full set included) and
-    a bicriteria fit."""
+    with infeasible subsets and the relaxation (reduce's full set included)."""
     lps: list[LinearProgram] = []
 
     def record(lp):
         lps.append(lp)
         return solve_lp(lp)
 
-    for module in (exact_oracle, independent_schemes, symmetric_schemes):
+    for module in (exact_oracle, independent_schemes):
         monkeypatch.setattr(module, "solve_lp", record)
     for inst in symmetric_corpus(count=6):
         for k in range(2, n_slots(inst) + 1):
@@ -199,7 +198,6 @@ def caller_lps(monkeypatch) -> list[LinearProgram]:
         for S in ((), *combinations(everything, 1), everything):
             independent_schemes.f_of_S(inst, S)
         independent_schemes.actions_reduce(inst, 2)
-    symmetric_schemes.bicriteria_scheme(P.load_fixture("tug_of_war"), 2, 0.1, 300, 1)
     return lps
 
 

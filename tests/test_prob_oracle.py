@@ -209,8 +209,8 @@ def test_point_mass_prophet_equals_single_vector():
 @pytest.mark.parametrize("name", ["tug_of_war", "ratio_iid", "tight_random_order"])
 def test_one_type_table_per_oracle_call(monkeypatch, name):
     # One prior table per instance: the oracle entry points, the slope solve,
-    # the sampler and the bicriteria LP all read the table the first of them
-    # built.
+    # the sampler and the bicriteria fit all read the table the first of them
+    # built.  The fit builds one more, for the empirical prior of its sample.
     from persuade import model
     from persuade.simulate import estimate
     from persuade.symmetric_schemes import SlopeSchemeExecutor, bicriteria_scheme
@@ -229,4 +229,5 @@ def test_one_type_table_per_oracle_call(monkeypatch, name):
     model.sample_state(inst, np.random.default_rng(1))
     model._state_sampler(inst, 2)(np.random.default_rng(1))
     bicriteria_scheme(inst, 2, 0.1, 50, 1)
-    assert builds == [inst]
+    assert [b is inst for b in builds] == [True, False]
+    assert isinstance(builds[1], model.DRandomOrderInstance)

@@ -7,6 +7,7 @@ import json
 import pickle
 import re
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,10 @@ import pytest
 import persuade as P
 from persuade.exact_oracle import enumerate_oracle, enumerate_prior
 from persuade.geometry import NEG_INF, UniqueVertex, pareto_frontier, point_for_slope
+from persuade.lp_core import BICRITERIA_MARGIN, LinearProgram, solve_lp
 from persuade.model import (
-    ActionType, IIDInstance, all_types, instance_from_dict, load_fixture, n_slots, sample_state,
+    ActionType, IIDInstance, _prior_table, _state_sampler, all_types, instance_from_dict,
+    load_fixture, n_slots, sample_state,
 )
 from persuade.prob_oracle import unique_probabilities
 from persuade.symmetric_schemes import (
@@ -320,6 +323,70 @@ def test_bicriteria_validation(tug):
     assert type(res.samples) is int
     assert bicriteria_record(res) == bicriteria_record(bicriteria_scheme(tug, 2, 0.1, 40, -3))
 
+
+
+def symmetrized_lp_value(inst, k: int, epsilon: float, samples: int, seed: int) -> float:
+    """The bicriteria LP's optimal sender value on `bicriteria_scheme`'s own
+    sample (the same sampler and seed), each state counted in every order of
+    its k slots: one variable per (type multiset, member type), shared by
+    the multiset's orders and split uniformly among slots holding the type,
+    and one relaxed-persuasiveness row per slot pair (i, j),
+    E[x_i·(rho_i - rho_j + eps)] >= 0, at the same reduced eps."""
+    table = _prior_table(inst)
+    draw, rng = _state_sampler(inst, k), np.random.default_rng(seed)
+    counts: dict[tuple[int, ...], int] = {}
+    for _ in range(samples):
+        state = tuple(draw(rng))
+        counts[state] = counts.get(state, 0) + 1
+    orders = list(permutations(range(k)))
+    weights: dict[tuple[int, ...], float] = {}
+    for state, count in counts.items():
+        for order in orders:
+            key = tuple(state[i] for i in order)
+            weights[key] = weights.get(key, 0.0) + count / (samples * len(orders))
+
+    rho, xi = table.rho, table.xi
+    variables: dict[tuple[int, ...], dict[int, int]] = {}
+    slots: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    objective: list[float] = []
+    for state, w in weights.items():
+        key = tuple(sorted(state, key=table.id_rank.__getitem__))
+        if key not in variables:
+            variables[key] = {c: len(objective) + m for m, c in enumerate(dict.fromkeys(key))}
+            objective.extend([0.0] * len(variables[key]))
+        members = variables[key]
+        for c, var in members.items():
+            objective[var] += w * xi[c]
+        slots[state] = [(members[c], state.count(c)) for c in state]
+    rows = [(dict.fromkeys(members.values(), 1.0), "=", 1.0) for members in variables.values()]
+    eps_lp = max(epsilon - BICRITERIA_MARGIN, 0.0)
+    for i, j in permutations(range(k), 2):
+        coeffs: dict[int, float] = {}
+        for state, w in weights.items():
+            var, mult = slots[state][i]
+            coeffs[var] = coeffs.get(var, 0.0) + w * (rho[state[i]] - rho[state[j]] + eps_lp) / mult
+        rows.append((coeffs, ">=", 0.0))
+    lp = LinearProgram(tuple(objective), tuple(rows), ((0.0, 1.0),) * len(objective))
+    solution = solve_lp(lp)
+    assert solution.status == "optimal"
+    return solution.objective
+
+
+def test_bicriteria_matches_the_lp_on_the_symmetrized_sample():
+    # The symmetrized sample's LP is the slope LP of a d-random-order prior,
+    # so the closed form reaches the LP's optimum.  Only the sender value is
+    # compared: the LP may have several sender-optimal solutions, which
+    # differ in receiver value and regret.
+    pairs = 0
+    for idx, inst in enumerate(symmetric_corpus(40)):
+        for k in range(2, min(4, n_slots(inst)) + 1):
+            for epsilon in (0.0, 0.05, 0.2):
+                res = bicriteria_scheme(inst, k, epsilon, 300, idx)
+                reference = symmetrized_lp_value(inst, k, epsilon, 300, idx)
+                assert res.u_sender == pytest.approx(reference, abs=1e-9), (idx, k, epsilon)
+                assert res.max_regret <= epsilon + 1e-12, (idx, k, epsilon)
+                pairs += 1
+    assert pairs > 200
 
 def test_tabular_scheme_fallback(tug):
     types = by_id(tug)
