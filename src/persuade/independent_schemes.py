@@ -8,19 +8,22 @@ optimum for a fixed action set; ``actions_greedy``, ``actions_reduce`` and
 solution into an executable sequential-acceptance scheme whose expected
 utilities have closed forms.
 
-Greedy and fptas score candidate sets by the relaxation's exact rational
-value, merged from the per-action value curves (``g_curve``) without an LP,
-so ties are decided exactly, with no tolerance: greedy keeps the lowest
-action index, fptas the set found first.  ``f_of_S`` solves the
-relaxation as an LP only for the chosen set (and, for reduce, the full
-set), because the scheme needs its per-type acceptance masses.
+The relaxation is a separable concave resource allocation, so no LP is
+solved anywhere on this path.  Greedy and fptas score candidate sets by the
+relaxation's exact rational value, merged from the per-action value curves
+(``g_curve``), so ties are decided exactly, with no tolerance: greedy keeps
+the lowest action index, fptas the set found first.  ``f_of_S`` and reduce
+take the budgets from the same merge, with tied slopes going to the
+non-designated actions in ascending index and to the designated action
+last, and ``f_of_S`` reads the per-type acceptance masses off optimal
+vectors cached at each curve breakpoint.
 
 The curves are kept on the instance both exact and as integer numerators
-over one common denominator (``_curves``), so greedy's merges, fptas's grid
-and its final scoring compare plain integers.  fptas's guesses descend, and
-an action's knapsack entry moves only where one of its runs of
-equal-marginal grid cells starts or ends, so each guess updates only
-those entries.
+over common denominators (``_curves``), so greedy's merges, fptas's grid
+and its final scoring compare plain integers, and ``f_of_S`` interpolates
+integer masses.  fptas's guesses descend, and an action's knapsack entry
+moves only where one of its runs of equal-marginal grid cells starts or
+ends, so each guess updates only those entries.
 
 The relaxation is tight only on instances where falling back to the
 a-priori receiver-best action can never hurt the receiver.  The sufficient
@@ -38,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lp_core import NEGLIGIBLE_TOL, LinearProgram, solve_lp
+from .lp_core import NEGLIGIBLE_TOL
 from .model import (
     IndependentInstance,
     State,
@@ -101,10 +104,15 @@ class GiCurve:
     conditional receiver utility at or above the fixed-action threshold.
     Breakpoints are exact rationals, ascending in z from 0 to 1; each entry
     is (z, value at z, slope to the right).  The final entry sits at z = 1
-    with slope 0 as a sentinel.
+    with slope 0 as a sentinel.  ``masses`` holds one optimal acceptance
+    vector per breakpoint: ``masses[b][j]`` is the mass accepted from the
+    distribution's j-th listed type at breakpoint b.  Up to the end of the
+    last rising piece the vector spends all of z; past it, on the flat
+    tail, it stays at that end's vector.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    masses: tuple[tuple[Fraction, ...], ...]
 
     def value(self, z: Fraction | int) -> Fraction:
         z = Fraction(z)
@@ -129,7 +137,9 @@ def g_curve(dist: TypeDist, rho_e: Fraction) -> GiCurve:
     is linear in z, the dual optimum sits at a vertex of the multiplier
     space, and there are only O(m^2) vertices (axis hits and pairwise kink
     intersections).  The curve is the exact lower envelope of one line per
-    vertex, so every breakpoint and value is a Fraction.
+    vertex, so every breakpoint and value is a Fraction.  The vertex behind
+    each piece is dual optimal along it, which gives the optimal acceptance
+    vectors at the breakpoints (``_breakpoint_masses``).
     """
     rho_e = Fraction(rho_e)
     xis = [t.xi for t, _ in dist]
@@ -153,57 +163,126 @@ def g_curve(dist: TypeDist, rho_e: Fraction) -> GiCurve:
         if y >= 0 and mu >= 0:
             candidates.add((y, mu))
 
-    lines: set[tuple[Fraction, Fraction]] = set()
+    # Each line (slope y, intercept) with the mu of one of its vertices; the
+    # intercepts are summed in integers, over one denominator per vertex.
+    u = math.lcm(*(v.denominator for v in (*xis, *gammas)))
+    scaled = [(xi.numerator * (u // xi.denominator), g.numerator * (u // g.denominator))
+              for xi, g in zip(xis, gammas)]
+    q_unit = math.lcm(*(q.denominator for q in qs))
+    weights = [q.numerator * (q_unit // q.denominator) for q in qs]
+    lines: dict[tuple[Fraction, Fraction], Fraction] = {}
     for y, mu in candidates:
-        intercept = sum(
-            (q * max(zero, xi - y + mu * g) for q, xi, g in zip(qs, xis, gammas)),
-            zero,
-        )
-        lines.add((y, intercept))
-    return GiCurve(_lower_envelope(lines))
+        reduced, den = _reduced_values(scaled, u, y, mu)
+        total = sum(w * r for w, r in zip(weights, reduced) if r > 0)
+        lines[(y, Fraction(total, den * q_unit))] = mu
+    breakpoints, mus = _lower_envelope(lines)
+    return GiCurve(breakpoints, _breakpoint_masses(breakpoints, mus, scaled, u, qs))
+
+
+def _reduced_values(
+    scaled: Sequence[tuple[int, int]], u: int, y: Fraction, mu: Fraction
+) -> tuple[list[int], int]:
+    """Each type's reduced value xi_j - y + mu*(rho_j - rho_e) under the dual
+    vertex (y, mu), as integers over the returned positive denominator;
+    ``scaled`` holds each (xi_j, rho_j - rho_e) as integers over u."""
+    scale = y.denominator * mu.denominator
+    offset, weight = y.numerator * u * mu.denominator, mu.numerator * y.denominator
+    return [xi * scale - offset + g * weight for xi, g in scaled], u * scale
 
 
 def _lower_envelope(
-    lines: Iterable[tuple[Fraction, Fraction]],
-) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    lines: Mapping[tuple[Fraction, Fraction], Fraction],
+) -> tuple[tuple[tuple[Fraction, Fraction, Fraction], ...], tuple[Fraction, ...]]:
     """Exact lower envelope of lines value(z) = intercept + slope*z on [0, 1].
 
+    ``lines`` maps each (slope, intercept) to a label, its dual vertex's mu.
     Walks the envelope left to right: starting from the line that is lowest
     at z = 0 (ties to the shallower slope, which stays lowest just after a
     tie), repeatedly find the earliest crossing where a shallower line dips
-    below the active one.  Slopes must be nonnegative.
+    below the active one.  Slopes must be nonnegative.  Returns the
+    breakpoints and the label of the line on each piece, one per breakpoint
+    but the sentinel at z = 1.
     """
-    best: dict[Fraction, Fraction] = {}
-    for slope, intercept in lines:
+    best: dict[Fraction, tuple[Fraction, Fraction]] = {}
+    for (slope, intercept), label in lines.items():
         if slope < 0:
             raise ValueError("envelope expects nonnegative slopes")
         cur = best.get(slope)
-        if cur is None or intercept < cur:
-            best[slope] = intercept
-    pool = sorted(best.items())
+        if cur is None or intercept < cur[0]:
+            best[slope] = (intercept, label)
+    pool = sorted((slope, intercept, label) for slope, (intercept, label) in best.items())
     one = Fraction(1)
 
-    slope, intercept = min(pool, key=lambda li: (li[1], li[0]))
+    slope, intercept, label = min(pool, key=lambda li: (li[1], li[0]))
     z = Fraction(0)
     breakpoints: list[tuple[Fraction, Fraction, Fraction]] = []
+    labels: list[Fraction] = []
     while True:
         next_z: Fraction | None = None
-        next_line: tuple[Fraction, Fraction] | None = None
-        for s2, i2 in pool:
+        next_line: tuple[Fraction, Fraction, Fraction] | None = None
+        for s2, i2, l2 in pool:
             if s2 >= slope:
                 continue
             cross = (i2 - intercept) / (slope - s2)
             if not z < cross < one:
                 continue
             if next_z is None or cross < next_z or (cross == next_z and s2 < next_line[0]):
-                next_z, next_line = cross, (s2, i2)
-        if next_z is None:
-            breakpoints.append((z, intercept + slope * z, slope))
-            breakpoints.append((one, intercept + slope, Fraction(0)))
-            return tuple(breakpoints)
+                next_z, next_line = cross, (s2, i2, l2)
         breakpoints.append((z, intercept + slope * z, slope))
+        labels.append(label)
+        if next_z is None:
+            breakpoints.append((one, intercept + slope, Fraction(0)))
+            return tuple(breakpoints), tuple(labels)
         z = next_z
-        slope, intercept = next_line
+        slope, intercept, label = next_line
+
+
+def _breakpoint_masses(
+    breakpoints: Sequence[tuple[Fraction, Fraction, Fraction]],
+    mus: Sequence[Fraction],
+    scaled: Sequence[tuple[int, int]],
+    u: int,
+    qs: Sequence[Fraction],
+) -> tuple[tuple[Fraction, ...], ...]:
+    """One optimal acceptance vector at each breakpoint, by complementary
+    slackness against the dual vertices (y, mu) = (slope, ``mus[p]``) of the
+    pieces p on either side; ``scaled`` and u as for ``_reduced_values``.
+
+    At a breakpoint z that ends a rising piece, every optimum spends all of
+    z (a cheaper one would also be feasible a little to the left, where the
+    curve is lower).  Both neighbouring vertices are dual optimal at z, so a
+    type whose reduced value is positive under either is accepted whole,
+    one whose reduced value is negative under either is refused, and the
+    rest of z goes to the types at zero under both, in listed order.  Two
+    distinct vertices have distinct slopes, so those types all sit at the
+    one (xi, rho) where their lines cross, and any split of the rest is
+    optimal.  At z = 1 only the left vertex exists; the masses sum to one
+    there, so every type is accepted whole.  On the flat tail the last
+    rising breakpoint's vector stays optimal.
+    """
+    zero = Fraction(0)
+    signs = [_reduced_values(scaled, u, bp[2], mu)[0] for bp, mu in zip(breakpoints, mus)]
+    out = [(zero,) * len(qs)]
+    for b in range(1, len(breakpoints)):
+        if breakpoints[b - 1][2] == 0:
+            out.append(out[-1])
+            continue
+        masses = [zero] * len(qs)
+        rest = breakpoints[b][0]
+        tied = []
+        for j, reduced in enumerate(zip(*signs[b - 1 : b + 1])):
+            if max(reduced) > 0:
+                masses[j] = qs[j]
+                rest -= qs[j]
+            elif min(reduced) == 0:
+                tied.append(j)
+        assert rest >= 0, "accepted types overfill a breakpoint's budget"
+        for j in tied:
+            masses[j] = min(qs[j], rest)
+            rest -= masses[j]
+        assert rest == 0, "tied types cannot fill a breakpoint's budget"
+        out.append(tuple(masses))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -211,113 +290,33 @@ def _lower_envelope(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RelaxationSolution:
-    """Optimum of the shared-budget relaxation over a set of actions.
-
-    One budget z_i per action and one acceptance mass x_ij per action-type
-    pair: budgets sum to at most one, each action's acceptances fit inside
-    its budget and its type probabilities, and each action's accepted mass
-    clears the receiver threshold on average.  After solving, z_i is
-    tightened to sum_j x_ij, which the objective cannot see but which makes
-    the budgets meaningful arrival probabilities for scheme building.
-    """
-
-    actions: tuple[int, ...]
-    z: Mapping[int, float]
-    x: Mapping[int, Mapping[str, float]]
-    per_action: Mapping[int, float]
-    objective: float
-
-
-def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSolution:
-    """Solve the shared-budget relaxation over S plus the designated action."""
-    _check_family(instance, False, "f_of_S")
-    n = len(instance.actions)
-    picked = {instance.designated}
-    for i in S:
-        j = _as_integer(i)
-        if j is None:
-            raise ValueError(f"action index {i!r} is not an integer")
-        if not 0 <= j < n:
-            raise ValueError(f"action index {j} out of range for {n} actions")
-        picked.add(j)
-    actions = sorted(picked)
-    rho_e = best_fixed_action_value(instance)
-
-    dists = {a: _merged(instance.actions[a]) for a in actions}
-    z_col = {a: idx for idx, a in enumerate(actions)}
-    x_col: dict[tuple[int, str], int] = {}
-    objective: list[float] = [0.0] * len(actions)
-    bounds: list[tuple[float, float]] = [(0.0, 1.0)] * len(actions)
-    for a in actions:
-        for t, q in dists[a]:
-            x_col[(a, t.id)] = len(objective)
-            objective.append(float(t.xi))
-            bounds.append((0.0, float(q)))
-
-    rows: list[tuple[Mapping[int, float], str, float]] = []
-    rows.append(({z_col[a]: 1.0 for a in actions}, "<=", 1.0))
-    for a in actions:
-        fit = {x_col[(a, t.id)]: 1.0 for t, _ in dists[a]}
-        fit[z_col[a]] = -1.0
-        rows.append((fit, "<=", 0.0))
-        quality = {x_col[(a, t.id)]: float(t.rho - rho_e) for t, _ in dists[a]}
-        rows.append((quality, ">=", 0.0))
-
-    solution = solve_lp(
-        LinearProgram(objective=tuple(objective), rows=tuple(rows), bounds=tuple(bounds))
-    )
-    if solution.status != "optimal":
-        raise RuntimeError(
-            f"relaxation LP unexpectedly {solution.status}; the zero scheme is feasible"
-        )
-
-    x: dict[int, dict[str, float]] = {}
-    z: dict[int, float] = {}
-    per_action: dict[int, float] = {}
-    for a in actions:
-        row = {}
-        for t, q in dists[a]:
-            row[t.id] = min(max(solution.values[x_col[(a, t.id)]], 0.0), float(q))
-        x[a] = row
-        z[a] = sum(row.values())
-        per_action[a] = sum(row[t.id] * float(t.xi) for t, _ in dists[a])
-    return RelaxationSolution(
-        actions=tuple(actions),
-        z=z,
-        x=x,
-        per_action=per_action,
-        objective=solution.objective,
-    )
-
-
-# --------------------------------------------------------------------------
-# Action selection
-# --------------------------------------------------------------------------
-
-def _validate_k(instance: IndependentInstance, k: int, name: str) -> list[int]:
-    """The non-designated actions, after checking the family and k for the
-    selector ``name``."""
-    _check_family(instance, False, name)
-    return [i for i in range(_check_k(instance, k)) if i != instance.designated]
-
-
-@dataclass(frozen=True)
 class _ValueCurves:
-    """Every action's value curve, exact and as integers over one denominator.
+    """Every action's value curve, exact and as integers over common denominators.
 
-    ``exact[i]`` is action i's ``GiCurve``.  ``breakpoints[i]`` holds its
+    ``exact[i]`` is action i's ``GiCurve``, of its distribution with each
+    type id listed once (``model._merged``).  ``breakpoints[i]`` holds its
     breakpoints (z, value, slope) as integer triples (Z, V, S) over the
     instance's common ``denominator`` D: z = Z/D, value V/D, slope S/D.
     ``pieces[i]`` holds the positive-slope pieces as (-S, Z' - Z), steepest
     first, so a merge of several actions' pieces is one sort of integer
-    pairs.
+    pairs; a curve's positive-slope pieces come before its flat tail, so
+    piece p runs from breakpoint p to p + 1.  ``masses[i][b]`` is the
+    curve's optimal acceptance vector at breakpoint b, one integer per type
+    id of ``type_ids[i]`` over the common ``mass_denominator``.
+
+    The vectors, like the breakpoints, exist in both forms on purpose:
+    ``GiCurve.masses`` belongs to one distribution alone, exact, while the
+    integer copy shares one denominator across the instance, so ``f_of_S``
+    interpolates and sums with no ``Fraction`` arithmetic per call.
     """
 
     exact: tuple[GiCurve, ...]
     denominator: int
     breakpoints: tuple[tuple[tuple[int, int, int], ...], ...]
     pieces: tuple[tuple[tuple[int, int], ...], ...]
+    type_ids: tuple[tuple[str, ...], ...]
+    mass_denominator: int
+    masses: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _curves(instance: IndependentInstance) -> _ValueCurves:
@@ -326,7 +325,8 @@ def _curves(instance: IndependentInstance) -> _ValueCurves:
 
     def build(inst: IndependentInstance) -> _ValueCurves:
         rho_e = best_fixed_action_value(inst)
-        exact = tuple(g_curve(dist, rho_e) for dist in inst.actions)
+        dists = [_merged(dist) for dist in inst.actions]
+        exact = tuple(g_curve(dist, rho_e) for dist in dists)
         unit = math.lcm(*(c.denominator for g in exact for point in g.breakpoints for c in point))
         breakpoints = tuple(
             tuple(tuple(c.numerator * (unit // c.denominator) for c in p) for p in g.breakpoints)
@@ -336,7 +336,13 @@ def _curves(instance: IndependentInstance) -> _ValueCurves:
             tuple((-s, z1 - z0) for (z0, _, s), (z1, _, _) in zip(row, row[1:]) if s > 0)
             for row in breakpoints
         )
-        return _ValueCurves(exact, unit, breakpoints, pieces)
+        type_ids = tuple(tuple(t.id for t, _ in dist) for dist in dists)
+        mass_unit = math.lcm(*(x.denominator for g in exact for row in g.masses for x in row))
+        masses = tuple(
+            tuple(tuple(x.numerator * (mass_unit // x.denominator) for x in row) for row in g.masses)
+            for g in exact
+        )
+        return _ValueCurves(exact, unit, breakpoints, pieces, type_ids, mass_unit, masses)
 
     return _cached(instance, "_curves", build)
 
@@ -374,6 +380,122 @@ def _relaxation_value(
     return Fraction(value, curves.denominator**2)
 
 
+def _allocate(
+    curves: _ValueCurves, actions: Iterable[int], designated: int
+) -> dict[int, tuple[int, int, int, int]]:
+    """The relaxation's exact optimal budgets over the distinct ``actions``.
+
+    Fills the unit budget as ``_relaxation_value`` does, with the pieces
+    tagged by action: pieces of equal slope go to the non-designated
+    actions in ascending index and to the designated action last, and no
+    budget goes to a flat piece.  Maps each action to (p, taken, Z, V): its
+    budget stops ``taken`` units into its piece p (0 units into piece 0
+    when it gets none), and z_i = Z/D, g_i(z_i) = V/D**2.
+    """
+    unit = curves.denominator
+    stops = dict.fromkeys(actions, (0, 0))
+    pieces = sorted(
+        (neg_slope, i == designated, i, p, length)
+        for i in stops
+        for p, (neg_slope, length) in enumerate(curves.pieces[i])
+    )
+    budget = unit
+    for _, _, i, p, length in pieces:
+        taken = min(length, budget)
+        stops[i] = (p, taken)
+        budget -= taken
+        if budget == 0:
+            break
+    out = {}
+    for i, (p, taken) in stops.items():
+        z, v, s = curves.breakpoints[i][p]
+        out[i] = (p, taken, z + taken, v * unit + s * taken)
+    return out
+
+
+def _masses(curves: _ValueCurves, i: int, p: int, taken: int) -> tuple[list[int], int]:
+    """Action i's optimal acceptance masses, one per type id, when its budget
+    stops ``taken`` units into piece p: the cached vectors at the piece's
+    ends, interpolated, as integers over the returned denominator."""
+    length = curves.breakpoints[i][p + 1][0] - curves.breakpoints[i][p][0]
+    lo, hi = curves.masses[i][p], curves.masses[i][p + 1]
+    masses = [m0 * length + (m1 - m0) * taken for m0, m1 in zip(lo, hi)]
+    return masses, curves.mass_denominator * length
+
+
+@dataclass(frozen=True)
+class RelaxationSolution:
+    """Optimum of the shared-budget relaxation over a set of actions.
+
+    One budget z_i per action and one acceptance mass x_ij per action-type
+    pair: budgets sum to at most one, each action's acceptances fit inside
+    its budget and its type probabilities, and each action's accepted mass
+    clears the receiver threshold on average.  The optimum is exact, with
+    z_i = sum_j x_ij (the budget is spent, which makes it a meaningful
+    arrival probability for scheme building); the fields are its floats.
+    """
+
+    actions: tuple[int, ...]
+    z: Mapping[int, float]
+    x: Mapping[int, Mapping[str, float]]
+    per_action: Mapping[int, float]
+    objective: float
+
+
+def f_of_S(instance: IndependentInstance, S: Iterable[int] = ()) -> RelaxationSolution:
+    """Solve the shared-budget relaxation over S plus the designated action.
+
+    No LP: the budgets are the steepest-first fill of the value curves'
+    pieces (``_allocate``, which also fixes how tied slopes split), and each
+    action's acceptance masses interpolate the curve's cached optimal
+    vectors at the two breakpoints around its budget, optimal because the
+    curve is linear in between and the constraints are linear in (x, z).
+    Everything stays in integers until the floats are reported.
+    """
+    _check_family(instance, False, "f_of_S")
+    n = len(instance.actions)
+    picked = {instance.designated}
+    for i in S:
+        j = _as_integer(i)
+        if j is None:
+            raise ValueError(f"action index {i!r} is not an integer")
+        if not 0 <= j < n:
+            raise ValueError(f"action index {j} out of range for {n} actions")
+        picked.add(j)
+    actions = sorted(picked)
+    curves = _curves(instance)
+    unit = curves.denominator
+    spent = _allocate(curves, actions, instance.designated)
+
+    x: dict[int, dict[str, float]] = {}
+    z: dict[int, float] = {}
+    per_action: dict[int, float] = {}
+    for a, (p, taken, z_num, v_num) in spent.items():
+        masses, scale = _masses(curves, a, p, taken)
+        x[a] = {t: m / scale for t, m in zip(curves.type_ids[a], masses)}
+        z[a] = z_num / unit
+        per_action[a] = v_num / unit**2
+    total = sum(v_num for _, _, _, v_num in spent.values())
+    return RelaxationSolution(
+        actions=tuple(actions),
+        z=z,
+        x=x,
+        per_action=per_action,
+        objective=total / unit**2,
+    )
+
+
+# --------------------------------------------------------------------------
+# Action selection
+# --------------------------------------------------------------------------
+
+def _validate_k(instance: IndependentInstance, k: int, name: str) -> list[int]:
+    """The non-designated actions, after checking the family and k for the
+    selector ``name``."""
+    _check_family(instance, False, name)
+    return [i for i in range(_check_k(instance, k)) if i != instance.designated]
+
+
 def actions_greedy(instance: IndependentInstance, k: int) -> tuple[int, ...]:
     """Pick k-1 actions by greedy marginal gain of the relaxation value.
 
@@ -405,12 +527,13 @@ def actions_reduce(instance: IndependentInstance, k: int) -> tuple[int, ...]:
     """Keep the k-1 actions contributing most to the full relaxation.
 
     Solves the relaxation once over every non-designated action and keeps
-    the largest per-action contributions, ties to the lowest index.  Cheap,
-    and still within a (k-1)/(n-1) factor of the full relaxation value.
+    the largest exact per-action contributions g_i(z_i), ties to the lowest
+    index.  Cheap, and still within a (k-1)/(n-1) factor of the full
+    relaxation value.
     """
     others = _validate_k(instance, k, "actions_reduce")
-    relax = f_of_S(instance, others)
-    ranked = sorted(others, key=lambda i: (-relax.per_action[i], i))
+    spent = _allocate(_curves(instance), [*others, instance.designated], instance.designated)
+    ranked = sorted(others, key=lambda i: (-spent[i][3], i))
     return tuple(sorted(ranked[: k - 1]))
 
 

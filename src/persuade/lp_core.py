@@ -1,7 +1,7 @@
 """Small linear programs shared by the scheme modules.
 
-Two entry points live here.  ``solve_lp`` solves the handful of generic LPs
-in the package (the brute-force scheme oracle and the relaxation LPs)
+Two entry points live here.  ``solve_lp`` solves the package's generic LPs,
+which only the brute-force referees in ``exact_oracle`` build,
 deterministically with HiGHS, calling the bindings scipy ships
 (``scipy.optimize._highspy``) directly.
 ``solve_slope_lp`` solves the per-slope scheme LP in closed form: when every
@@ -12,10 +12,11 @@ the sender-optimal corner.  The closed form itself is ``_slope_lp``;
 that serves its whole sweep, and ``solve_slope_lp`` with the event lists it
 is given.
 
-These LPs are tiny (one seed-1 benchmark round hands ``solve_lp`` 183 LPs
-with 18 204 row entries on the independent workload, and 59 with 9 768 on
-symmetric-corpus; 65 with 10 942 while the bicriteria fit still built one
-per run, as in the timings below), so a solve is mostly fixed overhead,
+These LPs are tiny (one seed-1 benchmark round handed ``solve_lp`` 183 LPs
+with 18 204 row entries on the independent workload while the relaxation
+was still solved as an LP, and 59 with 9 768 on symmetric-corpus; 65 with
+10 942 while the bicriteria fit still built one per run, as in the timings
+below), so a solve is mostly fixed overhead,
 and ``linprog``'s wrapper cost more than HiGHS's own run: one round's LPs
 took 0.69-0.83 s through ``linprog(method="highs")`` and 0.2 s through the
 bindings (2 CPUs, Python 3.11, scipy 1.17).  ``solve_lp`` passes HiGHS what
@@ -37,7 +38,8 @@ standard library at import, scipy's HiGHS bindings at the first solve.
 
 HiGHS (scipy) is imported on the first ``solve_lp`` call, not with the
 package: importing scipy is most of a CLI call's start-up, and a command
-that never solves a generic LP (a slope ``solve``, ``simulate``) skips it.
+that never solves a generic LP (every ``solve`` and ``simulate``; only
+``exact`` and ``compare`` run a referee) skips it.
 """
 
 from __future__ import annotations

@@ -9,12 +9,15 @@ from pathlib import Path
 import numpy as np
 
 from persuade.geometry import NEG_INF
+from persuade.lp_core import LinearProgram, solve_lp
 from persuade.model import (
     ActionType,
     DRandomOrderInstance,
     IIDInstance,
     IndependentInstance,
     ProphetSecretaryInstance,
+    _merged,
+    best_fixed_action_value,
 )
 from persuade.prob_oracle import segment_probabilities
 
@@ -166,6 +169,45 @@ def independent_corpus(count: int = 100, seed: int = INDEPENDENT_SEED) -> list[I
     rng = np.random.default_rng(seed)
     return [random_best_fixed_deterministic(rng, int(rng.integers(3, 9))) for _ in range(count)]
 
+
+
+def relaxation_lp(inst: IndependentInstance, S) -> LinearProgram:
+    """The shared-budget relaxation over S plus the designated action as the
+    LP that f_of_S solved on HiGHS before it read its optimum off the value
+    curves: one budget column per action, then one acceptance column per
+    (action, type id).  The tests keep it as f_of_S's reference."""
+    actions = sorted({*S, inst.designated})
+    rho_e = best_fixed_action_value(inst)
+    dists = {a: _merged(inst.actions[a]) for a in actions}
+    z_col = {a: idx for idx, a in enumerate(actions)}
+    x_col = {}
+    objective = [0.0] * len(actions)
+    bounds = [(0.0, 1.0)] * len(actions)
+    for a in actions:
+        for t, q in dists[a]:
+            x_col[(a, t.id)] = len(objective)
+            objective.append(float(t.xi))
+            bounds.append((0.0, float(q)))
+    rows = [({z_col[a]: 1.0 for a in actions}, "<=", 1.0)]
+    for a in actions:
+        fit = {x_col[(a, t.id)]: 1.0 for t, _ in dists[a]}
+        fit[z_col[a]] = -1.0
+        rows.append((fit, "<=", 0.0))
+        rows.append(({x_col[(a, t.id)]: float(t.rho - rho_e) for t, _ in dists[a]}, ">=", 0.0))
+    return LinearProgram(objective=tuple(objective), rows=tuple(rows), bounds=tuple(bounds))
+
+
+def reference_relaxation(inst: IndependentInstance, S) -> tuple[float, dict[int, float]]:
+    """``relaxation_lp`` solved on HiGHS: its objective and each action's
+    contribution sum_j xi_j x_ij, in the LP's own optimal solution."""
+    actions = sorted({*S, inst.designated})
+    solution = solve_lp(relaxation_lp(inst, S))
+    assert solution.status == "optimal"
+    values = iter(solution.values[len(actions):])
+    per_action = {
+        a: sum(float(t.xi) * next(values) for t, _ in _merged(inst.actions[a])) for a in actions
+    }
+    return solution.objective, per_action
 
 def perfbench(name: str):
     """The benchmark harness's module ``perfbench/<name>.py``: `gen` writes

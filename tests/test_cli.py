@@ -281,6 +281,15 @@ def test_solve_output_is_pinned_across_releases(fixture_dir, tmp_path, name, ext
     assert res.stdout == (GOLDEN / f"solve_{name}_{method[0]}.json").read_text()
 
 
+def test_reduce_keeps_the_rare_pair_of_rare_independent():
+    # The fixture's purpose: at k = 3 reduce keeps actions 3 and 7.  The
+    # full relaxation's budget runs out where action 3's piece ties with the
+    # designated action 1's at slope 1/8; the tie rule gives the rest to
+    # action 3, whose contribution then ranks second, above action 5's.
+    inst = P.instance_from_dict(RARE_INDEPENDENT_DOC)
+    assert P.actions_reduce(inst, 3) == (3, 7)
+
+
 def test_compare_symmetric(fixture_dir):
     res = invoke(
         "compare", "--instance", str(fixture_dir / "tight_random_order.json"), "--k", "2"
@@ -485,6 +494,16 @@ def test_slope_solve_and_simulate_load_no_scipy(fixture_dir):
                 "--samples", "200"]
     bicriteria = ["--method", "bicriteria", "--epsilon", "0.1", "--samples", "200"]
     runs = [solve, simulate, solve + bicriteria, simulate[:-2] + bicriteria]
+    assert not scipy_loaded_after("".join(RUN_CLI.format(args=args) for args in runs))
+
+
+def test_independent_solve_and_simulate_load_no_scipy(fixture_dir):
+    # The relaxation is read off the value curves, so no independent method
+    # reaches HiGHS.
+    base = ["--instance", str(fixture_dir / "coins_k3.json"), "--k", "3", "--force"]
+    runs = [["solve", *base, "--method", method] for method in ("greedy", "reduce")]
+    runs += [["solve", *base, "--method", "fptas", "--epsilon", "0.1"],
+             ["simulate", *base, "--method", "greedy", "--samples", "200"]]
     assert not scipy_loaded_after("".join(RUN_CLI.format(args=args) for args in runs))
 
 

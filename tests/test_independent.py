@@ -17,8 +17,10 @@ import persuade as P
 from persuade.independent_schemes import (
     ExPostScheme,
     PreconditionError,
+    _allocate,
     _curves,
     _grid_runs,
+    _masses,
     _relaxation_value,
     actions_greedy,
     actions_reduce,
@@ -29,9 +31,16 @@ from persuade.independent_schemes import (
     g_curve,
     independent_scheme,
 )
+from persuade import lp_core
 from persuade.lp_core import LinearProgram, solve_lp
-from persuade.model import ActionType, IndependentInstance
-from corpus import independent_corpus, perfbench, random_best_fixed_deterministic
+from persuade.model import ActionType, IndependentInstance, _merged
+from corpus import (
+    independent_corpus,
+    perfbench,
+    random_best_fixed_deterministic,
+    reference_relaxation,
+    relaxation_lp,
+)
 
 
 def mk_action(*types):
@@ -76,6 +85,8 @@ def test_g_curve_frozen_example():
         (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
         (Fraction(1), Fraction(1, 2), Fraction(0)),
     )
+    # Accept "g" up to its mass, then nothing more: "b" is worth nothing.
+    assert curve.masses == ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), 0))
     assert curve.value(Fraction(0)) == 0
     assert curve.value(Fraction(1, 4)) == Fraction(1, 4)
     assert curve.value(Fraction(3, 4)) == Fraction(1, 2)
@@ -127,6 +138,31 @@ def test_g_curve_matches_primal_lp():
             assert abs(float(curve.value(z)) - primal_g(dist, rho_e, z)) < 1e-7
 
 
+def test_g_curve_masses_are_optimal_at_every_breakpoint():
+    # Coarse random utilities, so types tie in (xi, rho) and reduced values
+    # often: each breakpoint's vector is feasible, spends all of z up to the
+    # end of the last rising piece, and is worth the curve's value there.
+    rng = np.random.default_rng(55)
+    for _ in range(300):
+        m = int(rng.integers(1, 6))
+        raws = [int(x) for x in rng.integers(1, 4, size=m)]
+        dist = tuple(
+            (ActionType(f"t{j}", Fraction(int(rng.integers(0, 5)), 4),
+                        Fraction(int(rng.integers(0, 3)), 2)), Fraction(raws[j], sum(raws)))
+            for j in range(m)
+        )
+        rho_e = Fraction(int(rng.integers(0, 5)), 4)
+        curve = g_curve(dist, rho_e)
+        assert len(curve.masses) == len(curve.breakpoints)
+        rising = True
+        for (z, value, slope), masses in zip(curve.breakpoints, curve.masses):
+            assert all(0 <= x <= q for x, (_, q) in zip(masses, dist))
+            assert sum((t.rho - rho_e) * x for x, (t, _) in zip(masses, dist)) >= 0
+            assert sum(t.xi * x for x, (t, _) in zip(masses, dist)) == value
+            assert sum(masses) == z if rising else sum(masses) <= z
+            rising = slope > 0
+
+
 def test_g_curve_shape_invariants():
     rng = np.random.default_rng(45)
     for _ in range(40):
@@ -141,6 +177,97 @@ def test_g_curve_shape_invariants():
             assert all(s >= 0 for s in slopes)
             # Concave: marginal values never increase.
             assert all(a >= b for a, b in zip(slopes, slopes[1:]))
+
+
+def exact_relaxation(inst, S):
+    """f_of_S's optimum in rationals: each action's (z, masses by type id)."""
+    curves = _curves(inst)
+    spent = _allocate(curves, {*S, inst.designated}, inst.designated)
+    out = {}
+    for a, (p, taken, z_num, _) in spent.items():
+        masses, scale = _masses(curves, a, p, taken)
+        out[a] = (Fraction(z_num, curves.denominator),
+                  {t: Fraction(m, scale) for t, m in zip(curves.type_ids[a], masses)})
+    return out
+
+
+def relaxation_cases():
+    """(instance, S) pairs: every subset on the independent fixtures, and
+    each selector's set at every k plus the full set on the corpus."""
+    for name in ("coins_k2", "coins_k3", "coins_k5", "fallback_trap"):
+        inst = P.load_fixture(name)
+        others = [i for i in range(len(inst.actions)) if i != inst.designated]
+        for size in range(len(others) + 1):
+            for S in combinations(others, size):
+                yield inst, S
+    for inst in independent_corpus(100):
+        n = len(inst.actions)
+        others = [i for i in range(n) if i != inst.designated]
+        sets = {tuple(others)}
+        for k in range(2, n + 1):
+            sets |= {actions_greedy(inst, k), actions_reduce(inst, k),
+                     fptas_select(inst, k, 0.1)}
+        for S in sorted(sets):
+            yield inst, S
+
+
+def test_relaxation_optimum_matches_the_lp_and_its_rows_hold_exactly():
+    # The LP f_of_S used to solve is the reference: the curves' optimum has
+    # its objective, satisfies every one of its rows in rationals, and is
+    # worth exactly the merged curves' value; f_of_S reports its floats.
+    checked = 0
+    for inst, S in relaxation_cases():
+        rho_e = P.best_fixed_action_value(inst)
+        answer = solve_lp(relaxation_lp(inst, S))
+        assert answer.status == "optimal"
+        exact = exact_relaxation(inst, S)
+        value = Fraction(0)
+        for a, (z, x) in exact.items():
+            types = {t.id: (t, q) for t, q in _merged(inst.actions[a])}
+            assert x.keys() == types.keys()
+            assert all(0 <= x[tid] <= q for tid, (_, q) in types.items())
+            assert sum(x.values()) == z
+            assert sum((t.rho - rho_e) * x[tid] for tid, (t, _) in types.items()) >= 0
+            value += sum(t.xi * x[tid] for tid, (t, _) in types.items())
+        assert sum(z for z, _ in exact.values()) <= 1
+        assert value == _relaxation_value(inst, _curves(inst), S)
+        assert abs(float(value) - answer.objective) < 1e-9, S
+        sol = f_of_S(inst, S)
+        assert sol.objective == float(value)
+        for a, (z, x) in exact.items():
+            assert sol.z[a] == float(z)
+            assert sol.x[a] == {tid: float(m) for tid, m in x.items()}
+        checked += 1
+    assert checked > 600
+
+
+def test_tied_slopes_go_to_lower_indices_and_the_designated_action_last():
+    # Three slope-1 pieces, 3/5 + 3/5 + 1/2 of mass, share the unit budget:
+    # action 1 fills first, action 2 takes the rest, and the designated
+    # action 0, though the lowest index, gets nothing.
+    inst = IndependentInstance(actions=(
+        mk_action(("d1", 1, 1, "1/2"), ("d0", "3/4", 0, "1/2")),
+        mk_action(("a1", 1, 1, "3/5"), ("a0", 0, 0, "2/5")),
+        mk_action(("b1", 1, 1, "3/5"), ("b0", 0, 0, "2/5")),
+    ))
+    assert inst.designated == 0
+    assert exact_relaxation(inst, [1, 2]) == {
+        0: (Fraction(0), {"d1": 0, "d0": 0}),
+        1: (Fraction(3, 5), {"a1": Fraction(3, 5), "a0": 0}),
+        2: (Fraction(2, 5), {"b1": Fraction(2, 5), "b0": 0}),
+    }
+    sol = f_of_S(inst, [1, 2])
+    assert sol.z == {0: 0.0, 1: 0.6, 2: 0.4} and sol.objective == 1.0
+    # Alone with the designated action, action 2 still goes first.
+    assert exact_relaxation(inst, [2])[0] == (Fraction(2, 5), {"d1": Fraction(2, 5), "d0": 0})
+
+
+def test_fallback_trap_accepts_no_zero_value_mass(trap):
+    # Every type of the trap is worth 0 to the sender, so no budget is spent:
+    # the LP accepted the zero-value "high" type at z = 1/2 instead.
+    sol = f_of_S(trap, [0])
+    assert sol.z == {0: 0.0, 1: 0.0}
+    assert sol.x == {0: {"prize": 0.0}, 1: {"high": 0.0, "low": 0.0}}
 
 
 def test_f_of_s_counterexample_fixture(trap):
@@ -202,11 +329,14 @@ def test_relaxation_solution_consistency():
         assert abs(sol.objective - sum(sol.per_action.values())) < 1e-9
 
 
+def lp_value(inst, S):
+    """f(S) by the reference LP on HiGHS."""
+    return reference_relaxation(inst, S)[0]
+
+
 def exhaustive_best(inst, k):
     others = [i for i in range(len(inst.actions)) if i != inst.designated]
-    return max(
-        f_of_S(inst, list(combo)).objective for combo in combinations(others, k - 1)
-    )
+    return max(lp_value(inst, combo) for combo in combinations(others, k - 1))
 
 
 def test_greedy_first_pick_is_best_singleton():
@@ -216,8 +346,8 @@ def test_greedy_first_pick_is_best_singleton():
         sel = actions_greedy(inst, 3)
         assert len(sel) == 2
         assert inst.designated not in sel
-        singles = {j: f_of_S(inst, [j]).objective for j in range(5) if j != inst.designated}
-        base = f_of_S(inst).objective
+        singles = {j: lp_value(inst, [j]) for j in range(5) if j != inst.designated}
+        base = lp_value(inst, ())
         best_gain = max(v - base for v in singles.values())
         if best_gain > 1e-12:
             got_gain = singles[sel[0]] - base
@@ -251,7 +381,7 @@ def test_exact_relaxation_value_matches_lp_and_lp_scored_greedy():
         def lp(S):
             key = tuple(sorted(S))
             if key not in lp_values:
-                lp_values[key] = f_of_S(inst, key).objective
+                lp_values[key] = lp_value(inst, key)
             return lp_values[key]
 
         curves = _curves(inst)
@@ -269,19 +399,17 @@ def test_exact_relaxation_value_matches_lp_and_lp_scored_greedy():
 
 
 def test_selection_solves_no_lp(monkeypatch):
-    import persuade.independent_schemes as indep
-
+    # Every solve_lp call, however imported, goes through lp_core._highs.
     calls = []
-    real = indep.solve_lp
-    monkeypatch.setattr(indep, "solve_lp", lambda lp: calls.append(lp) or real(lp))
+    real = lp_core._highs
+    monkeypatch.setattr(lp_core, "_highs", lambda: calls.append(1) or real())
     inst = random_best_fixed_deterministic(np.random.default_rng(54), 6)
-    actions_greedy(inst, 4)
-    fptas_select(inst, 4, 0.2)
-    assert calls == []
-    for method, lps in (("greedy", 1), ("reduce", 2), ("fptas", 1)):
-        calls.clear()
+    for method in ("greedy", "reduce", "fptas"):
         independent_scheme(inst, 4, method=method, epsilon=0.2)
-        assert len(calls) == lps, method
+    f_of_S(inst, range(6))
+    assert calls == []
+    solve_lp(LinearProgram(objective=(1.0,), rows=(), bounds=((0.0, 1.0),)))
+    assert calls == [1]
 
 
 def test_reduce_ranks_by_relaxation_share():
@@ -291,9 +419,14 @@ def test_reduce_ranks_by_relaxation_share():
         sel = actions_reduce(inst, 3)
         assert len(sel) == 2 and sel == tuple(sorted(sel))
         others = [i for i in range(5) if i != inst.designated]
-        sol = f_of_S(inst, others)
-        ranked = sorted(others, key=lambda i: (-sol.per_action.get(i, 0.0), i))
-        assert set(sel) == set(ranked[:2])
+        # The reference LP's contributions: every kept action is ahead of
+        # every dropped one, a tie within float noise going to the lower
+        # index.  On these instances HiGHS splits slope ties so that its
+        # ranking agrees with the tie rule's.
+        _, share = reference_relaxation(inst, others)
+        for i in sel:
+            for j in set(others) - set(sel):
+                assert share[i] > share[j] + 1e-9 or (abs(share[i] - share[j]) <= 1e-9 and i < j)
 
 
 def fptas_fault_instance():
@@ -328,7 +461,7 @@ def test_fptas_select_near_optimal():
         assert sel == tuple(sorted(sel))
         assert inst.designated not in sel
         best = exhaustive_best(inst, k)
-        got = f_of_S(inst, sel).objective
+        got = lp_value(inst, sel)
         assert got >= (1 - eps) * best - 1e-9, (k, eps, got, best)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import persuade as P
-from persuade import exact_oracle, independent_schemes, lp_core
+from persuade import exact_oracle, lp_core
 from persuade.lp_core import (
     CONSTRAINT_TOL,
     LinearProgram,
@@ -29,7 +29,7 @@ from persuade.prob_oracle import (
     segment_probabilities,
     unique_probabilities,
 )
-from corpus import independent_corpus, symmetric_corpus
+from corpus import independent_corpus, relaxation_lp, symmetric_corpus
 
 
 def test_solve_lp_simple_maximum():
@@ -177,16 +177,16 @@ def linprog_answer(lp: LinearProgram) -> LpSolution:
 
 def caller_lps(monkeypatch) -> list[LinearProgram]:
     """Every LP the package's callers of `solve_lp` build: the orbit referee
-    on symmetric priors, the state-level referee on an independent prior
-    with infeasible subsets and the relaxation (reduce's full set included)."""
+    on symmetric priors and the state-level referee on an independent prior
+    with infeasible subsets, plus the relaxation LP that the tests keep as
+    f_of_S's reference (``relaxation_lp``)."""
     lps: list[LinearProgram] = []
 
     def record(lp):
         lps.append(lp)
         return solve_lp(lp)
 
-    for module in (exact_oracle, independent_schemes):
-        monkeypatch.setattr(module, "solve_lp", record)
+    monkeypatch.setattr(exact_oracle, "solve_lp", record)
     for inst in symmetric_corpus(count=6):
         for k in range(2, n_slots(inst) + 1):
             exact_oracle._orbit_lp(inst, k, 10**5)
@@ -196,8 +196,7 @@ def caller_lps(monkeypatch) -> list[LinearProgram]:
     for inst in (independent, P.load_fixture("coins_k5")):
         everything = range(len(inst.actions))
         for S in ((), *combinations(everything, 1), everything):
-            independent_schemes.f_of_S(inst, S)
-        independent_schemes.actions_reduce(inst, 2)
+            lps.append(relaxation_lp(inst, S))
     return lps
 
 
