@@ -797,7 +797,9 @@ def expost_scheme(
         return relaxation.per_action[i] / z if z > NEGLIGIBLE_TOL else 0.0
 
     order = tuple(sorted(relaxation.actions, key=lambda i: (-density(i), i)))
-    dists = [_merged(dist) for dist in instance.actions]
+    certified = certified_fallback(instance)
+    fallback = certified if certified is not None else instance.designated
+    dists = {i: _merged(instance.actions[i]) for i in {*relaxation.actions, fallback}}
     accept: dict[int, dict[str, float]] = {}
     for i in relaxation.actions:
         row = {}
@@ -805,9 +807,6 @@ def expost_scheme(
             mass = relaxation.x[i].get(t.id, 0.0)
             row[t.id] = min(mass / float(q), 1.0) if q > 0 else 0.0
         accept[i] = row
-
-    certified = certified_fallback(instance)
-    fallback = certified if certified is not None else instance.designated
 
     u_sender = 0.0
     u_receiver = 0.0

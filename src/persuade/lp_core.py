@@ -7,10 +7,12 @@ deterministically with HiGHS, calling the bindings scipy ships
 ``solve_slope_lp`` solves the per-slope scheme LP in closed form: when every
 segment shares one slope, trading receiver value for sender value happens at
 a single fixed exchange rate, so the optimum is a one-dimensional shift from
-the sender-optimal corner.  The closed form itself is ``_slope_lp``;
-``slope_algorithm`` calls it directly with one row of the unique-event table
-that serves its whole sweep, and ``solve_slope_lp`` with the event lists it
-is given.
+the sender-optimal corner.  It reads three sums (``_slope_sums``: the
+sender and receiver values at that corner, and the receiver value the
+segments can add) and applies the closed form to them (``_slope_lp``);
+``slope_algorithm`` keeps the sums running from slope to slope and calls
+the closed form on them, and ``solve_slope_lp`` takes them from the event
+lists it is given.
 
 These LPs are tiny (one seed-1 benchmark round handed ``solve_lp`` 183 LPs
 with 18 204 row entries on the independent workload while the relaxation
@@ -293,29 +295,39 @@ def solve_slope_lp(
             raise ValueError(f"unique point {pt.c.id} was computed for slope {pt.s}, not {s}")
 
     xi, rho = [float(pt.c.xi) for pt in uniques], [float(pt.c.rho) for pt in uniques]
-    return _slope_lp(segments, [pt.p for pt in uniques], xi, rho, float(rho_e), s)
+    sums = _slope_sums(segments, [pt.p for pt in uniques], xi, rho)
+    return _slope_lp(*sums, len(segments), float(rho_e), s)
 
 
-def _slope_lp(
+def _slope_sums(
     segments: Sequence[SegmentProb], probs: Sequence[float | None], xi: Sequence[float],
-    rho: Sequence[float], rho_e: float, s,
-) -> SlopeLpResult | None:
-    """The closed form of `solve_slope_lp`; ``probs[t]`` is the probability
-    that the point (``xi[t]``, ``rho[t]``) alone is the tangency point, None
-    when that cannot happen."""
+    rho: Sequence[float],
+) -> tuple[float, float, float]:
+    """`solve_slope_lp`'s sums: the sender and receiver values with every
+    alpha at 1, and the receiver value the segments add at alpha = 0.
+    ``probs[t]`` is the probability that the point (``xi[t]``, ``rho[t]``)
+    alone is the tangency point, None when that cannot happen."""
     sender = sum(seg.p * float(seg.a.xi) for seg in segments)
     receiver = sum(seg.p * float(seg.a.rho) for seg in segments)
     sender += sum(p * x for p, x in zip(probs, xi) if p is not None)
     receiver += sum(p * r for p, r in zip(probs, rho) if p is not None)
     available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segments)
+    return sender, receiver, available
+
+
+def _slope_lp(
+    sender: float, receiver: float, available: float, count: int, rho_e: float, s,
+) -> SlopeLpResult | None:
+    """The closed form of `solve_slope_lp` on its sums (`_slope_sums`), with
+    one alpha for each of the ``count`` segments."""
     deficit = rho_e - receiver
     if deficit <= CONSTRAINT_TOL:
-        return SlopeLpResult((1.0,) * len(segments), sender, receiver)
+        return SlopeLpResult((1.0,) * count, sender, receiver)
     if deficit > available + CONSTRAINT_TOL:
         return None
     shift = min(1.0, deficit / available)  # fraction of the available receiver gain
     return SlopeLpResult(
-        alphas=(1.0 - shift,) * len(segments),
+        alphas=(1.0 - shift,) * count,
         u_sender=sender + float(s) * shift * available,
         u_receiver=receiver + shift * available,
     )

@@ -25,10 +25,12 @@ exact beyond general position:
 Both are one event: the required types (the pair, or the point) are among the
 first k realized, and every other realized type is allowed. Each event has
 one code path, a batched table: every pair at once for the segments, and
-for the unique points ``_unique_table``, which takes every slope of a solve
-at once. ``slope_algorithm`` reads its whole sweep off one unique table, at
--inf and the segment slopes (``candidate_slopes`` says why no other slope
-does better); ``unique_probabilities`` reads one row, at any slope <= 0.
+every type at one slope for the unique points (``_unique_row``).
+``slope_algorithm`` reads one segment table and two unique rows, at -inf
+and at the slope it picks (``symmetric_schemes._slope_sweep`` says why the
+segment table carries the sweep between them, and when rounding makes it
+read every candidate's row); ``unique_probabilities`` reads one row, at any
+slope <= 0.
 The slope -inf is ``NEG_INF``, the float ``-math.inf``; any float -inf is
 accepted for it.  Both tables read nothing but the instance's prior table
 (``model._prior_table``), built once per instance and shared with the
@@ -49,20 +51,13 @@ The exact reference these oracles are tested against,
 no code with this module.
 
 The probability is an inclusion-exclusion over the subsets of the required
-types, all queries of a call at once: one prophet-secretary recursion, or
-one exact integer pass for d-random-order, serves every slope of a unique
-table.  The table is computed and yielded in blocks of whole slopes, each
-within ``_BLOCK_CELLS`` cells of working set, counted as float64: per slope,
-the T x T allowed mask and 2T query columns of n distribution masses and
-2k + 2 recursion rows (one mass for IID).  So a block's working set stays
-within 8 MiB however many slopes there are, for every prior family,
-whenever a single slope fits in it (up to about 1 000 types for IID), and a
-caller that reads the rows in turn holds one block of them.  Every slope's
-masses come from a matrix product of their own, so a slope's probabilities
-are bit-identical to its lone query's.  Prophet-secretary: the expected
-product of the allowed masses of a uniform k-subset of the distributions,
-by the normalised recursion f(i, j) = (1 - j/i) f(i-1, j) + (j/i) m_i
-f(i-1, j-1), which stays in [0, 1] for any n. IID: its closed form v^k.
+types, all queries of a call at once: one matrix product of the Q x T
+allowed mask with the prior's weights, then one prophet-secretary
+recursion, IID power or exact integer pass for d-random-order.
+Prophet-secretary: the expected product of the allowed masses of a uniform
+k-subset of the distributions, by the normalised recursion f(i, j) =
+(1 - j/i) f(i-1, j) + (j/i) m_i f(i-1, j-1), which stays in [0, 1] for any
+n. IID: its closed form v^k.
 d-random-order: exact binomial counts of vector entries, converted to float
 at the end.  Whether an event can happen is decided exactly, not from the
 sign of a float, and such an event is listed even when its float
@@ -75,7 +70,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,14 +145,6 @@ def _slope_ranks(rho: Sequence, xi: Sequence, s: Slope) -> np.ndarray:
     return _dense_rank([x * q - p * r for r, x in zip(rho, xi)])
 
 
-def _unique_allowed(table: _PriorTable, s: Slope, c: np.ndarray) -> np.ndarray:
-    """allowed[q, t]: may type t be realized alongside "c[q] alone is the
-    slope-s tangency point"?"""
-    rank, c = _slope_ranks(table.rho_num, table.xi_num, s), c[:, None]
-    point, ids = table.point_rank, table.id_rank
-    return (rank < rank[c]) | (point == point[c]) & (ids > ids[c])
-
-
 def _pair_allowed(table: _PriorTable, s: Fraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """allowed[q, t]: may type t be realized alongside "a[q]-b[q] is the
     maximal slope-s segment"? Each a[q] has the lower receiver utility.
@@ -199,14 +186,8 @@ def _event_probs(
 ) -> list[float | None]:
     """For each query q: the probability that every type in ``required[q]``
     (one column for a unique point, two for a segment) is among the first k
-    realized types and every other one is allowed by q's row of ``allowed``;
-    None when that cannot happen, decided exactly.
-
-    ``allowed`` is B x (Q/B) x T, the queries in B equal blocks.  Each
-    block's float masses come from a matrix product of its own, so a query's
-    probability does not depend on the blocks beside it.
-    """
-    blocks, allowed = allowed, allowed.reshape(-1, allowed.shape[-1])
+    realized types and every other one is allowed by q's row of the Q x T
+    mask ``allowed``; None when that cannot happen, decided exactly."""
     r = required.shape[1]
     subsets = [s for size in range(r, -1, -1) for s in combinations(range(r), size)]
     signs = np.array([1 if (r - len(s)) % 2 == 0 else -1 for s in subsets])
@@ -231,20 +212,16 @@ def _event_probs(
 
     if w.ndim == 1:  # IID
         # k i.i.d. draws: E[product of allowed masses] is v^k.
-        base = np.concatenate([a @ w for a in blocks])
+        base = allowed @ w
         terms = np.stack([(base + w[required[:, list(s)]].sum(axis=1)) ** k for s in subsets])
         support = table.positive[required].all(axis=1)
     else:
-        # Columns subset by subset, filled block by block: no temporary as
-        # large as the n x (subsets * Q) masses themselves.
-        q, b = len(required), blocks.shape[1]
+        # Columns subset by subset: no temporary as large as the
+        # n x (subsets * Q) masses themselves.
+        q, base = len(required), w @ allowed.T  # n x Q
         masses = np.empty((len(w), len(subsets) * q))
-        for i, a in enumerate(blocks):
-            base = w @ a.T  # n x b
-            req = required[i * b : (i + 1) * b]
-            for j, s in enumerate(subsets):
-                cols = slice(j * q + i * b, j * q + (i + 1) * b)
-                masses[:, cols] = base + w[:, req[:, list(s)]].sum(axis=2)
+        for j, s in enumerate(subsets):
+            masses[:, j * q : (j + 1) * q] = base + w[:, required[:, list(s)]].sum(axis=2)
         terms = _mean_k_products(masses, k).reshape(len(subsets), -1)
         # Distinct distributions must host the required types, and k
         # distributions must be able to draw an allowed or required type.
@@ -289,7 +266,7 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
         allowed[rows] = _pair_allowed(table, s, required[rows, 0], required[rows, 1])
     out = [
         SegmentProb(types[a], types[b], s, p)
-        for (a, b, s), p in zip(pairs, _event_probs(table, k, required, allowed[None]))
+        for (a, b, s), p in zip(pairs, _event_probs(table, k, required, allowed))
         if p is not None
     ]
     out.sort(key=lambda seg: (seg.slope, seg.a.id, seg.b.id))
@@ -300,38 +277,17 @@ def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[
     """All types that can be slope s's sole tangency point, with their probabilities."""
     s = _check_slope(s)
     table = _check_query(instance, k)
-    (probs,) = _unique_table(table, k, [s])
-    return [UniquePointProb(t, s, p) for t, p in zip(table.types, probs) if p is not None]
+    probs = zip(table.types, _unique_row(table, k, s))
+    return [UniquePointProb(t, s, p) for t, p in probs if p is not None]
 
 
-# The most cells one `_event_probs` call of `_unique_table` works on, each
-# counted as a float64 (8 MiB): per slope, its T x T allowed mask and, per
-# query column, the masses of the n distributions and the 2k + 2 rows of the
-# recursion and its update buffer (one cell for an IID prior).
-_BLOCK_CELLS = 1 << 20
-
-
-def _unique_table(table: _PriorTable, k: int, slopes: Sequence[Slope]) -> Iterator[list[float | None]]:
-    """Row i, column t: the probability that type t alone is the tangency point
-    of ``slopes[i]``, None when that cannot happen; the rows are yielded
-    block by block, so a caller that reads them in turn holds one block.
-
-    The slopes' queries go through `_event_probs` together, in blocks of whole
-    slopes holding at most ``_BLOCK_CELLS`` cells of working set (at least one
-    slope each): per slope, the T x T allowed mask and 2T query columns (two
-    subsets per query) of ``height`` cells.  Each slope's masses come from a
-    matrix product of their own, so every row equals what the slope gives
-    on its own.
-    """
-    c = np.arange(len(table.types))
-    w = table.weights
-    height = 1 if w.ndim == 1 else len(w) + 2 * k + 2
-    per_call = max(1, _BLOCK_CELLS // (len(c) * (2 * height + len(c))))
-    for start in range(0, len(slopes), per_call):
-        block = slopes[start : start + per_call]
-        allowed = np.stack([_unique_allowed(table, s, c) for s in block])
-        probs = _event_probs(table, k, np.tile(c, len(block))[:, None], allowed)
-        yield from (probs[i : i + len(c)] for i in range(0, len(probs), len(c)))
+def _unique_row(table: _PriorTable, k: int, s: Slope) -> list[float | None]:
+    """Entry c: the probability that type c alone is the slope-s tangency
+    point, None when that cannot happen.  Row c of its allowed mask: may
+    type t be realized alongside that event?"""
+    rank, c = _slope_ranks(table.rho_num, table.xi_num, s), np.arange(len(table.types))[:, None]
+    point, ids = table.point_rank, table.id_rank
+    return _event_probs(table, k, c, (rank < rank[c]) | (point == point[c]) & (ids > ids[c]))
 
 
 def candidate_slopes(instance: SymmetricInstance, k: int) -> list[Slope]:

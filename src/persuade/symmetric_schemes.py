@@ -2,8 +2,9 @@
 
 The central routine is ``slope_algorithm``: at -inf and at every slope a
 realized frontier segment can have (no other tangent slope does better) it
-reads the realizable frontier events off the instance's prior table, solves
-the per-slope scheme LP in closed form, and keeps the best feasible answer.
+solves the per-slope scheme LP in closed form and keeps the best feasible
+answer, its sums telescoped from slope to slope over the segment events
+the oracle reads off the instance's prior table.
 The returned scheme is compact (a slope and one recommendation weight per
 same-slope segment); execution recommends the realized frontier's tangency
 point, found per state from the oracle's exact slope keys, ranked once per
@@ -22,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import NEG_INF, Slope
-from .lp_core import BICRITERIA_MARGIN, CONSTRAINT_TOL, GAIN_TOL, _slope_lp
+from .lp_core import BICRITERIA_MARGIN, CONSTRAINT_TOL, GAIN_TOL, SlopeLpResult, _slope_lp, _slope_sums
 from .model import (
     SAMPLER_MAX_SAMPLES,
     DRandomOrderInstance,
@@ -45,7 +46,7 @@ from .model import (
     _prior_table,
     _state_sampler,
 )
-from .prob_oracle import SegmentProb, _slope_ranks, _unique_table, segment_probabilities
+from .prob_oracle import SegmentProb, _slope_ranks, _unique_row, segment_probabilities
 
 __all__ = [
     "BicriteriaResult",
@@ -90,10 +91,11 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     receiver-best realized type) is always feasible, so the sweep cannot
     come back empty.
 
-    One segment table and one unique table (``prob_oracle._unique_table``,
-    every candidate slope in blocks of whole slopes under its cell budget)
-    serve the whole sweep.  Each slope's LP is `solve_slope_lp`'s closed
-    form on the same floats, bit-identical to calling it slope by slope.
+    One segment table and two unique rows serve the whole sweep
+    (`_slope_sweep`; every candidate's row only when rounding puts the
+    receiver threshold on s*'s boundary), and the reported scheme is
+    `solve_slope_lp`'s closed form at s* on the same floats, bit-identical
+    to what a slope-by-slope sweep reports at s*.
     """
     _check_family(instance, True, "slope_algorithm")
     return _slope_sweep(instance, k, float(best_fixed_action_value(instance)))
@@ -101,32 +103,64 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
 
 def _slope_sweep(instance: SymmetricInstance, k: int, rho_e: float) -> SlopeScheme:
     """`slope_algorithm`'s sweep with the receiver's threshold ``rho_e``
-    (there the best fixed action's value; `bicriteria_scheme` lowers it)."""
-    by_slope: dict[Fraction, list[SegmentProb]] = {}
+    (there the best fixed action's value; `bicriteria_scheme` lowers it).
+
+    Strictly between two adjacent candidate slopes no realized frontier has
+    a segment, so the tangency point just above one candidate is the one
+    just below the next: what a segment slope recommends with every alpha
+    at 0 is what the candidate before it recommends with every alpha at 1.
+    So the sums telescope.  X = (E[xi], E[rho]) at alpha = 1 starts at -inf's
+    unique row, and each segment slope, in ascending order, moves it by
+    sum p·(xi_a - xi_b, rho_a - rho_b) over its segments a-b; the receiver
+    value the slope's alphas can add back is sum p·(rho_b - rho_a).  These
+    running sums pick s*, and the scheme reported is s*'s closed form on its
+    own unique row (a second row, the first again when s* = -inf), so its
+    floats are those a slope-by-slope sweep gives at s*.
+    """
+    # Candidates in ascending order: -inf, then the segments' slopes, as
+    # `segment_probabilities` sorts them.
+    by_slope: dict[Slope, list[SegmentProb]] = {NEG_INF: []}
     for seg in segment_probabilities(instance, k):
         by_slope.setdefault(seg.slope, []).append(seg)
-
     table = _prior_table(instance)
-    slopes = [NEG_INF, *sorted(by_slope)]
-    best_s: Slope | None = None
-    best = None
-    for s, probs in zip(slopes, _unique_table(table, k, slopes)):
-        res = _slope_lp(by_slope.get(s, []), probs, table.xi, table.rho, rho_e, s)
-        if res is None:
-            continue
-        if best is None or res.u_sender > best.u_sender + GAIN_TOL:
-            best, best_s = res, s
-    if best is None or best_s is None:
+
+    def running() -> Iterator[SlopeLpResult | None]:
+        sender, receiver, _ = _slope_sums([], _unique_row(table, k, NEG_INF), table.xi, table.rho)
+        for s, segs in by_slope.items():
+            available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segs)
+            sender += sum(seg.p * float(seg.a.xi - seg.b.xi) for seg in segs)
+            receiver -= available
+            yield _slope_lp(sender, receiver, available, len(segs), rho_e, s)
+
+    def direct(s: Slope) -> SlopeLpResult | None:
+        segs = by_slope[s]
+        sums = _slope_sums(segs, _unique_row(table, k, s), table.xi, table.rho)
+        return _slope_lp(*sums, len(segs), rho_e, s)
+
+    best_s, _ = _best(by_slope, running())
+    best = direct(best_s)
+    if best is None:
+        # A receiver threshold within rounding of s*'s alpha = 0 value (about
+        # 1e-14 off; bicriteria's epsilon can put it there) is met by the
+        # running sums and missed on s*'s own row: sweep slope by slope.
+        best_s, best = _best(by_slope, map(direct, by_slope))
+    alpha = {(seg.a.id, seg.b.id): a for seg, a in zip(by_slope[best_s], best.alphas)}
+    assert best.u_receiver >= rho_e - CONSTRAINT_TOL
+    return SlopeScheme(s_star=best_s, alpha=alpha, u_sender=best.u_sender, u_receiver=best.u_receiver)
+
+
+def _best(slopes: Iterable[Slope], results: Iterable[SlopeLpResult | None]):
+    """The slope of the first feasible result that no later one beats by
+    more than ``GAIN_TOL``, and that result."""
+    best_s, best = None, None
+    for s, res in zip(slopes, results):
+        if res is not None and (best is None or res.u_sender > best.u_sender + GAIN_TOL):
+            best_s, best = s, res
+    if best is None:
         raise AssertionError(
             "no candidate slope gave a feasible LP; the -inf candidate should always be feasible"
         )
-
-    alpha = {
-        (seg.a.id, seg.b.id): a
-        for seg, a in zip(by_slope.get(best_s, []), best.alphas)
-    }
-    assert best.u_receiver >= rho_e - CONSTRAINT_TOL
-    return SlopeScheme(s_star=best_s, alpha=alpha, u_sender=best.u_sender, u_receiver=best.u_receiver)
+    return best_s, best
 
 
 class _Tangency:

@@ -847,6 +847,20 @@ def test_value_curves_built_once_per_instance(monkeypatch):
     assert calls == list(inst.actions)
 
 
+def test_expost_scheme_merges_only_the_distributions_it_reads(monkeypatch):
+    # The relaxation's actions and the fallback: no other action's types are
+    # read, so no other distribution is merged.
+    from persuade import independent_schemes
+
+    inst = P.load_fixture("coins_k5")
+    relaxation = f_of_S(inst, [1, 2])
+    merged = []
+    monkeypatch.setattr(independent_schemes, "_merged", lambda dist: merged.append(dist) or _merged(dist))
+    scheme = independent_schemes.expost_scheme(inst, relaxation, True)
+    read = sorted(i for d in merged for i, action in enumerate(inst.actions) if action is d)
+    assert read == sorted({1, 2, scheme.fallback}) and len(inst.actions) > len(read)
+
+
 def test_best_fixed_action_value_computed_once_per_instance(monkeypatch):
     # The receiver threshold is kept on the instance: the fallback check,
     # the relaxation and the value curves of every method read the one the

@@ -1,9 +1,11 @@
-"""The slope sweep at scale: one batched unique-event table per solve.
+"""The slope sweep at scale: one segment table and two unique rows per
+solve, the sums telescoped from slope to slope.
 
 Checked against the sweep run one slope at a time through the public
 oracle and LP, against pinned outputs on the benchmark's large instances,
-against a memory bound, and against the LP duality certificate
-min_s D(s) = u_sender that holds at any n without a referee.
+against a memory bound and a count of unique rows, and against the LP
+duality certificate min_s D(s) = u_sender that holds at any n without a
+referee.
 """
 
 from __future__ import annotations
@@ -16,29 +18,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from persuade import prob_oracle
+from persuade import prob_oracle, symmetric_schemes
 from persuade.cli import _round12
 from persuade.exact_oracle import optimal_scheme_bruteforce
 from persuade.geometry import NEG_INF
 from persuade.lp_core import GAIN_TOL, solve_slope_lp
 from persuade.model import (
-    ActionType, IIDInstance, ProphetSecretaryInstance, _prior_table, best_fixed_action_value, n_slots,
+    ActionType, IIDInstance, ProphetSecretaryInstance, best_fixed_action_value, n_slots,
 )
 from persuade.prob_oracle import candidate_slopes, segment_probabilities, unique_probabilities
-from persuade.symmetric_schemes import SlopeScheme, slope_algorithm, slope_scheme_to_dict
+from persuade.symmetric_schemes import (
+    SlopeScheme, bicriteria_scheme, slope_algorithm, slope_scheme_to_dict,
+)
 from corpus import perfbench, shared_type_priors, symmetric_corpus
 
 GOLDEN = Path(__file__).parent / "golden" / "slope_large.json"
 load = perfbench("instances").load
 
 
-def per_slope_scheme(inst, k: int) -> SlopeScheme:
+def per_slope_scheme(inst, k: int, rho_e=None) -> SlopeScheme:
     """`slope_algorithm` one slope at a time: one `unique_probabilities` and
-    one `solve_slope_lp` call per candidate slope."""
+    one `solve_slope_lp` call per candidate slope, at the receiver threshold
+    ``rho_e`` (by default the best fixed action's value)."""
     by_slope: dict = {}
     for seg in segment_probabilities(inst, k):
         by_slope.setdefault(seg.slope, []).append(seg)
-    rho_e = best_fixed_action_value(inst)
+    rho_e = best_fixed_action_value(inst) if rho_e is None else rho_e
     best_s, best = None, None
     for s in candidate_slopes(inst, k):
         res = solve_slope_lp(by_slope.get(s, []), unique_probabilities(inst, k, s), rho_e, s)
@@ -50,8 +55,13 @@ def per_slope_scheme(inst, k: int) -> SlopeScheme:
 
 def test_batched_sweep_equals_the_per_slope_sweep_bit_for_bit():
     instances = symmetric_corpus(60) + shared_type_priors(np.random.default_rng(7), 4)
-    for inst in instances:
-        for k in range(2, n_slots(inst) + 1):
+    cases = [(inst, range(2, n_slots(inst) + 1)) for inst in instances]
+    # The grid priors have hundreds of segment slopes: the running sums cross
+    # them all, and the tie rule sees the most near-equal candidates.
+    grids = [uniform_grid_iid(60), many_type_prophet_secretary(40, 30, seed=11)]
+    cases += [(inst, (2, 5, 10)) for inst in grids]
+    for inst, ks in cases:
+        for k in ks:
             assert slope_algorithm(inst, k) == per_slope_scheme(inst, k)
 
 
@@ -99,12 +109,19 @@ def many_type_prophet_secretary(n: int, count: int, seed: int) -> ProphetSecreta
     return ProphetSecretaryInstance(dists=tuple(dists))
 
 
+# The cell budget the slope sweep keeps to: 2**20 float64 cells, 8 MiB.
+BUDGET_CELLS = 1 << 20
+
+
 def test_unique_table_works_in_blocks_within_its_cell_budget():
+    # A unique row per candidate slope would take four budgets here; the
+    # sweep builds two rows (at -inf and at s*), so a solve from a fresh
+    # instance peaks within twice the budget and reports the per-slope scheme.
     n, count, k = 100, 56, 2
     inst = many_type_prophet_secretary(n, count, seed=11)
-    budget = prob_oracle._BLOCK_CELLS * 8  # bytes of float64
+    budget = BUDGET_CELLS * 8  # bytes of float64
     slopes = len(candidate_slopes(inst, k))
-    assert n * 2 * slopes * count >= 4 * prob_oracle._BLOCK_CELLS  # a single pass would not fit
+    assert n * 2 * slopes * count >= 4 * BUDGET_CELLS  # a row per slope would not fit
 
     fresh = many_type_prophet_secretary(n, count, seed=11)  # no cached prior table
     tracemalloc.start()
@@ -130,27 +147,9 @@ def uniform_grid_iid(count: int, n: int = 40, seed: int = 3) -> IIDInstance:
     return IIDInstance(palette=palette, n=n)
 
 
-def test_iid_unique_table_counts_its_allowed_masks_in_the_budget():
-    # Each slope holds a T x T allowed mask beside its 2T float masses; with
-    # 400 types an IID block sized by the floats alone peaks past 100 MiB.
-    count, k = 400, 10
-    table = _prior_table(uniform_grid_iid(count))
-    slopes = [NEG_INF, *(Fraction(-j, 25) for j in range(1, count))]
-    tracemalloc.start()
-    try:
-        rows = list(prob_oracle._unique_table(table, k, slopes))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
-    for i in (0, 1, 200, count - 1):  # each row is the slope's own table
-        assert rows[i] == next(prob_oracle._unique_table(table, k, [slopes[i]]))
-
-
-def test_slope_solve_holds_one_block_of_the_unique_table():
-    # 100 IID types have about T^2/4 = 2 500 candidate slopes; holding every
-    # slope's row of T floats at once peaks near 12 MiB, one block's working
-    # set stays within the block budget.
+def test_slope_solve_over_2000_candidate_slopes_peaks_under_8_mib():
+    # 100 IID types have about T^2/4 = 2 500 candidate slopes; the sweep
+    # holds the segment table and two unique rows, not a row per slope.
     inst, k = uniform_grid_iid(100), 10
     tracemalloc.start()
     try:
@@ -159,7 +158,44 @@ def test_slope_solve_holds_one_block_of_the_unique_table():
     finally:
         tracemalloc.stop()
     assert len(candidate_slopes(inst, k)) > 2000
-    assert peak < prob_oracle._BLOCK_CELLS * 8
+    assert peak < BUDGET_CELLS * 8
+
+
+def test_a_solve_and_a_bicriteria_fit_each_build_at_most_two_unique_rows(monkeypatch):
+    # The row at -inf starts the running sums, and s*'s own row gives the
+    # report; no other slope's row is built, however many candidates there are.
+    slopes, row = [], prob_oracle._unique_row
+
+    def counted(table, k, s):
+        slopes.append(s)
+        return row(table, k, s)
+
+    monkeypatch.setattr(prob_oracle, "_unique_row", counted)
+    monkeypatch.setattr(symmetric_schemes, "_unique_row", counted)
+    inst = uniform_grid_iid(30)
+    scheme = slope_algorithm(inst, 3)
+    assert len(candidate_slopes(inst, 3)) > 100
+    assert slopes == [NEG_INF, scheme.s_star]
+    slopes.clear()
+    bicriteria_scheme(inst, 3, 0.05, 2000, 1)
+    assert len(slopes) == 2 and slopes[0] == NEG_INF
+
+
+def test_a_threshold_within_rounding_of_a_boundary_takes_the_per_slope_sweep(monkeypatch):
+    # At this epsilon the fit's receiver threshold lies within rounding of
+    # s*'s alpha = 0 receiver value: the running sums meet it and s*'s own
+    # row misses it.  The sweep then goes slope by slope and reports what
+    # the per-slope sweep reports (the pinned values are the fit's before the
+    # sums were telescoped).
+    fits, slopes, row, sweep = [], [], prob_oracle._unique_row, symmetric_schemes._slope_sweep
+    monkeypatch.setattr(symmetric_schemes, "_unique_row",
+                        lambda table, k, s: slopes.append(s) or row(table, k, s))
+    monkeypatch.setattr(symmetric_schemes, "_slope_sweep", lambda *args: fits.append(args) or sweep(*args))
+    fit = bicriteria_scheme(symmetric_corpus(60)[11], 2, 0.016509979999999525, 1000, 1)
+    assert len(slopes) > 2
+    assert (fit.u_sender.hex(), fit.u_receiver.hex()) == ("0x1.67ef9d958afa8p-1", "0x1.1b4395d6ec608p-1")
+    ((sample, k, threshold),) = fits
+    assert sweep(sample, k, threshold) == per_slope_scheme(sample, k, threshold)
 
 
 def duality_bound(inst, k: int) -> float:
