@@ -7,21 +7,18 @@ deterministically with HiGHS, calling the bindings scipy ships
 ``solve_slope_lp`` solves the per-slope scheme LP in closed form: when every
 segment shares one slope, trading receiver value for sender value happens at
 a single fixed exchange rate, so the optimum is a one-dimensional shift from
-the sender-optimal corner.  It reads three sums (``_slope_sums``: the
-sender and receiver values at that corner, and the receiver value the
-segments can add) and applies the closed form to them (``_slope_lp``);
-``slope_algorithm`` keeps the sums running from slope to slope and calls
-the closed form on them, and ``solve_slope_lp`` takes them from the event
-lists it is given.
+the sender-optimal corner.  It reads three sums off the event lists it is
+given (the sender and receiver values at that corner, and the receiver
+value the segments can add) and applies the closed form to them
+(``_slope_lp``).  ``slope_algorithm`` evaluates -inf and the slope it picks
+with ``solve_slope_lp`` and carries the sums from slope to slope between
+them, calling the closed form on the running sums.
 
-These LPs are tiny (one seed-1 benchmark round handed ``solve_lp`` 183 LPs
-with 18 204 row entries on the independent workload while the relaxation
-was still solved as an LP, and 59 with 9 768 on symmetric-corpus; 65 with
-10 942 while the bicriteria fit still built one per run, as in the timings
-below), so a solve is mostly fixed overhead,
-and ``linprog``'s wrapper cost more than HiGHS's own run: one round's LPs
-took 0.69-0.83 s through ``linprog(method="highs")`` and 0.2 s through the
-bindings (2 CPUs, Python 3.11, scipy 1.17).  ``solve_lp`` passes HiGHS what
+These LPs are tiny (one to two hundred row entries each on the benchmark's
+workloads), so a solve is mostly fixed overhead, and ``linprog``'s wrapper
+cost more than HiGHS's own run: a benchmark round's LPs took 0.69-0.83 s
+through ``linprog(method="highs")`` and 0.2 s through the bindings (2 CPUs,
+Python 3.11, scipy 1.17).  ``solve_lp`` passes HiGHS what
 that call passed with its defaults (the same column-wise matrix, "<=" rows
 before "=" rows; presolve on, dual simplex, no debugging, no output) and
 keeps its status mapping and post-solve feasibility check, so it returns
@@ -30,13 +27,13 @@ the same bits.
 The matrix is assembled row by row in plain Python: each row is checked in
 turn and its nonzero entries appended to per-column lists, which are
 HiGHS's column starts, row indices and values as they stand.  At these
-sizes vectorised assembly buys nothing: replaying every LP of those two
-rounds through ``solve_lp`` took 0.082-0.090 s on independent and
-0.043-0.070 s on symmetric-corpus, against 0.102-0.113 s and 0.049-0.078 s
-with numpy (medians of 15 replays in each of 3 processes; 2 CPUs), with
-the same status, values and objective bit for bit.  So
-``lp_core`` imports nothing else from the package and no numpy: the
-standard library at import, scipy's HiGHS bindings at the first solve.
+sizes vectorised assembly buys nothing: replaying the LPs of two
+benchmark rounds through ``solve_lp`` took 0.082-0.090 s and 0.043-0.070 s,
+against 0.102-0.113 s and 0.049-0.078 s with numpy (medians of 15 replays
+in each of 3 processes; 2 CPUs), with the same status, values and
+objective bit for bit.  So ``lp_core`` imports nothing else from the
+package and no numpy: the standard library at import, scipy's HiGHS
+bindings at the first solve.
 
 HiGHS (scipy) is imported on the first ``solve_lp`` call, not with the
 package: importing scipy is most of a CLI call's start-up, and a command
@@ -294,32 +291,21 @@ def solve_slope_lp(
         if pt.s != s:
             raise ValueError(f"unique point {pt.c.id} was computed for slope {pt.s}, not {s}")
 
-    xi, rho = [float(pt.c.xi) for pt in uniques], [float(pt.c.rho) for pt in uniques]
-    sums = _slope_sums(segments, [pt.p for pt in uniques], xi, rho)
-    return _slope_lp(*sums, len(segments), float(rho_e), s)
-
-
-def _slope_sums(
-    segments: Sequence[SegmentProb], probs: Sequence[float | None], xi: Sequence[float],
-    rho: Sequence[float],
-) -> tuple[float, float, float]:
-    """`solve_slope_lp`'s sums: the sender and receiver values with every
-    alpha at 1, and the receiver value the segments add at alpha = 0.
-    ``probs[t]`` is the probability that the point (``xi[t]``, ``rho[t]``)
-    alone is the tangency point, None when that cannot happen."""
     sender = sum(seg.p * float(seg.a.xi) for seg in segments)
     receiver = sum(seg.p * float(seg.a.rho) for seg in segments)
-    sender += sum(p * x for p, x in zip(probs, xi) if p is not None)
-    receiver += sum(p * r for p, r in zip(probs, rho) if p is not None)
+    sender += sum(pt.p * float(pt.c.xi) for pt in uniques)
+    receiver += sum(pt.p * float(pt.c.rho) for pt in uniques)
     available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segments)
-    return sender, receiver, available
+    return _slope_lp(sender, receiver, available, len(segments), float(rho_e), s)
 
 
 def _slope_lp(
     sender: float, receiver: float, available: float, count: int, rho_e: float, s,
 ) -> SlopeLpResult | None:
-    """The closed form of `solve_slope_lp` on its sums (`_slope_sums`), with
-    one alpha for each of the ``count`` segments."""
+    """The closed form of `solve_slope_lp` on its sums: the sender and
+    receiver values with every alpha at 1, and the receiver value the
+    segments add at alpha = 0, with one alpha for each of the ``count``
+    segments."""
     deficit = rho_e - receiver
     if deficit <= CONSTRAINT_TOL:
         return SlopeLpResult((1.0,) * count, sender, receiver)

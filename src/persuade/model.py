@@ -151,6 +151,8 @@ class IIDInstance:
     n: int
 
     def __post_init__(self) -> None:
+        if _as_integer(self.n) is None:  # a bool or a float is not a slot count
+            raise InstanceFormatError("iid: 'n' must be an integer")
         if self.n < 1:
             raise InstanceFormatError("iid: n must be at least 1")
         if not self.palette:
@@ -666,13 +668,10 @@ def instance_from_dict(doc: dict) -> Instance:
         raise InstanceFormatError(f"instance document must be an object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "iid":
-        n = doc.get("n")
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InstanceFormatError("iid: 'n' must be an integer")
         palette = tuple(
             _type_from_dict(o, "iid palette", want_q=True) for o in doc.get("palette", [])
         )
-        return IIDInstance(palette=tuple((t, q) for t, q in palette), n=n)
+        return IIDInstance(palette=tuple((t, q) for t, q in palette), n=doc.get("n"))
     if kind == "prophet_secretary":
         dists = []
         for i, raw in enumerate(doc.get("dists", [])):

@@ -23,14 +23,15 @@ exact beyond general position:
   at each tangency coordinate owns the event.
 
 Both are one event: the required types (the pair, or the point) are among the
-first k realized, and every other realized type is allowed. Each event has
-one code path, a batched table: every pair at once for the segments, and
-every type at one slope for the unique points (``_unique_row``).
-``slope_algorithm`` reads one segment table and two unique rows, at -inf
-and at the slope it picks (``symmetric_schemes._slope_sweep`` says why the
-segment table carries the sweep between them, and when rounding makes it
-read every candidate's row); ``unique_probabilities`` reads one row, at any
-slope <= 0.
+first k realized, and every other realized type is allowed. A unique point c
+is the degenerate segment c-c, so one rule, ``_pair_allowed``, gives every
+allowed set. Each event has one code path, a batched table: every pair at
+once for the segments, and every type at one slope for the unique points.
+``slope_algorithm`` reads one segment table and at most two unique rows, at
+-inf and at the slope it picks (``symmetric_schemes._slope_sweep`` says why
+the segment table carries the sweep between them, and when rounding makes
+it read every candidate's row); ``unique_probabilities`` reads one row, at
+any slope <= 0.
 The slope -inf is ``NEG_INF``, the float ``-math.inf``; any float -inf is
 accepted for it.  Both tables read nothing but the instance's prior table
 (``model._prior_table``), built once per instance and shared with the
@@ -43,8 +44,8 @@ slopes come from the integer utilities. At a slope every type gets one
 exact key (``xi - s*rho`` over the common denominator; ``(rho, xi)`` at
 -inf and ``(xi, rho)`` at 0), ranked by ``_slope_ranks``, and a query's
 allowed set is a boolean mask read off the keys' dense ranks: lower rank,
-or the same point with a larger id, or for a pair the interior of the open
-segment.
+or an end's point (the query point, for a unique point) with a larger id,
+or the interior of a pair's open segment.
 
 The exact reference these oracles are tested against,
 ``exact_oracle.enumerate_oracle``, lives with the other referees and shares
@@ -70,6 +71,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -145,20 +147,23 @@ def _slope_ranks(rho: Sequence, xi: Sequence, s: Slope) -> np.ndarray:
     return _dense_rank([x * q - p * r for r, x in zip(rho, xi)])
 
 
-def _pair_allowed(table: _PriorTable, s: Fraction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pair_allowed(table: _PriorTable, s: Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """allowed[q, t]: may type t be realized alongside "a[q]-b[q] is the
     maximal slope-s segment"? Each a[q] has the lower receiver utility.
     On a line of finite slope the (rho, xi) order of points is their rho
-    order, so the open segment is the point ranks strictly between a and b."""
+    order, so the open segment is the point ranks strictly between a and b.
+    With a[q] = b[q] = c the segment is the point c, and the row is "may t be
+    realized alongside c alone being the slope-s tangency point", at any
+    slope <= 0 and at -inf."""
     rank = _slope_ranks(table.rho_num, table.xi_num, s)
     point, ids = table.point_rank, table.id_rank
-    a, b = a[:, None], b[:, None]
+    line, pa, pb = rank[a][:, None], point[a][:, None], point[b][:, None]
     on_line = (
-        (point == point[a]) & (ids > ids[a])
-        | (point == point[b]) & (ids > ids[b])
-        | (point > point[a]) & (point < point[b])
+        (point == pa) & (ids > ids[a][:, None])
+        | (point == pb) & (ids > ids[b][:, None])
+        | (point > pa) & (point < pb)
     )
-    return (rank < rank[a]) | (rank == rank[a]) & on_line
+    return (rank < line) | (rank == line) & on_line
 
 
 # --------------------------------------------------------------------------
@@ -244,11 +249,11 @@ def _check_query(instance: SymmetricInstance, k: int) -> _PriorTable:
 def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentProb]:
     """All canonical type pairs whose maximal-segment event can happen.
 
-    Pairs are oriented left-to-right (increasing receiver utility) and the
-    list is sorted by (slope, left id, right id) for determinism.  A pair
-    qualifies when its slope is finite and negative, read off the table's
-    integer utilities.  The allowed sets are classified once per distinct
-    slope.
+    Pairs are oriented left-to-right (increasing receiver utility) and
+    listed slope by slope in ascending order, each slope's pairs by (left
+    id, right id), for determinism.  A pair qualifies when its slope is
+    finite and negative, read off the table's integer utilities.  The
+    allowed sets are classified once per distinct slope.
     """
     table = _check_query(instance, k)
     types, rho, xi = table.types, table.rho_num, table.xi_num
@@ -259,35 +264,29 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
     ]
     required = np.array([(a, b) for a, b, _ in pairs], dtype=np.int64).reshape(-1, 2)
     allowed = np.zeros((len(pairs), len(types)), dtype=bool)
-    by_slope: dict[Fraction, list[int]] = {}
-    for q, (_, _, s) in enumerate(pairs):
-        by_slope.setdefault(s, []).append(q)
+    ids = [(types[a].id, types[b].id) for a, b, _ in pairs]
+    by_slope: dict[Fraction, list[int]] = {}  # each slope's pairs in (left id, right id) order
+    for q in sorted(range(len(pairs)), key=ids.__getitem__):
+        by_slope.setdefault(pairs[q][2], []).append(q)
     for s, rows in by_slope.items():
         allowed[rows] = _pair_allowed(table, s, required[rows, 0], required[rows, 1])
-    out = [
-        SegmentProb(types[a], types[b], s, p)
-        for (a, b, s), p in zip(pairs, _event_probs(table, k, required, allowed))
-        if p is not None
+    probs = _event_probs(table, k, required, allowed)
+    return [
+        SegmentProb(types[pairs[q][0]], types[pairs[q][1]], s, probs[q])
+        for s, rows in sorted(by_slope.items(), key=itemgetter(0)) for q in rows
+        if probs[q] is not None
     ]
-    out.sort(key=lambda seg: (seg.slope, seg.a.id, seg.b.id))
-    return out
 
 
 def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[UniquePointProb]:
-    """All types that can be slope s's sole tangency point, with their probabilities."""
+    """All types that can be slope s's sole tangency point, with their
+    probabilities.  A unique point c is the degenerate segment c-c: its
+    allowed set is `_pair_allowed`'s with a = b = c."""
     s = _check_slope(s)
     table = _check_query(instance, k)
-    probs = zip(table.types, _unique_row(table, k, s))
-    return [UniquePointProb(t, s, p) for t, p in probs if p is not None]
-
-
-def _unique_row(table: _PriorTable, k: int, s: Slope) -> list[float | None]:
-    """Entry c: the probability that type c alone is the slope-s tangency
-    point, None when that cannot happen.  Row c of its allowed mask: may
-    type t be realized alongside that event?"""
-    rank, c = _slope_ranks(table.rho_num, table.xi_num, s), np.arange(len(table.types))[:, None]
-    point, ids = table.point_rank, table.id_rank
-    return _event_probs(table, k, c, (rank < rank[c]) | (point == point[c]) & (ids > ids[c]))
+    c = np.arange(len(table.types))
+    probs = _event_probs(table, k, c[:, None], _pair_allowed(table, s, c, c))
+    return [UniquePointProb(t, s, p) for t, p in zip(table.types, probs) if p is not None]
 
 
 def candidate_slopes(instance: SymmetricInstance, k: int) -> list[Slope]:

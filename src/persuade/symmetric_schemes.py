@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .geometry import NEG_INF, Slope
-from .lp_core import BICRITERIA_MARGIN, CONSTRAINT_TOL, GAIN_TOL, SlopeLpResult, _slope_lp, _slope_sums
+from .lp_core import BICRITERIA_MARGIN, CONSTRAINT_TOL, GAIN_TOL, SlopeLpResult, _slope_lp, solve_slope_lp
 from .model import (
     SAMPLER_MAX_SAMPLES,
     DRandomOrderInstance,
@@ -46,7 +46,7 @@ from .model import (
     _prior_table,
     _state_sampler,
 )
-from .prob_oracle import SegmentProb, _slope_ranks, _unique_row, segment_probabilities
+from .prob_oracle import SegmentProb, _slope_ranks, segment_probabilities, unique_probabilities
 
 __all__ = [
     "BicriteriaResult",
@@ -91,11 +91,11 @@ def slope_algorithm(instance: SymmetricInstance, k: int) -> SlopeScheme:
     receiver-best realized type) is always feasible, so the sweep cannot
     come back empty.
 
-    One segment table and two unique rows serve the whole sweep
+    One segment table and at most two unique rows serve the whole sweep
     (`_slope_sweep`; every candidate's row only when rounding puts the
     receiver threshold on s*'s boundary), and the reported scheme is
-    `solve_slope_lp`'s closed form at s* on the same floats, bit-identical
-    to what a slope-by-slope sweep reports at s*.
+    `solve_slope_lp` at s* on `unique_probabilities`' row there, what a
+    slope-by-slope sweep reports at s*.
     """
     _check_family(instance, True, "slope_algorithm")
     return _slope_sweep(instance, k, float(best_fixed_action_value(instance)))
@@ -109,36 +109,39 @@ def _slope_sweep(instance: SymmetricInstance, k: int, rho_e: float) -> SlopeSche
     a segment, so the tangency point just above one candidate is the one
     just below the next: what a segment slope recommends with every alpha
     at 0 is what the candidate before it recommends with every alpha at 1.
-    So the sums telescope.  X = (E[xi], E[rho]) at alpha = 1 starts at -inf's
-    unique row, and each segment slope, in ascending order, moves it by
+    So the sums telescope.  X = (E[xi], E[rho]) at alpha = 1 starts at
+    -inf's values, `solve_slope_lp` on -inf's `unique_probabilities` row,
+    and each segment slope, in ascending order, moves it by
     sum p·(xi_a - xi_b, rho_a - rho_b) over its segments a-b; the receiver
     value the slope's alphas can add back is sum p·(rho_b - rho_a).  These
-    running sums pick s*, and the scheme reported is s*'s closed form on its
-    own unique row (a second row, the first again when s* = -inf), so its
-    floats are those a slope-by-slope sweep gives at s*.
+    running sums pick s*, and the scheme reported is `solve_slope_lp` on
+    s*'s own row (the -inf result itself when s* = -inf), so its floats
+    are those a slope-by-slope sweep gives at s*.
     """
     # Candidates in ascending order: -inf, then the segments' slopes, as
-    # `segment_probabilities` sorts them.
+    # `segment_probabilities` lists them.
     by_slope: dict[Slope, list[SegmentProb]] = {NEG_INF: []}
     for seg in segment_probabilities(instance, k):
         by_slope.setdefault(seg.slope, []).append(seg)
-    table = _prior_table(instance)
+
+    def direct(s: Slope) -> SlopeLpResult | None:
+        return solve_slope_lp(by_slope[s], unique_probabilities(instance, k, s), rho_e, s)
+
+    # Feasible: recommending the receiver-best realized type gives the
+    # receiver at least any fixed action's value.
+    start = direct(NEG_INF)
+    assert start is not None, "the -inf candidate should always be feasible"
 
     def running() -> Iterator[SlopeLpResult | None]:
-        sender, receiver, _ = _slope_sums([], _unique_row(table, k, NEG_INF), table.xi, table.rho)
+        sender, receiver = start.u_sender, start.u_receiver
         for s, segs in by_slope.items():
             available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segs)
             sender += sum(seg.p * float(seg.a.xi - seg.b.xi) for seg in segs)
             receiver -= available
             yield _slope_lp(sender, receiver, available, len(segs), rho_e, s)
 
-    def direct(s: Slope) -> SlopeLpResult | None:
-        segs = by_slope[s]
-        sums = _slope_sums(segs, _unique_row(table, k, s), table.xi, table.rho)
-        return _slope_lp(*sums, len(segs), rho_e, s)
-
     best_s, _ = _best(by_slope, running())
-    best = direct(best_s)
+    best = start if best_s == NEG_INF else direct(best_s)
     if best is None:
         # A receiver threshold within rounding of s*'s alpha = 0 value (about
         # 1e-14 off; bicriteria's epsilon can put it there) is met by the

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from inspect import signature
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,13 @@ def fixture_dir(tmp_path_factory):
     return out
 
 
+# Click 8.1 writes stderr into stdout unless told not to; from 8.2 the two
+# are always kept apart and the option is gone.
+SEPARATE_STDERR = {"mix_stderr": False} if "mix_stderr" in signature(CliRunner).parameters else {}
+
+
 def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+    return CliRunner(**SEPARATE_STDERR).invoke(main, list(args))
 
 
 def test_fixtures_command_writes_catalog(fixture_dir):
@@ -80,7 +86,7 @@ def test_solve_refuses_uncertified_greedy(fixture_dir):
         "--method", "greedy",
     )
     assert res.exit_code == 3
-    assert "--force" in res.output
+    assert "--force" in res.stderr
     forced = invoke(
         "solve", "--instance", str(fixture_dir / "fallback_trap.json"), "--k", "2",
         "--method", "greedy", "--force",
@@ -135,9 +141,9 @@ def test_validation_failures_exit_1(fixture_dir, tmp_path, args):
     res = invoke(*(paths.get(a, a) for a in args))
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit)  # reported, not a traceback
-    assert "error:" in res.output
+    assert "error:" in res.stderr
     if "N_TRUE" in args:  # rejected as a document, not read as n = 1
-        assert "'n' must be an integer" in res.output
+        assert "'n' must be an integer" in res.stderr
 
 
 def test_solve_large_iid_instance(tmp_path):
@@ -182,6 +188,48 @@ def test_memory_error_exits_1(fixture_dir, monkeypatch):
     assert res.stderr.splitlines() == [
         "error: out of memory on this instance: Unable to allocate 7.45 GiB"
     ]
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (OverflowError("int too large to convert to float"), 1,
+     "error: OverflowError on this instance: int too large to convert to float"),
+    (RuntimeError("LP solver failed: time limit reached"), 2,
+     "error: LP solver failed: time limit reached"),
+])
+def test_arithmetic_and_runtime_errors_exit_1_and_2(fixture_dir, monkeypatch, error, code, line):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("persuade.cli.slope_algorithm", failing)
+    res = invoke("solve", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2")
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)  # reported, not a traceback
+    assert res.stderr.splitlines() == [line]
+    assert res.stdout == ""
+
+
+def test_a_bad_option_before_the_command_exits_1():
+    # Refused while the group parses its own options, before any command runs.
+    line = one_error_line(invoke("--bogus", "solve"))
+    assert "--bogus" in line
+
+
+def test_an_unknown_method_exits_1(fixture_dir):
+    res = invoke("solve", "--instance", str(fixture_dir / "tug_of_war.json"), "--k", "2",
+                 "--method", "bogus")
+    assert one_error_line(res) == (
+        "error: unknown method 'bogus'; expected one of "
+        "slope, imitation, bicriteria, greedy, fptas, reduce"
+    )
+
+
+def test_a_malformed_instance_is_one_error_line(tmp_path):
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps({"kind": "d_random_order", "vectors": [[
+        {"id": "a", "rho": 0, "xi": 1}, {"id": "b", "rho": 1, "xi": 0}]], "vector_probs": []}))
+    res = invoke("solve", "--instance", str(path), "--k", "2")
+    assert one_error_line(res) == "error: d_random_order: vectors and vector_probs length mismatch"
+    assert res.stdout == ""
 
 
 def test_help_exits_0():

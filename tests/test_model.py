@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -334,6 +335,76 @@ def test_json_round_trip_all_kinds():
 def test_instance_from_dict_rejects_unknown_kind():
     with pytest.raises(InstanceFormatError, match="unknown instance kind"):
         P.instance_from_dict({"kind": "mystery"})
+
+
+_A, _B = ActionType("a", Fraction(1), Fraction(0)), ActionType("b", Fraction(0), Fraction(1))
+_HALF = Fraction(1, 2)
+_TYPE = {"id": "a", "rho": 0, "xi": 1, "q": 1}
+
+# Every refusal of the constructors and the parser, with its exact message.
+REFUSALS = [
+    (lambda: IIDInstance(palette=((_A, 0.5), (_B, _HALF)), n=2),
+     "iid palette: probability of 'a' is not an exact rational"),
+    (lambda: IIDInstance(palette=(), n=2), "iid: empty palette"),
+    (lambda: ProphetSecretaryInstance(dists=()), "prophet_secretary: no distributions"),
+    (lambda: ProphetSecretaryInstance(dists=((),)), "prophet_secretary: distribution 0 is empty"),
+    (lambda: DRandomOrderInstance(vectors=(), vector_probs=()), "d_random_order: no vectors"),
+    (lambda: DRandomOrderInstance(vectors=((_A,),), vector_probs=()),
+     "d_random_order: vectors and vector_probs length mismatch"),
+    (lambda: DRandomOrderInstance(vectors=((),), vector_probs=(Fraction(1),)),
+     "d_random_order: empty vector"),
+    (lambda: DRandomOrderInstance(vectors=((_A, _B), (_A,)), vector_probs=(_HALF, _HALF)),
+     "d_random_order: vector 1 has length 1, expected 2"),
+    (lambda: DRandomOrderInstance(vectors=((_A,), (_B,)), vector_probs=(0.5, _HALF)),
+     "d_random_order: vector_probs[0] is not an exact rational"),
+    (lambda: DRandomOrderInstance(vectors=((_A,), (_B,)), vector_probs=(-_HALF, 3 * _HALF)),
+     "d_random_order: vector_probs[0] is negative"),
+    (lambda: DRandomOrderInstance(vectors=((_A,), (_B,)), vector_probs=(_HALF, Fraction(1, 3))),
+     "d_random_order: vector_probs sum to 5/6, expected 1"),
+    (lambda: IndependentInstance(actions=()), "independent: no actions"),
+    (lambda: IndependentInstance(actions=((),)), "independent: action 0 has no types"),
+    (lambda: P.instance_from_dict({"kind": "iid", "n": 2, "palette": [5]}),
+     "iid palette: expected a type object, got 5"),
+    (lambda: P.instance_from_dict({"kind": "iid", "n": 2, "palette": [{"id": "a", "rho": 0}]}),
+     "iid palette: missing field 'xi'"),
+    (lambda: P.instance_from_dict({"kind": "iid", "n": 2, "palette": [{**_TYPE, "id": ""}]}),
+     "iid palette: type id must be a non-empty string"),
+    (lambda: P.instance_from_dict({"kind": "iid", "n": 2, "palette": [
+        {"id": "a", "rho": 0, "xi": 1}]}), "iid palette: missing probability 'q'"),
+    (lambda: P.instance_from_dict([_TYPE]), "instance document must be an object, got list"),
+]
+
+
+@pytest.mark.parametrize("build, message", REFUSALS,
+                         ids=[re.sub(r"\W+", "-", m).strip("-") for _, m in REFUSALS])
+def test_each_refusal_has_its_own_message(build, message):
+    with pytest.raises(InstanceFormatError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_invalid_json_is_refused_with_its_position(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    with pytest.raises(InstanceFormatError) as refused:
+        P.load_instance(path)
+    assert str(refused.value) == (
+        f"{path}: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"
+    )
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_iid_refuses_a_slot_count_that_is_not_an_integer(n):
+    # 2.5 used to solve as a count and then fail inside numpy's sampler; True
+    # was read as 1 slot.
+    with pytest.raises(InstanceFormatError) as refused:
+        IIDInstance(palette=((_A, Fraction(1)),), n=n)
+    assert str(refused.value) == "iid: 'n' must be an integer"
+    with pytest.raises(InstanceFormatError) as parsed:
+        P.instance_from_dict({"kind": "iid", "n": n, "palette": [_TYPE]})
+    assert str(parsed.value) == str(refused.value)
+    assert IIDInstance(palette=((_A, Fraction(1)),), n=np.int64(3)).n == 3
 
 
 def test_save_and_load_instance(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import persuade as P
-from persuade.model import n_slots
+from persuade.model import n_slots, sample_state
 from persuade.simulate import estimate
 from persuade.symmetric_schemes import SlopeSchemeExecutor, slope_algorithm
 from corpus import PROPHET_SECRETARY_DOC, big_prophet_secretary
@@ -106,10 +106,28 @@ def test_first_k_columns_keep_the_whole_state_stream(name):
         assert estimate(ex, inst, 3000, seed) == estimate(_Public(ex), inst, 3000, seed)
 
 
+@pytest.mark.parametrize("name, method", [
+    ("coins_k3", "greedy"), ("coins_k3", "reduce"), ("coins_k5", "greedy"),
+])
+def test_expost_recommend_draws_what_estimate_draws(name, method):
+    # estimate binds the ex-post scheme to the prior table's columns; its
+    # public recommend on whole states draws the same slots seed for seed.
+    inst = P.load_fixture(name)
+    scheme = P.independent_scheme(inst, 2, method=method, force=True)
+    for seed in (0, 7):
+        assert estimate(scheme, inst, 3000, seed) == estimate(_Public(scheme), inst, 3000, seed)
+
+
 def test_an_executor_wider_than_the_state_is_refused(tug_executor):
     ex, inst = tug_executor
     with pytest.raises(ValueError, match="scheme needs 4"):
         estimate(SlopeSchemeExecutor(ex.scheme, 4), inst, samples=10, seed=0)
+    # The public methods refuse a short state too, before reading any slot.
+    wide, state = SlopeSchemeExecutor(ex.scheme, 4), sample_state(inst, np.random.default_rng(0))
+    for call in (wide.recommendation_distribution, lambda s: wide.recommend(s, np.random.default_rng(0))):
+        with pytest.raises(ValueError) as refused:
+            call(state)
+        assert str(refused.value) == "state has 3 slots, scheme needs 4"
 
 
 def test_an_executor_k_that_is_not_a_positive_integer_is_refused(tug_executor):

@@ -1,5 +1,5 @@
-"""The slope sweep at scale: one segment table and two unique rows per
-solve, the sums telescoped from slope to slope.
+"""The slope sweep at scale: one segment table and at most two unique rows
+per solve, the sums telescoped from slope to slope.
 
 Checked against the sweep run one slope at a time through the public
 oracle and LP, against pinned outputs on the benchmark's large instances,
@@ -164,14 +164,13 @@ def test_slope_solve_over_2000_candidate_slopes_peaks_under_8_mib():
 def test_a_solve_and_a_bicriteria_fit_each_build_at_most_two_unique_rows(monkeypatch):
     # The row at -inf starts the running sums, and s*'s own row gives the
     # report; no other slope's row is built, however many candidates there are.
-    slopes, row = [], prob_oracle._unique_row
+    slopes, row = [], symmetric_schemes.unique_probabilities
 
-    def counted(table, k, s):
+    def counted(instance, k, s):
         slopes.append(s)
-        return row(table, k, s)
+        return row(instance, k, s)
 
-    monkeypatch.setattr(prob_oracle, "_unique_row", counted)
-    monkeypatch.setattr(symmetric_schemes, "_unique_row", counted)
+    monkeypatch.setattr(symmetric_schemes, "unique_probabilities", counted)
     inst = uniform_grid_iid(30)
     scheme = slope_algorithm(inst, 3)
     assert len(candidate_slopes(inst, 3)) > 100
@@ -181,15 +180,38 @@ def test_a_solve_and_a_bicriteria_fit_each_build_at_most_two_unique_rows(monkeyp
     assert len(slopes) == 2 and slopes[0] == NEG_INF
 
 
+@pytest.mark.parametrize("fit", [False, True], ids=["solve", "bicriteria"])
+def test_the_benchmark_tracer_sees_each_slope_the_sweep_evaluates(fit):
+    # The sweep evaluates -inf and s* through the public oracle and LP, so
+    # the benchmark's per-layer counts see them: one or two rows, each
+    # handed to `solve_slope_lp`, and one segment table.
+    originals = (symmetric_schemes.unique_probabilities, symmetric_schemes.solve_slope_lp,
+                 symmetric_schemes.segment_probabilities, prob_oracle.unique_probabilities)
+    inst, tracer = uniform_grid_iid(30), perfbench("tracing").Tracer()
+    with tracer:
+        if fit:
+            bicriteria_scheme(inst, 3, 0.05, 2000, 1)
+        else:
+            slope_algorithm(inst, 3)
+    table = tracer.table()
+    rows = table.get("prob_oracle.unique_probabilities.calls", 0)
+    assert rows in (1, 2)
+    assert table.get("lp_core.solve_slope_lp.calls", 0) == rows
+    assert table.get("prob_oracle.segment_probabilities.calls", 0) == 1
+    assert (symmetric_schemes.unique_probabilities, symmetric_schemes.solve_slope_lp,
+            symmetric_schemes.segment_probabilities, prob_oracle.unique_probabilities) == originals
+
+
 def test_a_threshold_within_rounding_of_a_boundary_takes_the_per_slope_sweep(monkeypatch):
     # At this epsilon the fit's receiver threshold lies within rounding of
     # s*'s alpha = 0 receiver value: the running sums meet it and s*'s own
     # row misses it.  The sweep then goes slope by slope and reports what
     # the per-slope sweep reports (the pinned values are the fit's before the
     # sums were telescoped).
-    fits, slopes, row, sweep = [], [], prob_oracle._unique_row, symmetric_schemes._slope_sweep
-    monkeypatch.setattr(symmetric_schemes, "_unique_row",
-                        lambda table, k, s: slopes.append(s) or row(table, k, s))
+    fits, slopes = [], []
+    row, sweep = symmetric_schemes.unique_probabilities, symmetric_schemes._slope_sweep
+    monkeypatch.setattr(symmetric_schemes, "unique_probabilities",
+                        lambda instance, k, s: slopes.append(s) or row(instance, k, s))
     monkeypatch.setattr(symmetric_schemes, "_slope_sweep", lambda *args: fits.append(args) or sweep(*args))
     fit = bicriteria_scheme(symmetric_corpus(60)[11], 2, 0.016509979999999525, 1000, 1)
     assert len(slopes) > 2
