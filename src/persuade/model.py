@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -350,6 +350,15 @@ def _dense_rank(keys: list) -> np.ndarray:
     return np.array([rank[key] for key in keys])
 
 
+def _integer_utilities(types: Sequence[ActionType]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The types' rho and xi as integers over their common denominator, and
+    that denominator."""
+    scale = math.lcm(*(c.denominator for t in types for c in (t.rho, t.xi)))
+    rho_num = tuple(t.rho.numerator * (scale // t.rho.denominator) for t in types)
+    xi_num = tuple(t.xi.numerator * (scale // t.xi.denominator) for t in types)
+    return rho_num, xi_num, scale
+
+
 def _cached(instance: Instance, name: str, build: Callable):
     """``build(instance)``, computed on first use and kept in the instance's
     ``__dict__`` under ``name`` as `functools.cached_property` keeps values:
@@ -432,9 +441,7 @@ class _PriorTable:
             p /= p.sum()
             cdf = p.cumsum()
             cdfs[i, : sizes[i]] = cdf / cdf[-1]
-        scale = math.lcm(*(c.denominator for t in types for c in (t.rho, t.xi)))
-        rho_num = tuple(t.rho.numerator * (scale // t.rho.denominator) for t in types)
-        xi_num = tuple(t.xi.numerator * (scale // t.xi.denominator) for t in types)
+        rho_num, xi_num, scale = _integer_utilities(types)
         table = _PriorTable(
             types,
             rho_num,

@@ -39,13 +39,20 @@ sampler: the distinct types with their utilities as integers over one
 common denominator, exact dense ranks of their points and of their ids,
 plus the prior's weights per type - one palette vector for IID priors, an
 n x T float mass matrix for prophet-secretary ones, a V x T integer
-entry-count matrix for d-random-order ones. The segment pairs and their
-slopes come from the integer utilities. At a slope every type gets one
-exact key (``xi - s*rho`` over the common denominator; ``(rho, xi)`` at
--inf and ``(xi, rho)`` at 0), ranked by ``_slope_ranks``, and a query's
-allowed set is a boolean mask read off the keys' dense ranks: lower rank,
-or an end's point (the query point, for a unique point) with a larger id,
-or the interior of a pair's open segment.
+entry-count matrix for d-random-order ones. The segment pairs, their
+slopes and every allowed set come from the integer utilities.  A query's
+line runs through its left end a (the query point, for a unique point)
+with direction (d_rho, d_xi): b - a for a pair, (q, p) at a slope p/q,
+and at 0 and -inf the slopes -1/M and -M, with M so large that the
+lexicographic keys, (xi, rho) at 0 and (rho, xi) at -inf, order the
+types.  Type t lies below the line when the exact orientation test
+(xi_t - xi_a)·d_rho - d_xi·(rho_t - rho_a) < 0 holds, and a query's
+allowed set is a boolean mask: below the line, or on it and an end's
+point with a larger id, or the interior of a pair's open segment.  The
+products are int64 where they cannot overflow and Python integers
+otherwise, and one `_pair_allowed` call classifies every pair, T rows at
+a time.  The executor ranks types in the same order through
+``_slope_ranks``.
 
 The exact reference these oracles are tested against,
 ``exact_oracle.enumerate_oracle``, lives with the other referees and shares
@@ -70,8 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, groupby
 from typing import Sequence
 
 import numpy as np
@@ -147,23 +153,43 @@ def _slope_ranks(rho: Sequence, xi: Sequence, s: Slope) -> np.ndarray:
     return _dense_rank([x * q - p * r for r, x in zip(rho, xi)])
 
 
-def _pair_allowed(table: _PriorTable, s: Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pair_allowed(table: _PriorTable, a: np.ndarray, b: np.ndarray, s: Slope | None = None) -> np.ndarray:
     """allowed[q, t]: may type t be realized alongside "a[q]-b[q] is the
-    maximal slope-s segment"? Each a[q] has the lower receiver utility.
-    On a line of finite slope the (rho, xi) order of points is their rho
-    order, so the open segment is the point ranks strictly between a and b.
-    With a[q] = b[q] = c the segment is the point c, and the row is "may t be
-    realized alongside c alone being the slope-s tangency point", at any
-    slope <= 0 and at -inf."""
-    rank = _slope_ranks(table.rho_num, table.xi_num, s)
+    maximal segment of its slope"? Each a[q] has the lower receiver utility,
+    and the line runs through a[q] and b[q] (``s`` None).  With a given
+    slope ``s`` every row's line runs through a[q] at slope s, and with
+    a[q] = b[q] = c the row is "may t be realized alongside c alone being
+    the slope-s tangency point", at any slope <= 0 and at -inf.
+
+    t lies below row q's line when the orientation cross product
+    (xi_t - xi_a)·d_rho - d_xi·(rho_t - rho_a) is negative, on the table's
+    integer utilities, with the line's direction (d_rho, d_xi) = b - a, or
+    (q, p) for s = p/q.  s = 0 is read as the slope -1/M and -inf as -M,
+    with M = 2·max|utility numerator| + 1: no two types' order differs
+    there from the lexicographic key's, (xi, rho) at 0 and (rho, xi) at
+    -inf.  On the line (cross 0) t is allowed when it is an end's point
+    with a larger id, or in the interior of the open segment, which on a
+    line of finite slope is the points strictly between a and b in (rho,
+    xi) order.  The cross products are int64 when they cannot pass 2^63
+    (2·max|numerator|·(|d_rho| + |d_xi|) below it), else Python ints in an
+    object array; rows go in blocks of T, so no temporary exceeds T x T.
+    """
+    m = max(map(abs, table.rho_num + table.xi_num))
+    if s is not None:  # 0 and -inf as the slopes -1/M and -M
+        d = (1, -2 * m - 1) if s == NEG_INF else (2 * m + 1, -1) if s == 0 else (s.denominator, s.numerator)
+    dtype = np.int64 if 2 * m * (4 * m if s is None else abs(d[0]) + abs(d[1])) < 2**63 else object
+    rho, xi = np.array(table.rho_num, dtype=dtype), np.array(table.xi_num, dtype=dtype)
+    d_rho, d_xi = (rho[b] - rho[a], xi[b] - xi[a]) if s is None else (np.full(len(a), v, dtype) for v in d)
     point, ids = table.point_rank, table.id_rank
-    line, pa, pb = rank[a][:, None], point[a][:, None], point[b][:, None]
-    on_line = (
-        (point == pa) & (ids > ids[a][:, None])
-        | (point == pb) & (ids > ids[b][:, None])
-        | (point > pa) & (point < pb)
-    )
-    return (rank < line) | (rank == line) & on_line
+    allowed = np.empty((len(a), len(rho)), dtype=bool)
+    for lo in range(0, len(a), len(rho)):
+        q = slice(lo, lo + len(rho))
+        qa, qb = a[q, None], b[q, None]
+        cross = (xi - xi[qa]) * d_rho[q, None] - d_xi[q, None] * (rho - rho[qa])
+        pa, pb = point[qa], point[qb]
+        on_line = (point == pa) & (ids > ids[qa]) | (point == pb) & (ids > ids[qb]) | (point > pa) & (point < pb)
+        allowed[q] = (cross < 0) | (cross == 0) & on_line
+    return allowed
 
 
 # --------------------------------------------------------------------------
@@ -252,28 +278,24 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
     Pairs are oriented left-to-right (increasing receiver utility) and
     listed slope by slope in ascending order, each slope's pairs by (left
     id, right id), for determinism.  A pair qualifies when its slope is
-    finite and negative, read off the table's integer utilities.  The
-    allowed sets are classified once per distinct slope.
+    finite and negative, read off the table's integer utilities.  Every
+    pair's allowed set comes from one `_pair_allowed` call; the slopes are
+    ordered by their floats, so `Fraction`s are compared only where those
+    are equal.
     """
     table = _check_query(instance, k)
     types, rho, xi = table.types, table.rho_num, table.xi_num
     pairs = [
-        (*((i, j) if rho[i] < rho[j] else (j, i)), Fraction(xi[j] - xi[i], rho[j] - rho[i]))
+        (i, j) if rho[i] < rho[j] else (j, i)
         for i, j in combinations(range(len(types)), 2)
         if (rho[j] - rho[i]) * (xi[j] - xi[i]) < 0
     ]
-    required = np.array([(a, b) for a, b, _ in pairs], dtype=np.int64).reshape(-1, 2)
-    allowed = np.zeros((len(pairs), len(types)), dtype=bool)
-    ids = [(types[a].id, types[b].id) for a, b, _ in pairs]
-    by_slope: dict[Fraction, list[int]] = {}  # each slope's pairs in (left id, right id) order
-    for q in sorted(range(len(pairs)), key=ids.__getitem__):
-        by_slope.setdefault(pairs[q][2], []).append(q)
-    for s, rows in by_slope.items():
-        allowed[rows] = _pair_allowed(table, s, required[rows, 0], required[rows, 1])
-    probs = _event_probs(table, k, required, allowed)
+    keys = [(Fraction(xi[b] - xi[a], rho[b] - rho[a]), types[a].id, types[b].id) for a, b in pairs]
+    required = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    probs = _event_probs(table, k, required, _pair_allowed(table, required[:, 0], required[:, 1]))
     return [
-        SegmentProb(types[pairs[q][0]], types[pairs[q][1]], s, probs[q])
-        for s, rows in sorted(by_slope.items(), key=itemgetter(0)) for q in rows
+        SegmentProb(types[pairs[q][0]], types[pairs[q][1]], keys[q][0], probs[q])
+        for q in sorted(range(len(pairs)), key=lambda q: (float(keys[q][0]), keys[q]))
         if probs[q] is not None
     ]
 
@@ -281,11 +303,11 @@ def segment_probabilities(instance: SymmetricInstance, k: int) -> list[SegmentPr
 def unique_probabilities(instance: SymmetricInstance, k: int, s: Slope) -> list[UniquePointProb]:
     """All types that can be slope s's sole tangency point, with their
     probabilities.  A unique point c is the degenerate segment c-c: its
-    allowed set is `_pair_allowed`'s with a = b = c."""
+    allowed set is `_pair_allowed`'s with a = b = c at slope s."""
     s = _check_slope(s)
     table = _check_query(instance, k)
     c = np.arange(len(table.types))
-    probs = _event_probs(table, k, c[:, None], _pair_allowed(table, s, c, c))
+    probs = _event_probs(table, k, c[:, None], _pair_allowed(table, c, c, s))
     return [UniquePointProb(t, s, p) for t, p in zip(table.types, probs) if p is not None]
 
 
@@ -300,4 +322,4 @@ def candidate_slopes(instance: SymmetricInstance, k: int) -> list[Slope]:
     no segment each realized frontier is one point, recommended at 0 and
     -inf alike.  So no other slope offers a better scheme.
     """
-    return [NEG_INF, *sorted({seg.slope for seg in segment_probabilities(instance, k)})]
+    return [NEG_INF, *(s for s, _ in groupby(seg.slope for seg in segment_probabilities(instance, k)))]

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -43,6 +45,7 @@ from .model import (
     _check_integer,
     _check_k,
     _dense_rank,
+    _integer_utilities,
     _prior_table,
     _state_sampler,
 )
@@ -118,59 +121,62 @@ def _slope_sweep(instance: SymmetricInstance, k: int, rho_e: float) -> SlopeSche
     s*'s own row (the -inf result itself when s* = -inf), so its floats
     are those a slope-by-slope sweep gives at s*.
     """
-    # Candidates in ascending order: -inf, then the segments' slopes, as
-    # `segment_probabilities` lists them.
-    by_slope: dict[Slope, list[SegmentProb]] = {NEG_INF: []}
-    for seg in segment_probabilities(instance, k):
-        by_slope.setdefault(seg.slope, []).append(seg)
+    # Candidates in ascending order: -inf, then the segments' slopes, each
+    # with its segments, grouped as `segment_probabilities` lists them.
+    groups = [(NEG_INF, [])]
+    groups += [(s, list(segs)) for s, segs in groupby(segment_probabilities(instance, k), attrgetter("slope"))]
+    table = _prior_table(instance)
+    rho = {t.id: r for t, r in zip(table.types, table.rho_num)}
+    xi = {t.id: x for t, x in zip(table.types, table.xi_num)}
 
-    def direct(s: Slope) -> SlopeLpResult | None:
-        return solve_slope_lp(by_slope[s], unique_probabilities(instance, k, s), rho_e, s)
+    def direct(s: Slope, segs: list[SegmentProb]) -> SlopeLpResult | None:
+        return solve_slope_lp(segs, unique_probabilities(instance, k, s), rho_e, s)
 
     # Feasible: recommending the receiver-best realized type gives the
     # receiver at least any fixed action's value.
-    start = direct(NEG_INF)
+    start = direct(*groups[0])
     assert start is not None, "the -inf candidate should always be feasible"
 
     def running() -> Iterator[SlopeLpResult | None]:
+        # Each difference over the table's common denominator: the float of
+        # the exact difference, as float(seg.b.rho - seg.a.rho) gives it.
         sender, receiver = start.u_sender, start.u_receiver
-        for s, segs in by_slope.items():
-            available = sum(seg.p * float(seg.b.rho - seg.a.rho) for seg in segs)
-            sender += sum(seg.p * float(seg.a.xi - seg.b.xi) for seg in segs)
+        for s, segs in groups:
+            available = sum(seg.p * ((rho[seg.b.id] - rho[seg.a.id]) / table.scale) for seg in segs)
+            sender += sum(seg.p * ((xi[seg.a.id] - xi[seg.b.id]) / table.scale) for seg in segs)
             receiver -= available
             yield _slope_lp(sender, receiver, available, len(segs), rho_e, s)
 
-    best_s, _ = _best(by_slope, running())
-    best = start if best_s == NEG_INF else direct(best_s)
+    (best_s, segs), _ = _best(groups, running())
+    best = start if best_s == NEG_INF else direct(best_s, segs)
     if best is None:
         # A receiver threshold within rounding of s*'s alpha = 0 value (about
         # 1e-14 off; bicriteria's epsilon can put it there) is met by the
         # running sums and missed on s*'s own row: sweep slope by slope.
-        best_s, best = _best(by_slope, map(direct, by_slope))
-    alpha = {(seg.a.id, seg.b.id): a for seg, a in zip(by_slope[best_s], best.alphas)}
+        (best_s, segs), best = _best(groups, (direct(*group) for group in groups))
+    alpha = {(seg.a.id, seg.b.id): a for seg, a in zip(segs, best.alphas)}
     assert best.u_receiver >= rho_e - CONSTRAINT_TOL
     return SlopeScheme(s_star=best_s, alpha=alpha, u_sender=best.u_sender, u_receiver=best.u_receiver)
 
 
-def _best(slopes: Iterable[Slope], results: Iterable[SlopeLpResult | None]):
-    """The slope of the first feasible result that no later one beats by
+def _best(groups: Iterable[tuple[Slope, list[SegmentProb]]], results: Iterable[SlopeLpResult | None]):
+    """The group of the first feasible result that no later one beats by
     more than ``GAIN_TOL``, and that result."""
-    best_s, best = None, None
-    for s, res in zip(slopes, results):
+    best_group, best = None, None
+    for group, res in zip(groups, results):
         if res is not None and (best is None or res.u_sender > best.u_sender + GAIN_TOL):
-            best_s, best = s, res
+            best_group, best = group, res
     if best is None:
         raise AssertionError(
             "no candidate slope gave a feasible LP; the -inf candidate should always be feasible"
         )
-    return best_s, best
+    return best_group, best
 
 
 class _Tangency:
     """A slope scheme's recommendation rule on states given as lists of
     columns of one type list: column c's type has utilities ``rho[c]`` and
-    ``xi[c]`` (`Fraction`s, or integers over one common denominator) and
-    id ``ids[c]``.
+    ``xi[c]``, integers over one common denominator, and id ``ids[c]``.
 
     ``low[c]`` ranks column c first by its exact slope-s* key (its
     `_slope_ranks` rank), then by the lowest point (rho, xi), then by the
@@ -246,7 +252,8 @@ class SlopeSchemeExecutor:
     state.
     `recommend` and `recommendation_distribution` take `ActionType` states:
     they map each type to a column among the types seen so far, ranked
-    again when a state brings a new one, and run the same rule.
+    again, on their utilities over a common denominator, when a state
+    brings a new one, and run the same rule.
     ``k`` must be an integer of at least 1; a numpy integer is stored as an
     `int`.
     """
@@ -272,7 +279,7 @@ class SlopeSchemeExecutor:
                 pass
         seen = self._seen
         seen.update((t.id, t) for t in head)
-        rho, xi, ids = [t.rho for t in seen.values()], [t.xi for t in seen.values()], list(seen)
+        ids, (rho, xi, _) = list(seen), _integer_utilities(list(seen.values()))
         rule = _Tangency(self.scheme, rho, xi, ids)
         ranked[:] = [{tid: c for c, tid in enumerate(ids)}, rule]
         return [ranked[0][t.id] for t in head], rule

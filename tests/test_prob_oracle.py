@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,19 +12,24 @@ import persuade as P
 from persuade.exact_oracle import enumerate_oracle
 from persuade.geometry import NEG_INF
 from persuade.model import (
+    ActionType,
     DRandomOrderInstance,
     IIDInstance,
     ProphetSecretaryInstance,
+    _prior_table,
     n_slots,
 )
 from persuade.prob_oracle import (
+    _pair_allowed,
     candidate_slopes,
     segment_probabilities,
     subset_product_sum,
     unique_probabilities,
 )
 from persuade.symmetric_schemes import slope_algorithm
-from corpus import probe_slopes, random_symmetric, shared_type_priors, symmetric_corpus
+from corpus import perfbench, probe_slopes, random_symmetric, shared_type_priors, symmetric_corpus
+from test_exact_oracle import _wide_fraction_prior
+from test_slope_sweep import uniform_grid_iid
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +237,123 @@ def test_one_type_table_per_oracle_call(monkeypatch, name):
     bicriteria_scheme(inst, 2, 0.1, 50, 1)
     assert [b is inst for b in builds] == [True, False]
     assert isinstance(builds[1], model.DRandomOrderInstance)
+
+
+# --------------------------------------------------------------------------
+# Allowed sets: the orientation test against the per-slope rank rule
+# --------------------------------------------------------------------------
+
+def rank_rule_allowed(table, s, a, b) -> np.ndarray:
+    """The allowed masks by the per-slope rank rule: every type's exact
+    slope-s key (xi - s*rho on the table's integer utilities; (rho, xi) at
+    -inf, (xi, rho) at 0) is densely ranked, and t is allowed for row q
+    when its key ranks below the line's (a[q]'s), or equal and t is an
+    end's point with a larger id or strictly between a[q] and b[q] in
+    (rho, xi) order."""
+    def dense(keys):
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        return np.array([rank[key] for key in keys])
+
+    rho, xi = table.rho_num, table.xi_num
+    if s == NEG_INF:
+        rank = dense(list(zip(rho, xi)))
+    elif s == 0:
+        rank = dense(list(zip(xi, rho)))
+    else:
+        rank = dense([x * s.denominator - s.numerator * r for r, x in zip(rho, xi)])
+    point, ids = dense(list(zip(rho, xi))), dense([t.id for t in table.types])
+    line, pa, pb = rank[a][:, None], point[a][:, None], point[b][:, None]
+    on_line = (
+        (point == pa) & (ids > ids[a][:, None])
+        | (point == pb) & (ids > ids[b][:, None])
+        | (point > pa) & (point < pb)
+    )
+    return (rank < line) | (rank == line) & on_line
+
+
+def assert_masks_match_the_rank_rule(inst) -> None:
+    """Every segment row, and the unique rows at -inf, at 0, at every
+    segment slope and between them, equal boolean for boolean.  The masks
+    read the prior table only, so they are the same at every k."""
+    table = _prior_table(inst)
+    types = table.types
+    pairs = [
+        (i, j) if t.rho < u.rho else (j, i)
+        for (i, t), (j, u) in combinations(enumerate(types), 2)
+        if (u.rho - t.rho) * (u.xi - t.xi) < 0
+    ]
+    a, b = (np.array([p[e] for p in pairs], dtype=np.int64) for e in (0, 1))
+    slopes = [(types[j].xi - types[i].xi) / (types[j].rho - types[i].rho) for i, j in pairs]
+    got = _pair_allowed(table, a, b)
+    by_slope: dict = {}
+    for q, s in enumerate(slopes):
+        by_slope.setdefault(s, []).append(q)
+    for s, rows in by_slope.items():
+        assert (got[rows] == rank_rule_allowed(table, s, a[rows], b[rows])).all(), (inst, s)
+    finite = sorted(by_slope)
+    c = np.arange(len(types))
+    for s in [NEG_INF, Fraction(0), *finite, *((lo + hi) / 2 for lo, hi in zip(finite, finite[1:]))]:
+        assert (_pair_allowed(table, c, c, s) == rank_rule_allowed(table, s, c, c)).all(), (inst, s)
+
+
+def points_iid(points) -> IIDInstance:
+    """An IID prior over the given (rho, xi) points, ids t0, t1, ..."""
+    palette = tuple(
+        (ActionType(f"t{j}", Fraction(r), Fraction(x)), Fraction(1, len(points)))
+        for j, (r, x) in enumerate(points)
+    )
+    return IIDInstance(palette=palette, n=2)
+
+
+def test_masks_match_the_rank_rule_on_the_corpora():
+    for inst in symmetric_corpus():
+        assert_masks_match_the_rank_rule(inst)
+    for inst in shared_type_priors(np.random.default_rng(43), 12):
+        assert_masks_match_the_rank_rule(inst)
+    assert_masks_match_the_rank_rule(uniform_grid_iid(60))
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_masks_match_the_rank_rule_on_large_instances(seed):
+    for case in perfbench("gen").symmetric_large(seed):
+        assert_masks_match_the_rank_rule(perfbench("instances").load(case["doc"]))
+
+
+@pytest.mark.parametrize("top", [2**30 - 1, 2**30, 2**40], ids=["int64", "object", "past-int64"])
+def test_masks_match_the_rank_rule_at_the_int64_bound(top):
+    # Numerators of magnitude 2^30 - 1 keep every cross product of a
+    # segment row inside int64; at 2^30 they are Python ints, and at 2^40
+    # int64 products would wrap.  Collinear triples, shared coordinates and
+    # coincident points sit at the extremes.
+    h = top // 2
+    inst = points_iid([
+        (-top, top), (top, -top), (0, 0), (-top, top), (h, -h), (-h, h),
+        (top, top), (top, 0), (0, top), (-top, -top), (-top, 0), (0, -top), (1, top - 1),
+    ])
+    assert_masks_match_the_rank_rule(inst)
+
+
+def test_masks_match_the_rank_rule_on_wide_fractions():
+    # 126-bit numerators over the common denominator: the object path.
+    inst = _wide_fraction_prior()
+    assert max(map(abs, _prior_table(inst).rho_num + _prior_table(inst).xi_num)) > 2**120
+    assert_masks_match_the_rank_rule(inst)
+
+
+def test_masks_break_boundary_ties_lexicographically():
+    # Equal receiver utilities, equal sender utilities, coincident points
+    # and collinear runs on lines of slope -1, 0 and -inf: at 0 and -inf
+    # the secondary key decides what the primary one leaves equal.
+    inst = points_iid([
+        (0, 3), (0, 1), (0, 3), (1, 3), (2, 3), (2, 1), (1, 2), (3, 0), (2, 1), (3, 3), (0, 0), (3, 1),
+    ])
+    assert_masks_match_the_rank_rule(inst)
+
+
+def test_unique_rows_at_extreme_slopes(tug):
+    # Slope keys far beyond int64: the oracle answers as it did by ranks.
+    third, two_thirds = float.fromhex("0x1.5555555555555p-2"), float.fromhex("0x1.5555555555555p-1")
+    steep = [(u.c.id, u.p) for u in unique_probabilities(tug, 2, Fraction(-10**30, 7))]
+    flat = [(u.c.id, u.p) for u in unique_probabilities(tug, 2, Fraction(-3, 10**40))]
+    assert steep == [("sender_pick", third), ("receiver_pick", two_thirds)]
+    assert flat == [("sender_pick", two_thirds), ("receiver_pick", third)]

@@ -161,6 +161,20 @@ def test_slope_solve_over_2000_candidate_slopes_peaks_under_8_mib():
     assert peak < BUDGET_CELLS * 8
 
 
+def test_slope_solve_over_200_types_peaks_under_24_mib():
+    # About T^2/4 = 10 000 segment rows: their allowed sets are classified
+    # T rows at a time, so the peak is the segment table's own mask and
+    # event masses, not a rows x T integer cross-product matrix (47 MiB).
+    inst, k = uniform_grid_iid(200), 10
+    tracemalloc.start()
+    try:
+        slope_algorithm(inst, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
 def test_a_solve_and_a_bicriteria_fit_each_build_at_most_two_unique_rows(monkeypatch):
     # The row at -inf starts the running sums, and s*'s own row gives the
     # report; no other slope's row is built, however many candidates there are.
